@@ -5,7 +5,7 @@ gadget instance file), prints one result document to standard output and
 reserves standard error for diagnostics. Exit codes: 0 for a true answer
 or produced output, 1 for a false answer, 2 for usage and validation
 problems, 3 when work is refused (completion cap exceeded, or no
-polynomial algorithm under method=poly).
+polynomial algorithm under method=poly), 4 for an internal error.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .representation import (
     posjr,
     possible_axiom_by_scan,
 )
-from .rules import parse_rule_spec, profile_score, winning_committees
+from .rules import mask_of, parse_rule_spec, profile_score, winning_committees
 
 ENV_CAP = "ABCU_CAP"
 
@@ -141,10 +141,7 @@ def _handle_winners(args) -> tuple[dict, int]:
     _require_complete(profile, "winners")
     complete = _as_complete(profile)
     rule = parse_rule_spec(args.rule)
-    winners = sorted(
-        winning_committees(rule, complete, k),
-        key=lambda w: sum(1 << c for c in w),
-    )
+    winners = sorted(winning_committees(rule, complete, k), key=mask_of)
     doc = {
         "query": "winners",
         "answer": True,
@@ -309,13 +306,18 @@ def run_cli(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         doc, code = _HANDLERS[args.command](args)
+        text = serialize_result(doc)
     except ResourceRefusal as exc:
         print(f"abcu: {exc}", file=sys.stderr)
         return 3
     except (InputError, ValueError, OSError) as exc:
         print(f"abcu: {exc}", file=sys.stderr)
         return 2
-    print(serialize_result(doc))
+    except Exception as exc:
+        # Exit 1 means "false", so a bug must not escape as a traceback.
+        print(f"abcu: internal error: {exc!r}", file=sys.stderr)
+        return 4
+    print(text)
     return code
 
 

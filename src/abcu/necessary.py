@@ -21,40 +21,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    BadKError,
-    BadThresholdError,
-    ModelMismatchError,
-    NoPolyAlgorithmError,
-)
+from .errors import BadKError, ModelMismatchError, NoPolyAlgorithmError
 from .model import (
     DEFAULT_CAP,
     ApprovalBallot,
     ApprovalProfile,
     PartialBallot,
     PartialProfile,
-    enumerate_completions,
     is_linearly_ordered,
     is_three_valued,
 )
-from .possible import (
-    Decision,
-    _check_candidate,
-    _check_k,
-    _check_threshold,
-    _committee_completion_av,
-    _mask,
-    _threshold_completion,
-)
+from .possible import Decision, committee_completion_av, threshold_completion
 from .rules import (
     AV,
     Committee,
     ScoringFunction,
     ballot_score,
     binary_rule,
+    check_candidate,
     check_committee_size,
+    check_k,
+    check_threshold,
     committees_by_mask,
     defeats,
+    mask_of,
+    scored_completions,
     winning_committees,
 )
 
@@ -137,7 +128,8 @@ def max_diff_ballot(
             if best is None or diff > best:
                 best = diff
                 best_ballot = candidate_ballot
-    assert best is not None and best_ballot is not None
+    if best_ballot is None:
+        raise RuntimeError("approving no contested candidate must be consistent")
     return best, best_ballot
 
 
@@ -165,7 +157,8 @@ def max_diff_profile(
         ),
         Fraction(0),
     )
-    assert check == total, "per-voter maxima must assemble exactly"
+    if check != total:
+        raise RuntimeError("per-voter maxima must assemble exactly")
     return ScoreDiffReport(committee, rival, tuple(diffs), total, witness)
 
 
@@ -182,7 +175,7 @@ def neccom(
     the first positive one supplies the counterexample completion.
     """
     check_committee_size(committee, k, profile.m)
-    _check_threshold(f, k)
+    check_threshold(f.binary_threshold, k)
     if k == profile.m:
         # The full candidate set is the only committee of its size.
         return Decision(True, None, None, "max-score-difference")
@@ -205,15 +198,13 @@ def necmem_av_3va(profile: PartialProfile, candidate: int, k: int) -> Decision:
     """
     if not is_three_valued(profile):
         raise ModelMismatchError("profile carries order constraints")
-    _check_candidate(candidate, profile.m)
-    _check_k(k, profile.m)
+    check_candidate(candidate, profile.m)
+    check_k(k, profile.m)
     if k == profile.m:
         return Decision(True, None, None, "av-3va-defeat-scan")
-    for committee in _committees_avoiding(profile.m, k, candidate):
-        completion = ApprovalProfile(
-            profile.registry,
-            tuple(_committee_completion_av(b, committee) for b in profile.ballots),
-        )
+    avoiding = (w for w in committees_by_mask(profile.m, k) if candidate not in w)
+    for committee in avoiding:
+        completion = committee_completion_av(profile, committee)
         if defeats(AV, completion, committee, candidate):
             return Decision(False, completion, committee, "av-3va-defeat-scan")
     return Decision(True, None, None, "av-3va-defeat-scan")
@@ -231,8 +222,8 @@ def necmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
     """
     if not is_linearly_ordered(profile):
         raise ModelMismatchError("profile middles are not totally ordered")
-    _check_candidate(candidate, profile.m)
-    _check_k(k, profile.m)
+    check_candidate(candidate, profile.m)
+    check_k(k, profile.m)
     ballots = []
     for b in profile.ballots:
         if candidate in b.middle:
@@ -248,8 +239,8 @@ def necmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
     ]
     better = sum(1 for c in range(profile.m) if scores[c] > scores[candidate])
     if better > k - 1:
-        winners = sorted(winning_committees(AV, adversarial, k), key=_mask)
-        return Decision(False, adversarial, winners[0], "av-linear-canonical")
+        first = min(winning_committees(AV, adversarial, k), key=mask_of)
+        return Decision(False, adversarial, first, "av-linear-canonical")
     return Decision(True, None, None, "av-linear-canonical")
 
 
@@ -265,31 +256,18 @@ def necmem_binary_linear(
     """
     if not is_linearly_ordered(profile):
         raise ModelMismatchError("profile middles are not totally ordered")
-    _check_candidate(candidate, profile.m)
-    _check_k(k, profile.m)
-    if t > k:
-        raise BadThresholdError(f"threshold {t} exceeds committee size {k}")
+    check_candidate(candidate, profile.m)
+    check_k(k, profile.m)
+    check_threshold(t, k)
     if k == profile.m:
         return Decision(True, None, None, "binary-linear-defeat-scan")
     rule = binary_rule(t)
-    for committee in _committees_avoiding(profile.m, k, candidate):
-        completion = ApprovalProfile(
-            profile.registry,
-            tuple(_threshold_completion(b, committee, t) for b in profile.ballots),
-        )
+    avoiding = (w for w in committees_by_mask(profile.m, k) if candidate not in w)
+    for committee in avoiding:
+        completion = threshold_completion(profile, committee, t)
         if defeats(rule, completion, committee, candidate):
             return Decision(False, completion, committee, "binary-linear-defeat-scan")
     return Decision(True, None, None, "binary-linear-defeat-scan")
-
-
-def _committees_avoiding(m: int, k: int, candidate: int) -> list[Committee]:
-    others = [c for c in range(m) if c != candidate]
-    out = [
-        frozenset(others[i] for i in rest)
-        for rest in committees_by_mask(len(others), k)
-    ]
-    out.sort(key=_mask)
-    return out
 
 
 def necmem(
@@ -303,9 +281,9 @@ def necmem(
     """Necessary-member query with rule/model dispatch."""
     if method not in ("auto", "poly", "brute"):
         raise ValueError(f"unknown method {method!r}")
-    _check_candidate(candidate, profile.m)
-    _check_k(k, profile.m)
-    _check_threshold(f, k)
+    check_candidate(candidate, profile.m)
+    check_k(k, profile.m)
+    check_threshold(f.binary_threshold, k)
     if method != "brute":
         # Singleton middles make a profile both order-free and totally
         # ordered; the order-free route wins the tie, like classify.
@@ -319,19 +297,9 @@ def necmem(
             raise NoPolyAlgorithmError(
                 f"no polynomial route for rule {f.label!r} on this profile"
             )
-    return _necmem_brute(profile, candidate, f, k, cap)
-
-
-def _necmem_brute(
-    profile: PartialProfile,
-    candidate: int,
-    f: ScoringFunction,
-    k: int,
-    cap: int,
-) -> Decision:
-    for completion in enumerate_completions(profile, cap):
-        winners = winning_committees(f, completion, k)
-        if all(candidate not in w for w in winners):
-            first = sorted(winners, key=_mask)[0]
-            return Decision(False, completion, first, "brute-force")
+    commits = list(committees_by_mask(profile.m, k))
+    for completion, scores in scored_completions(f, profile, k, cap):
+        best = max(scores)
+        if not any(s == best and candidate in c for c, s in zip(commits, scores)):
+            return Decision(False, completion, commits[scores.index(best)], "brute-force")
     return Decision(True, None, None, "brute-force")

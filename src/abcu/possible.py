@@ -13,26 +13,14 @@ back to capped brute-force enumeration otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import (
-    BadKError,
-    BadThresholdError,
-    CapExceededError,
-    ModelMismatchError,
-    NoPolyAlgorithmError,
-    UnknownCandidateError,
-)
+from .errors import ModelMismatchError, NoPolyAlgorithmError
 from .model import (
     DEFAULT_CAP,
     ApprovalBallot,
     ApprovalProfile,
-    PartialBallot,
     PartialProfile,
-    completions_of_ballot,
-    count_completions,
-    enumerate_completions,
     is_linearly_ordered,
     is_three_valued,
 )
@@ -40,10 +28,13 @@ from .rules import (
     AV,
     Committee,
     ScoringFunction,
-    ballot_score,
     binary_rule,
+    check_candidate,
     check_committee_size,
+    check_k,
+    check_threshold,
     committees_by_mask,
+    scored_completions,
     winning_committees,
 )
 
@@ -64,25 +55,20 @@ class Decision:
     method_used: str
 
 
-def _check_candidate(cid: int, m: int) -> None:
-    if not 0 <= cid < m:
-        raise UnknownCandidateError(f"candidate id {cid} out of range")
+def committee_completion_av(profile: PartialProfile, committee: Committee) -> ApprovalProfile:
+    """Every voter approves its top and exactly its undecided W-members.
 
-
-def _check_k(k: int, m: int) -> None:
-    if not 1 <= k <= m:
-        raise BadKError(f"k = {k} out of range for {m} candidates")
-
-
-def _mask(committee: Committee) -> int:
-    return sum(1 << c for c in committee)
-
-
-def _committee_completion_av(ballot: PartialBallot, committee: Committee) -> ApprovalBallot:
-    # Approving exactly the undecided committee members maximizes the
-    # margin of W over every rival at once: each such candidate adds one
-    # to W and at most one to any rival, each skipped outsider adds zero.
-    return ApprovalBallot(frozenset(ballot.top | (ballot.middle & committee)))
+    Under the linear-weight rule this maximizes the margin of W over
+    every rival at once: each such candidate adds one to W and at most
+    one to any rival, each skipped outsider adds zero.
+    """
+    return ApprovalProfile(
+        profile.registry,
+        tuple(
+            ApprovalBallot(frozenset(b.top | (b.middle & committee)))
+            for b in profile.ballots
+        ),
+    )
 
 
 def poscom_av_3va(profile: PartialProfile, committee: Committee) -> Decision:
@@ -90,40 +76,36 @@ def poscom_av_3va(profile: PartialProfile, committee: Committee) -> Decision:
     if not is_three_valued(profile):
         raise ModelMismatchError("profile carries order constraints")
     check_committee_size(committee, len(committee), profile.m)
-    canonical = ApprovalProfile(
-        profile.registry,
-        tuple(_committee_completion_av(b, committee) for b in profile.ballots),
-    )
+    canonical = committee_completion_av(profile, committee)
     if committee in winning_committees(AV, canonical, len(committee)):
         return Decision(True, canonical, committee, "av-3va-canonical")
     return Decision(False, None, None, "av-3va-canonical")
 
 
-def _threshold_completion(
-    ballot: PartialBallot, committee: Committee, t: int
-) -> ApprovalBallot:
-    """Cheapest completion pushing the overlap with W to the threshold.
+def threshold_completion(
+    profile: PartialProfile, committee: Committee, t: int
+) -> ApprovalProfile:
+    """Cheapest completion pushing each voter's overlap with W to t.
 
-    If the top already reaches t, or even the full middle cannot, the
-    ballot approves no middle candidate at all. Otherwise it approves the
-    shortest prefix of the ranking that closes the gap. Under a 0/1 step
-    weight this choice maximizes the voter's margin for W against every
+    A voter whose top already reaches t, or whose full middle cannot,
+    approves no middle candidate at all. Otherwise it approves the
+    shortest prefix of its ranking that closes the gap. Under a 0/1 step
+    weight this choice maximizes every voter's margin for W against every
     rival committee simultaneously.
     """
-    reach_top = len(ballot.top & committee)
-    if reach_top >= t:
-        return ApprovalBallot(ballot.top)
-    if reach_top + len(ballot.middle & committee) < t:
-        return ApprovalBallot(ballot.top)
-    need = t - reach_top
-    taken = []
-    for c in ballot.middle_sequence():
-        taken.append(c)
-        if c in committee:
-            need -= 1
-            if need == 0:
-                break
-    return ApprovalBallot(frozenset(ballot.top | set(taken)))
+    ballots = []
+    for b in profile.ballots:
+        need = t - len(b.top & committee)
+        taken: list[int] = []
+        if 0 < need <= len(b.middle & committee):
+            for c in b.middle_sequence():
+                taken.append(c)
+                if c in committee:
+                    need -= 1
+                    if need == 0:
+                        break
+        ballots.append(ApprovalBallot(frozenset(b.top | set(taken))))
+    return ApprovalProfile(profile.registry, tuple(ballots))
 
 
 def poscom_binary_linear(
@@ -134,39 +116,11 @@ def poscom_binary_linear(
         raise ModelMismatchError("profile middles are not totally ordered")
     k = len(committee)
     check_committee_size(committee, k, profile.m)
-    if t > k:
-        raise BadThresholdError(f"threshold {t} exceeds committee size {k}")
-    canonical = ApprovalProfile(
-        profile.registry,
-        tuple(_threshold_completion(b, committee, t) for b in profile.ballots),
-    )
+    check_threshold(t, k)
+    canonical = threshold_completion(profile, committee, t)
     if committee in winning_committees(binary_rule(t), canonical, k):
         return Decision(True, canonical, committee, "binary-linear-prefix")
     return Decision(False, None, None, "binary-linear-prefix")
-
-
-def _score_tables(
-    profile: PartialProfile, f: ScoringFunction, k: int
-) -> tuple[list[Committee], list[list[ApprovalBallot]], list[list[list[int]]]]:
-    """Per-voter, per-completion score rows over all size-k committees.
-
-    Scores are exact rationals; multiplying every entry by their common
-    denominator turns the comparisons the scan makes into integer ones
-    without changing any outcome.
-    """
-    commits = list(committees_by_mask(profile.m, k))
-    options = [completions_of_ballot(b) for b in profile.ballots]
-    raw = [
-        [[ballot_score(f, opt, c) for c in commits] for opt in opts]
-        for opts in options
-    ]
-    denom = 1
-    for rows in raw:
-        for row in rows:
-            for value in row:
-                denom = math.lcm(denom, value.denominator)
-    tables = [[[int(v * denom) for v in row] for row in rows] for rows in raw]
-    return commits, options, tables
 
 
 def poscom_brute(
@@ -182,35 +136,11 @@ def poscom_brute(
     becomes the witness. The cap is checked before any enumeration work.
     """
     check_committee_size(committee, k, profile.m)
-    total = count_completions(profile)
-    if total > cap:
-        raise CapExceededError(f"{total} completions exceed the cap of {cap}")
-    commits, options, tables = _score_tables(profile, f, k)
-    target = commits.index(committee)
-    n = profile.n
-    stack: list[int] = []
-
-    def scan(v: int, sums: list[int]) -> tuple[int, ...] | None:
-        if v == n:
-            own = sums[target]
-            if all(s <= own for s in sums):
-                return tuple(stack)
-            return None
-        for ci, row in enumerate(tables[v]):
-            stack.append(ci)
-            hit = scan(v + 1, [a + b for a, b in zip(sums, row)])
-            if hit is not None:
-                return hit
-            stack.pop()
-        return None
-
-    found = scan(0, [0] * len(commits))
-    if found is None:
-        return Decision(False, None, None, "brute-force")
-    witness = ApprovalProfile(
-        profile.registry, tuple(options[v][ci] for v, ci in enumerate(found))
-    )
-    return Decision(True, witness, committee, "brute-force")
+    target = list(committees_by_mask(profile.m, k)).index(committee)
+    for completion, scores in scored_completions(f, profile, k, cap):
+        if scores[target] == max(scores):
+            return Decision(True, completion, committee, "brute-force")
+    return Decision(False, None, None, "brute-force")
 
 
 def _poly_poscom_route(profile: PartialProfile, f: ScoringFunction) -> str | None:
@@ -220,16 +150,6 @@ def _poly_poscom_route(profile: PartialProfile, f: ScoringFunction) -> str | Non
     if f.binary_threshold is not None and is_linearly_ordered(profile):
         return "binary-linear"
     return None
-
-
-def _check_threshold(f: ScoringFunction, k: int) -> None:
-    # Rejected at the dispatch boundary, not per route: a step rule whose
-    # threshold exceeds k scores every committee 0, and answering such a
-    # query on one route while erroring on another would break the
-    # auto/brute agreement contract.
-    t = f.binary_threshold
-    if t is not None and t > k:
-        raise BadThresholdError(f"threshold {t} exceeds committee size {k}")
 
 
 def poscom(
@@ -249,7 +169,7 @@ def poscom(
     if method not in ("auto", "poly", "brute"):
         raise ValueError(f"unknown method {method!r}")
     check_committee_size(committee, k, profile.m)
-    _check_threshold(f, k)
+    check_threshold(f.binary_threshold, k)
     if method != "brute":
         route = _poly_poscom_route(profile, f)
         if route == "av-3va":
@@ -274,8 +194,8 @@ def posmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
     """
     if not is_linearly_ordered(profile):
         raise ModelMismatchError("profile middles are not totally ordered")
-    _check_candidate(candidate, profile.m)
-    _check_k(k, profile.m)
+    check_candidate(candidate, profile.m)
+    check_k(k, profile.m)
     ballots = []
     for b in profile.ballots:
         if candidate in b.middle:
@@ -300,16 +220,6 @@ def posmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
     return Decision(True, canonical, committee, "av-linear-prefix")
 
 
-def _committees_containing(m: int, k: int, candidate: int) -> list[Committee]:
-    others = [c for c in range(m) if c != candidate]
-    out = [
-        frozenset({candidate, *(others[i] for i in rest)})
-        for rest in committees_by_mask(len(others), k - 1)
-    ]
-    out.sort(key=_mask)
-    return out
-
-
 def posmem(
     profile: PartialProfile,
     candidate: int,
@@ -327,14 +237,15 @@ def posmem(
     """
     if method not in ("auto", "poly", "brute"):
         raise ValueError(f"unknown method {method!r}")
-    _check_candidate(candidate, profile.m)
-    _check_k(k, profile.m)
-    _check_threshold(f, k)
+    check_candidate(candidate, profile.m)
+    check_k(k, profile.m)
+    check_threshold(f.binary_threshold, k)
     if method != "brute":
         if f.is_av and is_linearly_ordered(profile):
             return posmem_av_linear(profile, candidate, k)
         if _poly_poscom_route(profile, f) is not None:
-            for committee in _committees_containing(profile.m, k, candidate):
+            holding = (w for w in committees_by_mask(profile.m, k) if candidate in w)
+            for committee in holding:
                 inner = poscom(profile, committee, f, k, method="poly")
                 if inner.answer:
                     return Decision(True, inner.witness, committee, "poscom-iteration")
@@ -343,19 +254,10 @@ def posmem(
             raise NoPolyAlgorithmError(
                 f"no polynomial route for rule {f.label!r} on this profile"
             )
-    return _posmem_brute(profile, candidate, f, k, cap)
-
-
-def _posmem_brute(
-    profile: PartialProfile,
-    candidate: int,
-    f: ScoringFunction,
-    k: int,
-    cap: int,
-) -> Decision:
-    for completion in enumerate_completions(profile, cap):
-        winners = winning_committees(f, completion, k)
-        holding = sorted((w for w in winners if candidate in w), key=_mask)
-        if holding:
-            return Decision(True, completion, holding[0], "brute-force")
+    commits = list(committees_by_mask(profile.m, k))
+    for completion, scores in scored_completions(f, profile, k, cap):
+        best = max(scores)
+        for committee, score in zip(commits, scores):
+            if score == best and candidate in committee:
+                return Decision(True, completion, committee, "brute-force")
     return Decision(False, None, None, "brute-force")

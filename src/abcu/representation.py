@@ -32,8 +32,8 @@ from .model import (
     PartialProfile,
     enumerate_completions,
 )
-from .possible import Decision, _check_candidate
-from .rules import Committee, check_committee_size
+from .possible import Decision
+from .rules import Committee, check_candidate, check_committee_size, mask_of
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,6 @@ class GroupWitness:
     common: frozenset[int]
     level: int
     allowed: frozenset[int] | None = None
-
-
-def _ballot_masks(profile: ApprovalProfile) -> list[int]:
-    return [sum(1 << c for c in b.approved) for b in profile.ballots]
 
 
 def check_jr(
@@ -86,15 +82,15 @@ def _pjr_violation(
     n = profile.n
     if n == 0:
         return None
-    masks = _ballot_masks(profile)
-    wmask = sum(1 << c for c in committee)
+    masks = [mask_of(b.approved) for b in profile.ballots]
+    wmask = mask_of(committee)
     members = sorted(committee)
     for level in levels:
         for shared in combinations(range(profile.m), level):
-            smask = sum(1 << c for c in shared)
+            smask = mask_of(shared)
             for x_size in range(level):
                 for allowed in combinations(members, x_size):
-                    amask = sum(1 << c for c in allowed)
+                    amask = mask_of(allowed)
                     group = [
                         v
                         for v in range(n)
@@ -131,13 +127,13 @@ def _ejr_violation(
     n = profile.n
     if n == 0:
         return None
-    masks = _ballot_masks(profile)
-    wmask = sum(1 << c for c in committee)
+    masks = [mask_of(b.approved) for b in profile.ballots]
+    wmask = mask_of(committee)
     overlap = [bin(mask & wmask).count("1") for mask in masks]
     for level in levels:
         short = [v for v in range(n) if overlap[v] < level]
         for shared in combinations(range(profile.m), level):
-            smask = sum(1 << c for c in shared)
+            smask = mask_of(shared)
             group = [v for v in short if masks[v] & smask == smask]
             if group and k * len(group) >= level * n:
                 return GroupWitness(
@@ -189,8 +185,8 @@ def check_axiom_brute(
         raise TooManyVotersError(f"group scan limited to 15 voters, got {n}")
     if n == 0:
         return True, None
-    masks = _ballot_masks(profile)
-    wmask = sum(1 << c for c in committee)
+    masks = [mask_of(b.approved) for b in profile.ballots]
+    wmask = mask_of(committee)
     full = (1 << profile.m) - 1
     size = 1 << n
     common = [full] * size
@@ -307,7 +303,7 @@ def jr_modification_check(
     if kind == "remove":
         if not isinstance(payload, int):
             raise BadEditError("remove edit needs a candidate id")
-        _check_candidate(payload, profile.m)
+        check_candidate(payload, profile.m)
         if payload in committee:
             raise BadEditError("cannot remove a committee member's approval")
         ballots[voter] = ApprovalBallot(ballots[voter].approved - {payload})
@@ -329,6 +325,30 @@ def jr_modification_check(
     return satisfied
 
 
+def _axiom_scan(
+    profile: PartialProfile,
+    committee: Committee,
+    k: int,
+    axiom: str,
+    cap: int,
+    stop_on: bool,
+) -> Decision:
+    """Scan completions until the axiom's verdict equals ``stop_on``.
+
+    That completion is the witness and ``stop_on`` the answer; a scan
+    that never stops answers the opposite.
+    """
+    check_committee_size(committee, k, profile.m)
+    if axiom not in _AXIOM_CHECKS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    check = _AXIOM_CHECKS[axiom]
+    for completion in enumerate_completions(profile, cap):
+        satisfied, _ = check(completion, committee, k)
+        if satisfied == stop_on:
+            return Decision(stop_on, completion, committee, "experimental-completion-scan")
+    return Decision(not stop_on, None, None, "experimental-completion-scan")
+
+
 def possible_axiom_by_scan(
     profile: PartialProfile,
     committee: Committee,
@@ -337,15 +357,7 @@ def possible_axiom_by_scan(
     cap: int = DEFAULT_CAP,
 ) -> Decision:
     """Exists-a-completion axiom check by capped enumeration."""
-    check_committee_size(committee, k, profile.m)
-    check = _AXIOM_CHECKS[axiom] if axiom in _AXIOM_CHECKS else None
-    if check is None:
-        raise ValueError(f"unknown axiom {axiom!r}")
-    for completion in enumerate_completions(profile, cap):
-        satisfied, _ = check(completion, committee, k)
-        if satisfied:
-            return Decision(True, completion, committee, "experimental-completion-scan")
-    return Decision(False, None, None, "experimental-completion-scan")
+    return _axiom_scan(profile, committee, k, axiom, cap, True)
 
 
 def necessary_axiom_by_scan(
@@ -356,12 +368,4 @@ def necessary_axiom_by_scan(
     cap: int = DEFAULT_CAP,
 ) -> Decision:
     """For-all-completions axiom check by capped enumeration."""
-    check_committee_size(committee, k, profile.m)
-    check = _AXIOM_CHECKS[axiom] if axiom in _AXIOM_CHECKS else None
-    if check is None:
-        raise ValueError(f"unknown axiom {axiom!r}")
-    for completion in enumerate_completions(profile, cap):
-        satisfied, _ = check(completion, committee, k)
-        if not satisfied:
-            return Decision(False, completion, committee, "experimental-completion-scan")
-    return Decision(True, None, None, "experimental-completion-scan")
+    return _axiom_scan(profile, committee, k, axiom, cap, False)

@@ -9,22 +9,27 @@ scoring rule may read the ballot size too: f(|A and S|, |A|), kept
 non-decreasing in the first argument. Satisfaction approval (share of an
 approved ballot inside the committee) is the common example.
 
-All scores are exact rationals; nothing here rounds or normalizes.
+Scores are exact rationals; nothing here rounds or normalizes. Scans
+compare them as integers, every entry multiplied by one denominator
+fixed by the rule, the committee size and the candidate count.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     BadKError,
+    BadThresholdError,
     CandidateInCommitteeError,
     TableOutOfRangeError,
     UnknownCandidateError,
 )
-from .model import ApprovalBallot, ApprovalProfile
+from .model import ApprovalBallot, ApprovalProfile, PartialProfile, enumerate_completions
 
 Committee = frozenset[int]
 
@@ -172,70 +177,151 @@ def binary_rule(t: int) -> ScoringFunction:
     return ScoringFunction.thiele(WeightFunction.binary(t))
 
 
-def ballot_score(f: ScoringFunction, ballot: ApprovalBallot, committee: Committee) -> Fraction:
-    """One voter's contribution to the committee's score."""
-    overlap = len(ballot.approved & committee)
+def _entry(f: ScoringFunction, overlap: int, size: int) -> Fraction:
+    """f(overlap, ballot size), exact; tables raise past their entries."""
     if f.kind == "thiele":
         return eval_weight(f.weight, overlap)
     if f.kind == "sav":
-        size = len(ballot.approved)
         return Fraction(overlap, size) if size else Fraction(0)
-    value = f.entries.get((overlap, len(ballot.approved)))
+    value = f.entries.get((overlap, size))
     if value is None:
         raise TableOutOfRangeError(
-            f"no score entry for overlap {overlap}, ballot size {len(ballot.approved)}"
+            f"no score entry for overlap {overlap}, ballot size {size}"
         )
     return value
+
+
+def ballot_score(f: ScoringFunction, ballot: ApprovalBallot, committee: Committee) -> Fraction:
+    """One voter's contribution to the committee's score."""
+    return _entry(f, len(ballot.approved & committee), len(ballot.approved))
 
 
 def profile_score(f: ScoringFunction, profile: ApprovalProfile, committee: Committee) -> Fraction:
     return sum((ballot_score(f, b, committee) for b in profile.ballots), Fraction(0))
 
 
-def committees_by_mask(m: int, k: int) -> Iterator[Committee]:
-    """All size-k subsets of range(m), ascending by candidate-id bitmask.
+def mask_of(cids: Iterable[int]) -> int:
+    """The bitmask with one bit per candidate id."""
+    return sum(1 << c for c in cids)
 
-    This is the tie-break order every witness-producing scan uses. Gosper's
-    hack walks the masks directly, so no sort is needed.
+
+def _scale(f: ScoringFunction, k: int, m: int) -> int:
+    """A common denominator of every entry a size-k scan over m can read.
+
+    It depends on the rule, k and m only, never on the ballots present,
+    so every scan under the same rule and size compares the same integers.
     """
+    if f.kind == "sav":
+        return math.lcm(*range(1, m + 1))
+    if f.kind == "table2d":
+        values = f.entries.values()
+    elif f.weight.kind == "table":
+        values = f.weight.values
+    else:
+        values = [eval_weight(f.weight, x) for x in range(k + 1)]
+    return math.lcm(*(Fraction(v).denominator for v in values))
+
+
+class Scorer(dict):
+    """Integer committee scores for one rule and committee size.
+
+    Ballots are grouped by approval bitmask with a multiplicity, and
+    committees are passed as bitmasks. The mapping itself is the table
+    of scaled entries, keyed by (overlap, ballot size) and filled on
+    first use, so an entry a table lacks raises exactly when a
+    per-ballot evaluation would reach it. Every entry is multiplied by
+    the same _scale(f, k, m), so integer scores compare as the exact
+    ones do.
+    """
+
+    def __init__(
+        self, f: ScoringFunction, k: int, m: int, ballots: Iterable[ApprovalBallot] = ()
+    ) -> None:
+        super().__init__()
+        self._f = f
+        self._scale = _scale(f, k, m)
+        counts = Counter(b.approved for b in ballots)
+        self._groups = [(mask_of(a), len(a), n) for a, n in counts.items()]
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        self[key] = value = int(_entry(self._f, *key) * self._scale)
+        return value
+
+    def score(self, mask: int) -> int:
+        return sum(n * self[(a & mask).bit_count(), size] for a, size, n in self._groups)
+
+    def row(self, approved: frozenset[int], masks: list[int]) -> list[int]:
+        """One ballot's scaled score against each committee mask."""
+        a, size = mask_of(approved), len(approved)
+        return [self[(a & mask).bit_count(), size] for mask in masks]
+
+
+def _masks(m: int, k: int) -> Iterator[int]:
+    """Every size-k bitmask below 1 << m, ascending, by Gosper's hack."""
     if k == 0:
-        yield frozenset()
+        yield 0
         return
     mask = (1 << k) - 1
     limit = 1 << m
     while mask < limit:
-        yield frozenset(i for i in range(m) if mask >> i & 1)
+        yield mask
         low = mask & -mask
         ripple = mask + low
         mask = ripple | (((mask ^ ripple) // low) >> 2)
 
 
-def check_committee_size(committee: Committee, k: int, m: int) -> None:
+def _members(mask: int) -> Committee:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def committees_by_mask(m: int, k: int) -> Iterator[Committee]:
+    """All size-k subsets of range(m), ascending by candidate-id bitmask.
+
+    This is the tie-break order every witness-producing scan uses.
+    """
+    for mask in _masks(m, k):
+        yield _members(mask)
+
+
+def check_k(k: int, m: int) -> None:
     if not 1 <= k <= m:
         raise BadKError(f"k = {k} out of range for {m} candidates")
+
+
+def check_candidate(cid: int, m: int) -> None:
+    if not 0 <= cid < m:
+        raise UnknownCandidateError(f"candidate id {cid} out of range")
+
+
+def check_committee_size(committee: Committee, k: int, m: int) -> None:
+    check_k(k, m)
     if len(committee) != k:
         raise BadKError(f"committee has {len(committee)} members, expected {k}")
     for cid in committee:
-        if not 0 <= cid < m:
-            raise UnknownCandidateError(f"candidate id {cid} out of range")
+        check_candidate(cid, m)
+
+
+def check_threshold(t: int | None, k: int) -> None:
+    """Reject a step-rule threshold t above the committee size k.
+
+    Such a rule scores every committee 0. Dispatchers reject it at their
+    boundary, not per route: answering on one route while erroring on
+    another would break the auto/brute agreement contract.
+    """
+    if t is not None and t > k:
+        raise BadThresholdError(f"threshold {t} exceeds committee size {k}")
 
 
 def winning_committees(
     f: ScoringFunction, profile: ApprovalProfile, k: int
 ) -> set[Committee]:
     """All maximum-score committees of size k, by exhaustive scan."""
-    if not 1 <= k <= profile.m:
-        raise BadKError(f"k = {k} out of range for {profile.m} candidates")
-    best: Fraction | None = None
-    winners: set[Committee] = set()
-    for committee in committees_by_mask(profile.m, k):
-        score = profile_score(f, profile, committee)
-        if best is None or score > best:
-            best = score
-            winners = {committee}
-        elif score == best:
-            winners.add(committee)
-    return winners
+    check_k(k, profile.m)
+    scorer = Scorer(f, k, profile.m, profile.ballots)
+    masks = list(_masks(profile.m, k))
+    scores = [scorer.score(mask) for mask in masks]
+    best = max(scores)
+    return {_members(mask) for mask, s in zip(masks, scores) if s == best}
 
 
 def is_winning_committee(
@@ -243,11 +329,9 @@ def is_winning_committee(
 ) -> bool:
     """Whether no same-size committee scores strictly higher."""
     k = len(committee)
-    own = profile_score(f, profile, committee)
-    return all(
-        profile_score(f, profile, other) <= own
-        for other in committees_by_mask(profile.m, k)
-    )
+    scorer = Scorer(f, k, profile.m, profile.ballots)
+    own = scorer.score(mask_of(committee))
+    return all(scorer.score(mask) <= own for mask in _masks(profile.m, k))
 
 
 def defeats(
@@ -257,22 +341,51 @@ def defeats(
     candidate: int,
 ) -> bool:
     """Whether W strictly beats every same-size committee containing c."""
-    if not 0 <= candidate < profile.m:
-        raise UnknownCandidateError(f"candidate id {candidate} out of range")
+    check_candidate(candidate, profile.m)
     if candidate in committee:
         raise CandidateInCommitteeError(
             f"candidate {candidate} is already in the committee"
         )
     k = len(committee)
-    if not 1 <= k <= profile.m:
-        raise BadKError(f"k = {k} out of range for {profile.m} candidates")
-    own = profile_score(f, profile, committee)
-    others = [i for i in range(profile.m) if i != candidate]
-    for rest in committees_by_mask(len(others), k - 1):
-        rival = frozenset({candidate} | {others[i] for i in rest})
-        if profile_score(f, profile, rival) >= own:
-            return False
-    return True
+    check_k(k, profile.m)
+    scorer = Scorer(f, k, profile.m, profile.ballots)
+    own = scorer.score(mask_of(committee))
+    bit = 1 << candidate
+    return all(
+        scorer.score(mask) < own for mask in _masks(profile.m, k) if mask & bit
+    )
+
+
+def scored_completions(
+    f: ScoringFunction, profile: PartialProfile, k: int, cap: int
+) -> Iterator[tuple[ApprovalProfile, list[int]]]:
+    """Every completion with the Scorer-scaled score of each committee.
+
+    Completions stream in enumerate_completions order, which also checks
+    the cap before any work; the scores follow committees_by_mask order.
+    Each distinct approval set's score row is computed once. Consecutive
+    completions share their leading voters' ballot objects, so the
+    running sums over those voters carry over and only the changed
+    suffix is added again.
+    """
+    scorer = Scorer(f, k, profile.m)
+    masks = list(_masks(profile.m, k))
+    rows: dict[frozenset[int], list[int]] = {}
+    sums = [[0] * len(masks)]  # sums[v]: the first v voters' rows added up
+    last: tuple[ApprovalBallot, ...] = ()
+    for completion in enumerate_completions(profile, cap):
+        ballots = completion.ballots
+        v = 0
+        while v < len(last) and ballots[v] is last[v]:
+            v += 1
+        del sums[v + 1:]
+        for b in ballots[v:]:
+            row = rows.get(b.approved)
+            if row is None:
+                row = rows[b.approved] = scorer.row(b.approved, masks)
+            sums.append([t + r for t, r in zip(sums[-1], row)])
+        last = ballots
+        yield completion, sums[-1]
 
 
 def parse_rule_spec(spec: str) -> ScoringFunction:

@@ -8,12 +8,14 @@ import pytest
 
 from abcu import (
     AV,
+    PAV,
     ApprovalBallot,
     ApprovalProfile,
     CandidateRegistry,
     is_completion,
     is_winning_committee,
 )
+from abcu import cli
 from abcu.cli import run_cli
 from abcu.io import parse_profile
 
@@ -268,6 +270,44 @@ def test_gadget_flag_validation(profile_file, capsys, tmp_path):
         capsys, "gen", "--gadget", "linearx3c", "--instance", str(cover), "--x", "1/2"
     )
     assert code == 0 and doc["rule"] == "table:0,1,3/2"
+
+
+def test_deep_profiles_do_not_exhaust_the_stack(profile_file, capsys):
+    # More voters than the interpreter has stack frames for a per-voter recursion.
+    voters = [{"top": [name]} for name in ("a", "b", "c")] * 1000
+    voters.append({"middle": ["b", "c"], "order": [["b", "c"]]})
+    doc = {"candidates": ["a", "b", "c"], "k": 2, "voters": voters}
+    path = profile_file(doc)
+    code, out, err = run(
+        capsys, "poscom", "--profile", path, "--rule", "pav", "--committee", "a,b",
+        "--method", "brute", "--witness",
+    )
+    assert code == 0 and err == ""
+    partial, _ = parse_profile(json.dumps(doc))
+    registry = partial.registry
+    completion = ApprovalProfile(
+        registry,
+        tuple(
+            ApprovalBallot(frozenset(registry.id_of(n) for n in row))
+            for row in out["witness"]
+        ),
+    )
+    assert is_completion(completion, partial)
+    committee = frozenset(registry.id_of(n) for n in out["witness_committee"])
+    assert committee == frozenset({0, 1})
+    assert is_winning_committee(PAV, completion, committee)
+
+
+def test_internal_errors_exit_four(profile_file, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("invariant broken\nsecond line")
+
+    monkeypatch.setitem(cli._HANDLERS, "winners", broken)
+    path = profile_file(QUAD_DOC)
+    code, out, err = run(capsys, "winners", "--profile", path, "--rule", "av")
+    assert code == 4 and out is None
+    assert err.startswith("abcu: internal error: ") and err.count("\n") == 1
+    assert "invariant broken" in err
 
 
 def test_installed_entry_point(profile_file, tmp_path):

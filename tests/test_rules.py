@@ -33,6 +33,7 @@ from abcu import (
 from abcu.model import ApprovalBallot
 from abcu.rules import check_committee_size
 from conftest import A, B, C, D
+from oracles import SCORERS, committees, winners
 
 R2 = CandidateRegistry(("a", "b"))
 
@@ -164,6 +165,49 @@ def test_committee_size_checks():
         check_committee_size(frozenset(), 0, 4)
     with pytest.raises(UnknownCandidateError):
         check_committee_size(frozenset({9}), 1, 4)
+
+
+TABLE2D_ENTRIES = {
+    (x, y): Fraction(x * (x + 1), 2 * y + 1) for y in range(7) for x in range(y + 1)
+}
+KERNEL_RULES = [(parse_rule_spec(name), score) for name, score in SCORERS.items()] + [
+    (
+        ScoringFunction.table2d(TABLE2D_ENTRIES),
+        lambda approved, committee: TABLE2D_ENTRIES[
+            len(approved & committee), len(approved)
+        ],
+    )
+]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_kernel_matches_fraction_oracle(data):
+    m = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, m))
+    # Drawing voters from a small pool makes repeated ballots common.
+    pool = data.draw(
+        st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=4)
+    )
+    rows = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    profile = complete_profile(CandidateRegistry(tuple("abcdef"[:m])), rows)
+    for rule, score in KERNEL_RULES:
+        def total(committee):
+            return sum((score(a, committee) for a in rows), Fraction(0))
+
+        expected = winners(score, rows, m, k)
+        assert winning_committees(rule, profile, k) == expected
+        for committee in committees(m, k):
+            assert is_winning_committee(rule, profile, committee) == (
+                committee in expected
+            )
+            for cid in set(range(m)) - committee:
+                beaten = all(
+                    total(rival) < total(committee)
+                    for rival in committees(m, k)
+                    if cid in rival
+                )
+                assert defeats(rule, profile, committee, cid) == beaten
 
 
 def test_mask_order_small_case():
