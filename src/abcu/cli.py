@@ -11,6 +11,7 @@ polynomial algorithm under method=poly), 4 for an internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -47,7 +48,14 @@ from .rules import mask_of, parse_rule_spec, profile_score, winning_committees
 ENV_CAP = "ABCU_CAP"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after that.
+
+    ``parse_args`` does not change the parser, and usage errors go to the
+    ``sys.stderr`` of the call, so every ``run_cli`` call can share one.
+    It is not built at import, which would slow down every import.
+    """
     parser = argparse.ArgumentParser(
         prog="abcu",
         description="Committee queries over incomplete approval profiles.",

@@ -157,16 +157,12 @@ def group_witness_document(witness: GroupWitness, registry: CandidateRegistry) -
     return doc
 
 
+def _render_rational(value: Any) -> str:
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def serialize_result(doc: dict) -> str:
     """Render a result document; key order is insertion order, rationals p/q."""
-
-    def normalize(value):
-        if isinstance(value, Fraction):
-            return str(value)
-        if isinstance(value, dict):
-            return {key: normalize(inner) for key, inner in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [normalize(inner) for inner in value]
-        return value
-
-    return json.dumps(normalize(doc), indent=2)
+    return json.dumps(doc, indent=2, default=_render_rational)

@@ -40,18 +40,22 @@ class CandidateRegistry:
     """Immutable mapping between candidate names and dense integer ids."""
 
     names: tuple[str, ...]
+    # name -> id; derived from names, so it takes no part in eq/hash/repr.
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
+        index = {name: cid for cid, name in enumerate(self.names)}
+        if len(index) != len(self.names):
             raise ValueError("candidate names must be distinct")
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.names)
 
     def id_of(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise UnknownCandidateError(f"unknown candidate {name!r}") from None
 
     def name_of(self, cid: int) -> str:
@@ -172,19 +176,23 @@ def make_partial_ballot(
     middle, and acyclicity after transitive closure.
     """
     where = f" (voter {voter})" if voter is not None else ""
+    m = len(registry)
     tset, mset, bset = frozenset(top), frozenset(middle), frozenset(bottom)
     for cid in itertools.chain(tset, mset, bset):
-        if not 0 <= cid < len(registry):
+        if not 0 <= cid < m:
             raise UnknownCandidateError(f"candidate id {cid} out of range{where}")
-    if tset & mset or tset & bset or mset & bset:
+    if not (tset.isdisjoint(mset) and tset.isdisjoint(bset) and mset.isdisjoint(bset)):
         dup = (tset & mset) | (tset & bset) | (mset & bset)
         names = ", ".join(sorted(registry.name_of(c) for c in dup))
         raise PartitionOverlapError(f"candidates in more than one part{where}: {names}")
-    missing = frozenset(range(len(registry))) - tset - mset - bset
-    if missing:
+    # In-range and disjoint, so the parts cover the registry iff the sizes add up.
+    if len(tset) + len(mset) + len(bset) != m:
+        missing = frozenset(range(m)) - tset - mset - bset
         names = ", ".join(sorted(registry.name_of(c) for c in missing))
         raise PartitionIncompleteError(f"candidates in no part{where}: {names}")
     raw_edges = set(precedence)
+    if not raw_edges:
+        return PartialBallot(tset, mset, bset)
     for x, y in raw_edges:
         if x not in mset or y not in mset:
             raise EdgeOutsideMiddleError(

@@ -1,13 +1,17 @@
 """Command-line behaviour: exit codes, documents, env knobs."""
 
 import importlib.metadata
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abcu
 from abcu import (
@@ -21,7 +25,7 @@ from abcu import (
 )
 from abcu import cli
 from abcu.cli import run_cli
-from abcu.io import parse_profile
+from abcu.io import parse_profile, serialize_profile
 
 PAIR_DOC = {
     "candidates": ["a", "b"],
@@ -313,6 +317,12 @@ def test_internal_errors_exit_four(profile_file, capsys, monkeypatch):
     assert err.startswith("abcu: internal error: ") and err.count("\n") == 1
     assert "invariant broken" in err
 
+    # A result document the serializer cannot render is an internal error too.
+    monkeypatch.setitem(cli._HANDLERS, "winners", lambda args: ({"bad": frozenset()}, 0))
+    code, out, err = run(capsys, "winners", "--profile", path, "--rule", "av")
+    assert code == 4 and out is None
+    assert err.startswith("abcu: internal error: TypeError(") and err.count("\n") == 1
+
 
 def test_installed_entry_point(profile_file, tmp_path):
     """The declared `abcu` console script works as a process.
@@ -354,3 +364,119 @@ def test_installed_entry_point(profile_file, tmp_path):
         usage = subprocess.run(command, capture_output=True, text=True, cwd=tmp_path, env=env)
         assert usage.returncode == 2 and usage.stdout == ""
         assert usage.stderr.startswith("usage: abcu ")
+
+
+def _captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    quad = tmp_path / "quad.json"
+    quad.write_text(json.dumps(QUAD_DOC))
+    trio = tmp_path / "trio.json"
+    trio.write_text(json.dumps(TRIO_DOC))
+    poly = ["poscom", "--profile", str(trio), "--rule", "pav", "--committee", "a"]
+    sequence = [
+        [],
+        ["--help"],
+        ["winners", "--profile", str(quad), "--rule", "av", "--k", "1"],
+        ["winners", "--profile", str(quad), "--rule", "av"],
+        [*poly, "--method", "poly"],
+        poly,
+    ]
+    cli._build_parser.cache_clear()
+    shared = [_captured(argv) for argv in sequence]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 3, 0]
+    assert json.loads(shared[2][1])["committees"] == [["c"]]
+    assert json.loads(shared[3][1])["k"] == 2
+    for argv, result in zip(sequence, shared):
+        cli._build_parser.cache_clear()
+        assert _captured(argv) == result, argv
+
+
+_NAMES = ("a", "b", "c", "d")
+_FAULTS = ("unknown", "overlap", "incomplete", "bad-k", "cycle")
+
+
+@st.composite
+def cli_queries(draw):
+    """A small profile document, perhaps broken on purpose, and a query on it.
+
+    Returns (document, fault, argv tail). With fault None the document obeys
+    every rule of the profile format; otherwise it carries that one fault.
+    """
+    m = draw(st.integers(1, 4))
+    names = list(_NAMES[:m])
+    voters = []
+    for _ in range(draw(st.integers(1, 3))):
+        parts = {"top": [], "middle": [], "bottom": []}
+        for name in names:
+            parts[draw(st.sampled_from(sorted(parts)))].append(name)
+        ranked = draw(st.permutations(parts["middle"]))
+        pairs = [[x, y] for i, x in enumerate(ranked) for y in ranked[i + 1:]]
+        parts["order"] = draw(st.lists(st.sampled_from(pairs), unique_by=tuple)) if pairs else []
+        voters.append(parts)
+    doc = {"candidates": names, "k": draw(st.integers(1, m)), "voters": voters}
+    fault = draw(st.one_of(st.none(), st.sampled_from(_FAULTS)))
+    voter = draw(st.sampled_from(voters))
+    placed = [part for part in ("top", "middle", "bottom") if voter[part]]
+    if fault == "unknown":
+        voter[draw(st.sampled_from(placed))].append("z")
+    elif fault == "overlap":
+        source = draw(st.sampled_from(placed))
+        target = draw(st.sampled_from([p for p in ("top", "middle", "bottom") if p != source]))
+        voter[target].append(voter[source][0])
+    elif fault == "incomplete":
+        voter[draw(st.sampled_from(placed))].pop()
+    elif fault == "bad-k":
+        doc["k"] = draw(st.sampled_from([0, -1, "2", True, 1.5]))
+    elif fault == "cycle":
+        if voter["order"]:
+            x, y = draw(st.sampled_from(voter["order"]))
+            voter["order"].append([y, x])
+        else:
+            voter["order"].append([names[0], names[0]])
+    committee = ",".join(draw(st.lists(st.sampled_from(names), min_size=1, max_size=m, unique=True)))
+    candidate = draw(st.sampled_from(names))
+    argv = draw(st.sampled_from([
+        ["enumerate"],
+        ["poscom", "--rule", "av", "--committee", committee],
+        ["poscom", "--rule", "pav", "--committee", committee, "--method", "poly"],
+        ["neccom", "--rule", "cc", "--committee", committee],
+        ["posmem", "--rule", "av", "--candidate", candidate],
+        ["necmem", "--rule", "sav", "--candidate", candidate, "--witness"],
+        ["posjr", "--committee", committee, "--axiom", "pjr"],
+        ["necjr", "--committee", committee],
+    ]))
+    if draw(st.booleans()):
+        argv = [*argv, "--cap", str(draw(st.integers(1, 4)))]
+    return doc, fault, argv
+
+
+@pytest.fixture(scope="module")
+def random_profile_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("random") / "profile.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(query=cli_queries())
+def test_cli_on_random_documents_keeps_its_exit_contract(random_profile_path, query):
+    doc, fault, argv = query
+    text = json.dumps(doc)
+    random_profile_path.write_text(text)
+    command, *rest = argv
+    code, out, err = _captured([command, "--profile", str(random_profile_path), *rest])
+    assert code in (0, 1, 2, 3), err
+    if code in (2, 3):
+        assert out == "" and err
+    else:
+        assert json.loads(out)["answer"] is (code == 0)
+    if fault is None:
+        profile, k = parse_profile(text)
+        assert parse_profile(serialize_profile(profile, k)) == (profile, k)
+    else:
+        assert code == 2, fault

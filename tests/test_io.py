@@ -4,9 +4,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcu import AV, UnknownCandidateError, check_jr, check_pjr, necjr, poscom
-from abcu.errors import ProfileSyntaxError
+from abcu.errors import (
+    CycleDetectedError,
+    EdgeOutsideMiddleError,
+    PartitionIncompleteError,
+    PartitionOverlapError,
+    ProfileSyntaxError,
+)
 from abcu.io import (
     completion_rows,
     decision_document,
@@ -97,6 +105,35 @@ def test_unknown_names_are_rejected():
         parse_profile(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "voter, error, message",
+    [
+        ({"top": ["z"]}, UnknownCandidateError, "unknown candidate 'z'"),
+        ({"middle": ["a", "y"]}, UnknownCandidateError, "unknown candidate 'y'"),
+        ({"bottom": ["a", "b", "c", "x"]}, UnknownCandidateError, "unknown candidate 'x'"),
+        ({"middle": ["a", "b"], "order": [["a", "w"]]}, UnknownCandidateError,
+         "unknown candidate 'w'"),
+        ({"top": ["c", "a"], "middle": ["a", "c"], "bottom": ["b"]}, PartitionOverlapError,
+         "candidates in more than one part (voter 1): a, c"),
+        ({"top": ["c"], "bottom": []}, PartitionIncompleteError,
+         "candidates in no part (voter 1): a, b"),
+        ({"top": ["c"], "middle": ["a", "b"], "order": [["c", "a"]]}, EdgeOutsideMiddleError,
+         "order edge (0, 1) leaves the middle (voter 1)"),
+        ({"middle": ["c", "a", "b"], "order": [["c", "a"], ["a", "b"], ["b", "c"]]},
+         CycleDetectedError, "order constraints are cyclic (voter 1)"),
+        ({"middle": ["a"], "order": [["a", "a"]]}, CycleDetectedError,
+         "order constraints are cyclic (voter 1)"),
+    ],
+)
+def test_validation_errors_keep_their_type_and_message(voter, error, message):
+    # Ids follow the candidate list (c=0, a=1, b=2); messages list names sorted.
+    doc = {"candidates": ["c", "a", "b"], "voters": [{"top": ["a"]}, voter]}
+    with pytest.raises(error) as caught:
+        parse_profile(json.dumps(doc))
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_decision_documents(pair_profile):
     decision = poscom(pair_profile, frozenset({A}), AV, 1)
     doc = decision_document(
@@ -140,6 +177,49 @@ def test_result_rendering_keeps_order_and_exact_values():
     assert list(loaded) == ["zeta", "alpha", "plain"]
     assert loaded["zeta"] == "3/2"
     assert loaded["alpha"] == ["1/3", {"inner": "4"}]
+
+
+def _reference_serialize(doc):
+    """The rendering serialize_result must match byte for byte."""
+
+    def normalize(value):
+        if isinstance(value, Fraction):
+            return str(value)
+        if isinstance(value, dict):
+            return {key: normalize(inner) for key, inner in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [normalize(inner) for inner in value]
+        return value
+
+    return json.dumps(normalize(doc), indent=2)
+
+
+_LEAVES = st.one_of(
+    st.fractions(), st.integers(), st.booleans(), st.text(max_size=5), st.none()
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.text(max_size=5), _VALUES, max_size=5))
+def test_result_rendering_matches_the_reference(doc):
+    assert serialize_result(doc) == _reference_serialize(doc)
+
+
+def test_result_rendering_rejects_other_objects():
+    for doc in ({"bad": frozenset({1})}, {"nested": [{"bad": frozenset()}]}):
+        with pytest.raises(TypeError):
+            _reference_serialize(doc)
+        with pytest.raises(TypeError):
+            serialize_result(doc)
 
 
 def test_completion_rows(quad_profile):

@@ -42,6 +42,14 @@ def test_registry_rejects_duplicate_names():
         CandidateRegistry(("a", "a"))
 
 
+def test_registry_equality_ignores_its_name_index():
+    used, fresh = CandidateRegistry(("a", "b")), CandidateRegistry(("a", "b"))
+    assert used.id_of("b") == 1
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == "CandidateRegistry(names=('a', 'b'))"
+    assert CandidateRegistry(("b", "a")) != fresh
+
+
 def test_registry_lookup_errors():
     with pytest.raises(UnknownCandidateError):
         R2.id_of("z")

@@ -1,0 +1,37 @@
+"""The package's public surface."""
+
+import abcu
+
+EXPORTED = {
+    "AV", "AbcuError", "ApprovalBallot", "ApprovalProfile", "BadEditError", "BadKError",
+    "BadThresholdError", "CC", "CandidateInCommitteeError", "CandidateRegistry",
+    "CapExceededError", "Committee", "CycleDetectedError", "DEFAULT_CAP", "Decision",
+    "DivisibilityError", "EdgeOutsideMiddleError", "GadgetOutput", "GroupWitness",
+    "InputError", "ModelClass", "ModelMismatchError", "NoPolyAlgorithmError",
+    "OneInThreeInstance", "PAV", "PartialBallot", "PartialProfile",
+    "PartitionIncompleteError", "PartitionOverlapError", "ProfileSyntaxError",
+    "ResourceRefusal", "SAV", "ScoreDiffReport", "ScoringFunction",
+    "ShapeMismatchError", "TableOutOfRangeError", "TooLargeError", "TooManyVotersError",
+    "UnknownCandidateError", "WeightFunction", "X3CInstance", "as_partial",
+    "ballot_score", "binary_rule", "build_cc_3va", "build_linear_x3c", "check_axiom",
+    "check_axiom_brute", "check_ejr", "check_jr", "check_pjr", "classify",
+    "committees_by_mask", "complete_profile", "completions_of_ballot",
+    "count_ballot_completions", "count_completions", "defeats", "enumerate_completions",
+    "errors", "eval_weight", "is_completion", "is_linearly_ordered", "is_three_valued",
+    "is_winning_committee", "jr_modification_check", "make_partial_ballot",
+    "max_diff_ballot", "max_diff_profile", "model", "neccom", "necessary",
+    "necessary_axiom_by_scan", "necjr", "necmem", "necmem_av_3va", "necmem_av_linear",
+    "necmem_binary_linear", "pad_profile", "parse_one_in_three", "parse_rule_spec",
+    "parse_x3c", "poscom", "poscom_av_3va", "poscom_binary_linear", "poscom_brute",
+    "posjr", "posmem", "posmem_av_linear", "possible", "possible_axiom_by_scan",
+    "profile_score", "reductions", "representation", "rules",
+    "solve_one_in_three_brute", "solve_x3c_brute", "validate_partial_profile",
+    "verify_weight_relation", "winning_committees",
+}
+
+
+def test_public_names_are_exactly_the_declared_set():
+    assert len(abcu.__all__) == len(set(abcu.__all__))
+    assert set(abcu.__all__) == EXPORTED
+    assert all(hasattr(abcu, name) for name in abcu.__all__)
+
