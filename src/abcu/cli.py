@@ -27,9 +27,9 @@ from .io import (
 )
 from .model import (
     DEFAULT_CAP,
-    ApprovalBallot,
     ApprovalProfile,
     PartialProfile,
+    completion_by,
     count_completions,
     enumerate_completions,
 )
@@ -105,15 +105,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    raw = os.environ.get(ENV_CAP)
-    if raw is not None:
+    source, cap = "--cap", getattr(args, "cap", None)
+    if cap is None:
+        source, raw = ENV_CAP, os.environ.get(ENV_CAP)
         try:
-            return int(raw)
+            cap = DEFAULT_CAP if raw is None else int(raw)
         except ValueError:
             raise InputError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
-    return DEFAULT_CAP
+    if cap < 1:
+        raise InputError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _load_profile(args) -> tuple[PartialProfile, int]:
@@ -125,29 +126,28 @@ def _load_profile(args) -> tuple[PartialProfile, int]:
     return profile, k
 
 
-def _require_complete(profile: PartialProfile, command: str) -> None:
+def _require_complete(profile: PartialProfile, command: str) -> ApprovalProfile:
+    """The profile as complete ballots; empty middles are required."""
     if any(b.middle for b in profile.ballots):
         raise InputError(
             f"{command} needs a complete profile (empty middles); "
             "use poscom/neccom for incomplete ones"
         )
-
-
-def _as_complete(profile: PartialProfile) -> ApprovalProfile:
-    return ApprovalProfile(
-        profile.registry, tuple(ApprovalBallot(b.top) for b in profile.ballots)
-    )
+    return completion_by(profile, lambda b: ())
 
 
 def _committee(args, profile: PartialProfile) -> frozenset[int]:
     names = [part.strip() for part in args.committee.split(",") if part.strip()]
-    return frozenset(profile.registry.id_of(name) for name in names)
+    committee = frozenset(profile.registry.id_of(name) for name in names)
+    if len(committee) < len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise InputError(f"--committee names candidate {repeated!r} twice")
+    return committee
 
 
 def _handle_winners(args) -> tuple[dict, int]:
     profile, k = _load_profile(args)
-    _require_complete(profile, "winners")
-    complete = _as_complete(profile)
+    complete = _require_complete(profile, "winners")
     rule = parse_rule_spec(args.rule)
     winners = sorted(winning_committees(rule, complete, k), key=mask_of)
     doc = {
@@ -232,8 +232,7 @@ def _handle_necjr(args) -> tuple[dict, int]:
 
 def _handle_check(args) -> tuple[dict, int]:
     profile, k = _load_profile(args)
-    _require_complete(profile, "check")
-    complete = _as_complete(profile)
+    complete = _require_complete(profile, "check")
     committee = _committee(args, profile)
     satisfied, witness = check_axiom(complete, committee, k, args.axiom)
     doc = {

@@ -21,10 +21,10 @@ from .errors import ProfileSyntaxError
 from .model import (
     ApprovalProfile,
     CandidateRegistry,
+    Decision,
     PartialProfile,
     validate_partial_profile,
 )
-from .possible import Decision
 from .representation import GroupWitness
 
 _VOTER_KEYS = {"top", "middle", "bottom", "order"}

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceededError,
@@ -138,6 +138,22 @@ class PartialProfile:
     @property
     def m(self) -> int:
         return len(self.registry)
+
+
+@dataclass(frozen=True)
+class Decision:
+    """Outcome of a possible/necessary query.
+
+    For a possible-query answered true, ``witness`` is a completion in
+    which the queried object wins. For a necessary-query answered false,
+    it is a counterexample completion. ``witness_committee`` names the
+    committee that wins (or defeats) in the witness, when one applies.
+    """
+
+    answer: bool
+    witness: ApprovalProfile | None
+    witness_committee: frozenset[int] | None
+    method_used: str
 
 
 class ModelClass(Enum):
@@ -328,6 +344,55 @@ def is_completion(approvals: ApprovalProfile, profile: PartialProfile) -> bool:
         if not _upward_closed(partial, frozenset(chosen)):
             return False
     return True
+
+
+def completion_by(
+    profile: PartialProfile, pick: Callable[[PartialBallot], Iterable[int]]
+) -> ApprovalProfile:
+    """The completion in which each voter approves its top plus ``pick(ballot)``.
+
+    Every canonical completion is built here; ``pick`` must return an
+    upward-closed part of the ballot's middle.
+    """
+    return ApprovalProfile(
+        profile.registry,
+        tuple(ApprovalBallot(b.top.union(pick(b))) for b in profile.ballots),
+    )
+
+
+def committee_completion_av(
+    profile: PartialProfile, committee: frozenset[int]
+) -> ApprovalProfile:
+    """Every voter approves its top and exactly its undecided W-members.
+
+    Under the linear-weight rule this maximizes the margin of W over
+    every rival at once: each such candidate adds one to W and at most
+    one to any rival, each skipped outsider adds zero.
+    """
+    return completion_by(profile, lambda b: b.middle & committee)
+
+
+def threshold_completion(
+    profile: PartialProfile, committee: frozenset[int], t: int
+) -> ApprovalProfile:
+    """Cheapest completion pushing each voter's overlap with W to t.
+
+    A voter whose top already reaches t, or whose full middle cannot,
+    approves no middle candidate at all. Otherwise it approves the
+    shortest prefix of its ranking that closes the gap. Under a 0/1 step
+    weight this choice maximizes every voter's margin for W against every
+    rival committee simultaneously.
+    """
+
+    def pick(b: PartialBallot) -> list[int]:
+        need = t - len(b.top & committee)
+        if not 0 < need <= len(b.middle & committee):
+            return []
+        sequence = b.middle_sequence()
+        ends = [i for i, c in enumerate(sequence) if c in committee]
+        return sequence[: ends[need - 1] + 1]
+
+    return completion_by(profile, pick)
 
 
 def complete_profile(

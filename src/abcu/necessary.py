@@ -26,16 +26,19 @@ from .model import (
     DEFAULT_CAP,
     ApprovalBallot,
     ApprovalProfile,
+    Decision,
     PartialBallot,
     PartialProfile,
+    committee_completion_av,
+    completion_by,
     is_linearly_ordered,
     is_three_valued,
+    threshold_completion,
 )
-from .possible import Decision, committee_completion_av, threshold_completion
 from .rules import (
-    AV,
     Committee,
     ScoringFunction,
+    approval_counts,
     ballot_score,
     binary_rule,
     check_candidate,
@@ -44,9 +47,7 @@ from .rules import (
     check_threshold,
     committees_by_mask,
     defeats,
-    mask_of,
     scored_completions,
-    winning_committees,
 )
 
 
@@ -109,7 +110,7 @@ def max_diff_ballot(
         closure = frozenset().union(*(ballot.forced_by(c) for c in approved)) if approved else frozenset()
         if closure & excluded:
             continue
-        free = [
+        free = [] if f.is_thiele else [
             c
             for c in sorted(ballot.middle)
             if c not in closure
@@ -118,9 +119,8 @@ def max_diff_ballot(
             and not (ballot.forced_by(c) & excluded)
         ]
         order = _topological(ballot, free)
-        lengths = range(len(order) + 1) if not f.is_thiele else range(1)
         base = ballot.top | closure | approved
-        for j in lengths:
+        for j in range(len(order) + 1):
             candidate_ballot = ApprovalBallot(frozenset(base | set(order[:j])))
             diff = ballot_score(f, candidate_ballot, rival) - ballot_score(
                 f, candidate_ballot, committee
@@ -205,7 +205,11 @@ def necmem_av_3va(profile: PartialProfile, candidate: int, k: int) -> Decision:
     avoiding = (w for w in committees_by_mask(profile.m, k) if candidate not in w)
     for committee in avoiding:
         completion = committee_completion_av(profile, committee)
-        if defeats(AV, completion, committee, candidate):
+        counts = approval_counts(completion)
+        # The best committee holding the candidate adds the k-1 highest
+        # other counts to its own; W must outscore that one.
+        others = sorted(counts[:candidate] + counts[candidate + 1:], reverse=True)
+        if sum(counts[c] for c in committee) > counts[candidate] + sum(others[: k - 1]):
             return Decision(False, completion, committee, "av-3va-defeat-scan")
     return Decision(True, None, None, "av-3va-defeat-scan")
 
@@ -224,23 +228,20 @@ def necmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
         raise ModelMismatchError("profile middles are not totally ordered")
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
-    ballots = []
-    for b in profile.ballots:
-        if candidate in b.middle:
-            sequence = b.middle_sequence()
-            prefix = sequence[: sequence.index(candidate)]
-            ballots.append(ApprovalBallot(frozenset(b.top | set(prefix))))
-        else:
-            ballots.append(ApprovalBallot(frozenset(b.top | b.middle)))
-    adversarial = ApprovalProfile(profile.registry, tuple(ballots))
-    scores = [
-        sum(1 for b in adversarial.ballots if c in b.approved)
-        for c in range(profile.m)
-    ]
+
+    def pick(b):
+        if candidate not in b.middle:
+            return b.middle
+        sequence = b.middle_sequence()
+        return sequence[: sequence.index(candidate)]
+
+    adversarial = completion_by(profile, pick)
+    scores = approval_counts(adversarial)
     better = sum(1 for c in range(profile.m) if scores[c] > scores[candidate])
     if better > k - 1:
-        first = min(winning_committees(AV, adversarial, k), key=mask_of)
-        return Decision(False, adversarial, first, "av-linear-canonical")
+        # The lowest-mask winner: the top k by count, ties to the lower id.
+        first = sorted(range(profile.m), key=lambda c: (-scores[c], c))[:k]
+        return Decision(False, adversarial, frozenset(first), "av-linear-canonical")
     return Decision(True, None, None, "av-linear-canonical")
 
 

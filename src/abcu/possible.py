@@ -13,21 +13,21 @@ back to capped brute-force enumeration otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ModelMismatchError, NoPolyAlgorithmError
 from .model import (
     DEFAULT_CAP,
-    ApprovalBallot,
-    ApprovalProfile,
+    Decision,
     PartialProfile,
+    committee_completion_av,
+    completion_by,
     is_linearly_ordered,
     is_three_valued,
+    threshold_completion,
 )
 from .rules import (
-    AV,
     Committee,
     ScoringFunction,
+    approval_counts,
     binary_rule,
     check_candidate,
     check_committee_size,
@@ -39,73 +39,18 @@ from .rules import (
 )
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of a possible/necessary query.
-
-    For a possible-query answered true, ``witness`` is a completion in
-    which the queried object wins. For a necessary-query answered false,
-    it is a counterexample completion. ``witness_committee`` names the
-    committee that wins (or defeats) in the witness, when one applies.
-    """
-
-    answer: bool
-    witness: ApprovalProfile | None
-    witness_committee: Committee | None
-    method_used: str
-
-
-def committee_completion_av(profile: PartialProfile, committee: Committee) -> ApprovalProfile:
-    """Every voter approves its top and exactly its undecided W-members.
-
-    Under the linear-weight rule this maximizes the margin of W over
-    every rival at once: each such candidate adds one to W and at most
-    one to any rival, each skipped outsider adds zero.
-    """
-    return ApprovalProfile(
-        profile.registry,
-        tuple(
-            ApprovalBallot(frozenset(b.top | (b.middle & committee)))
-            for b in profile.ballots
-        ),
-    )
-
-
 def poscom_av_3va(profile: PartialProfile, committee: Committee) -> Decision:
     """Possible winner under the linear-weight rule, order-free middles."""
     if not is_three_valued(profile):
         raise ModelMismatchError("profile carries order constraints")
     check_committee_size(committee, len(committee), profile.m)
     canonical = committee_completion_av(profile, committee)
-    if committee in winning_committees(AV, canonical, len(committee)):
+    counts = approval_counts(canonical)
+    # W wins under AV exactly when no outsider outcounts its weakest member.
+    weakest = min(counts[c] for c in committee)
+    if all(n <= weakest for c, n in enumerate(counts) if c not in committee):
         return Decision(True, canonical, committee, "av-3va-canonical")
     return Decision(False, None, None, "av-3va-canonical")
-
-
-def threshold_completion(
-    profile: PartialProfile, committee: Committee, t: int
-) -> ApprovalProfile:
-    """Cheapest completion pushing each voter's overlap with W to t.
-
-    A voter whose top already reaches t, or whose full middle cannot,
-    approves no middle candidate at all. Otherwise it approves the
-    shortest prefix of its ranking that closes the gap. Under a 0/1 step
-    weight this choice maximizes every voter's margin for W against every
-    rival committee simultaneously.
-    """
-    ballots = []
-    for b in profile.ballots:
-        need = t - len(b.top & committee)
-        taken: list[int] = []
-        if 0 < need <= len(b.middle & committee):
-            for c in b.middle_sequence():
-                taken.append(c)
-                if c in committee:
-                    need -= 1
-                    if need == 0:
-                        break
-        ballots.append(ApprovalBallot(frozenset(b.top | set(taken))))
-    return ApprovalProfile(profile.registry, tuple(ballots))
 
 
 def poscom_binary_linear(
@@ -196,28 +141,23 @@ def posmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
         raise ModelMismatchError("profile middles are not totally ordered")
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
-    ballots = []
-    for b in profile.ballots:
-        if candidate in b.middle:
-            sequence = b.middle_sequence()
-            prefix = sequence[: sequence.index(candidate) + 1]
-            ballots.append(ApprovalBallot(frozenset(b.top | set(prefix))))
-        else:
-            ballots.append(ApprovalBallot(b.top))
-    canonical = ApprovalProfile(profile.registry, tuple(ballots))
-    scores = [
-        sum(1 for b in canonical.ballots if c in b.approved)
-        for c in range(profile.m)
-    ]
-    better = [c for c in range(profile.m) if scores[c] > scores[candidate]]
-    if len(better) > k - 1:
+
+    def pick(b):
+        if candidate not in b.middle:
+            return ()
+        sequence = b.middle_sequence()
+        return sequence[: sequence.index(candidate) + 1]
+
+    canonical = completion_by(profile, pick)
+    scores = approval_counts(canonical)
+    if sum(1 for s in scores if s > scores[candidate]) > k - 1:
         return Decision(False, None, None, "av-linear-prefix")
-    rest = sorted(
-        (c for c in range(profile.m) if c != candidate and c not in better),
-        key=lambda c: (-scores[c], c),
+    others = sorted(
+        (c for c in range(profile.m) if c != candidate), key=lambda c: (-scores[c], c)
     )
-    committee = frozenset({candidate, *better, *rest[: k - 1 - len(better)]})
-    return Decision(True, canonical, committee, "av-linear-prefix")
+    return Decision(
+        True, canonical, frozenset({candidate, *others[: k - 1]}), "av-linear-prefix"
+    )
 
 
 def posmem(

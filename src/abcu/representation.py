@@ -29,10 +29,11 @@ from .model import (
     DEFAULT_CAP,
     ApprovalBallot,
     ApprovalProfile,
+    Decision,
     PartialProfile,
+    completion_by,
     enumerate_completions,
 )
-from .possible import Decision
 from .rules import Committee, check_candidate, check_committee_size, mask_of
 
 
@@ -56,24 +57,13 @@ def check_jr(
 ) -> tuple[bool, GroupWitness | None]:
     """Justified representation: no large unrepresented cohesive group.
 
-    Violations are scanned per candidate in ascending id order; the
-    witness collects every unrepresented voter approving that candidate.
+    This is the extended scan at level 1 alone: violations are scanned
+    per candidate in ascending id order, and the witness collects every
+    unrepresented voter approving that candidate.
     """
     check_committee_size(committee, k, profile.m)
-    n = profile.n
-    if n == 0:
-        return True, None
-    for cid in range(profile.m):
-        group = [
-            v
-            for v, b in enumerate(profile.ballots)
-            if cid in b.approved and not (b.approved & committee)
-        ]
-        if group and k * len(group) >= n:
-            return False, GroupWitness(
-                frozenset(group), frozenset({cid}), 1, None
-            )
-    return True, None
+    witness = _ejr_violation(profile, committee, k, range(1, 2))
+    return (witness is None), witness
 
 
 def _pjr_violation(
@@ -232,12 +222,6 @@ def check_axiom_brute(
     return True, None
 
 
-def _jr_optimistic_ballot(b, committee: Committee) -> ApprovalBallot:
-    if b.middle & committee:
-        return ApprovalBallot(frozenset(b.top | b.middle))
-    return ApprovalBallot(b.top)
-
-
 def posjr(profile: PartialProfile, committee: Committee, k: int) -> Decision:
     """Whether some completion satisfies justified representation.
 
@@ -248,9 +232,8 @@ def posjr(profile: PartialProfile, committee: Committee, k: int) -> Decision:
     completion exactly when it holds in this one.
     """
     check_committee_size(committee, k, profile.m)
-    canonical = ApprovalProfile(
-        profile.registry,
-        tuple(_jr_optimistic_ballot(b, committee) for b in profile.ballots),
+    canonical = completion_by(
+        profile, lambda b: b.middle if b.middle & committee else ()
     )
     satisfied, _ = check_jr(canonical, committee, k)
     if satisfied:
@@ -268,13 +251,9 @@ def necjr(profile: PartialProfile, committee: Committee, k: int) -> Decision:
     holds in this one.
     """
     check_committee_size(committee, k, profile.m)
-    ballots = []
-    for b in profile.ballots:
-        avoiding = frozenset(
-            c for c in b.middle if not (b.forced_by(c) & committee)
-        )
-        ballots.append(ApprovalBallot(frozenset(b.top | avoiding)))
-    adversarial = ApprovalProfile(profile.registry, tuple(ballots))
+    adversarial = completion_by(
+        profile, lambda b: [c for c in b.middle if not (b.forced_by(c) & committee)]
+    )
     satisfied, _ = check_jr(adversarial, committee, k)
     if satisfied:
         return Decision(True, None, None, "canonical-completion")

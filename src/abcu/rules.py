@@ -356,6 +356,20 @@ def defeats(
     )
 
 
+def approval_counts(profile: ApprovalProfile) -> list[int]:
+    """How many voters approve each candidate, indexed by candidate id.
+
+    An AV committee scores the sum of its members' counts, so AV winner
+    and defeat questions read these counts instead of scanning every
+    committee of size k.
+    """
+    counts = [0] * profile.m
+    for b in profile.ballots:
+        for c in b.approved:
+            counts[c] += 1
+    return counts
+
+
 def scored_completions(
     f: ScoringFunction, profile: PartialProfile, k: int, cap: int
 ) -> Iterator[tuple[ApprovalProfile, list[int]]]:

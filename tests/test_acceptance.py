@@ -46,11 +46,14 @@ from abcu import (
     neccom,
     necjr,
     necmem,
+    necmem_av_linear,
     pad_profile,
     poscom,
+    poscom_av_3va,
     poscom_brute,
     posjr,
     posmem,
+    posmem_av_linear,
     profile_score,
     solve_one_in_three_brute,
     solve_x3c_brute,
@@ -529,6 +532,55 @@ def test_criterion_9_polynomial_routes_scale(capsys):
     if ejr_elapsed >= 10.0:
         failures.append(("check_ejr", ejr_elapsed))
     _report(9, start, failures)
+
+
+def test_av_canonical_routes_scale_in_k():
+    """AV canonical routes at n = 200, m = 100, k = 10, each answering false.
+
+    An exhaustive scan would visit C(100, 10), about 1.7e13, committees.
+    Each query below is false in every completion: at least one outsider
+    (k rivals, for a single candidate) is approved more often even by the
+    top alone than the queried side can be by its top and middle together.
+    """
+    n, m, k, budget = 200, 100, 10, 5.0
+    rng = Random(101)
+    three = random_partial_profile(rng, n, m, "3va", max_middle=10)
+    linear = random_partial_profile(rng, n, m, "linear", max_middle=10)
+    assert (three.n, three.m, classify(three)) == (n, m, ModelClass.THREE_VALUED)
+    assert (linear.n, linear.m, classify(linear)) == (n, m, ModelClass.LINEAR)
+
+    def count_bounds(profile):
+        least = [sum(c in b.top for b in profile.ballots) for c in range(m)]
+        most = [least[c] + sum(c in b.middle for b in profile.ballots) for c in range(m)]
+        return least, most
+
+    least, most = count_bounds(three)
+    committee = frozenset(sorted(range(m), key=lambda c: most[c])[:k])
+    outsiders = [c for c in range(m) if c not in committee]
+    assert max(least[c] for c in outsiders) > min(most[c] for c in committee)
+    t0 = time.perf_counter()
+    decision = poscom_av_3va(three, committee)
+    assert time.perf_counter() - t0 < budget
+    assert decision.answer is False and decision.method_used == "av-3va-canonical"
+
+    least, most = count_bounds(linear)
+    weakest = min(range(m), key=lambda c: most[c])
+    assert sum(least[c] > most[weakest] for c in range(m)) >= k
+    t0 = time.perf_counter()
+    decision = posmem_av_linear(linear, weakest, k)
+    assert time.perf_counter() - t0 < budget
+    assert decision.answer is False and decision.method_used == "av-linear-prefix"
+    t0 = time.perf_counter()
+    decision = necmem_av_linear(linear, weakest, k)
+    assert time.perf_counter() - t0 < budget
+    assert decision.answer is False and decision.method_used == "av-linear-canonical"
+    assert is_completion(decision.witness, linear)
+    counts = [profile_score(AV, decision.witness, {c}) for c in range(m)]
+    winner = decision.witness_committee
+    assert len(winner) == k and weakest not in winner
+    assert min(counts[c] for c in winner) >= max(
+        counts[c] for c in range(m) if c not in winner
+    )
 
 
 def test_criterion_10_cli_contract(

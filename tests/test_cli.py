@@ -183,6 +183,23 @@ def test_completion_caps_refuse_work(profile_file, capsys, monkeypatch):
     monkeypatch.setenv("ABCU_CAP", "ten")
     code, out, err = run(capsys, "enumerate", "--profile", path)
     assert code == 2 and "ABCU_CAP" in err
+    # A cap below 1 is a usage problem, not refused work.
+    for flag, env in ((["--cap", "0"], "10"), (["--cap", "-1"], "10"), ([], "-1")):
+        monkeypatch.setenv("ABCU_CAP", env)
+        code, out, err = run(capsys, "enumerate", "--profile", path, *flag)
+        assert code == 2 and out is None
+        assert err.startswith("abcu:") and err.count("\n") == 1
+        assert (flag[0] if flag else "ABCU_CAP") in err
+
+
+def test_repeated_committee_names_are_usage_problems(profile_file, capsys):
+    path = profile_file(PAIR_DOC)
+    for command in (["posjr", "--axiom", "ejr"], ["poscom", "--rule", "av"]):
+        code, out, err = run(
+            capsys, command[0], "--profile", path, "--committee", "a, a", *command[1:]
+        )
+        assert code == 2 and out is None
+        assert err.startswith("abcu:") and "'a'" in err
 
 
 def test_poly_refusals_exit_three(profile_file, capsys):

@@ -11,6 +11,7 @@ from abcu import (
     BadEditError,
     CandidateRegistry,
     CapExceededError,
+    GroupWitness,
     TooManyVotersError,
     UnknownCandidateError,
     check_axiom,
@@ -180,6 +181,27 @@ def test_axiom_strength_chain(drawn):
         assert jr_ok
     for axiom, got in (("jr", jr_ok), ("pjr", pjr_ok), ("ejr", ejr_ok)):
         assert got == check_axiom_brute(profile, committee, k, axiom)[0]
+
+
+def _jr_per_candidate(profile, committee, k):
+    """The per-candidate JR scan, kept as the reference for check_jr."""
+    n = profile.n
+    for cid in range(profile.m):
+        group = [
+            v
+            for v, b in enumerate(profile.ballots)
+            if cid in b.approved and not (b.approved & committee)
+        ]
+        if group and k * len(group) >= n:
+            return False, GroupWitness(frozenset(group), frozenset({cid}), 1, None)
+    return True, None
+
+
+@given(complete_instances())
+@settings(max_examples=150, deadline=None)
+def test_jr_witnesses_match_the_per_candidate_scan(drawn):
+    profile, committee, k = drawn
+    assert check_jr(profile, committee, k) == _jr_per_candidate(profile, committee, k)
 
 
 @given(complete_instances())

@@ -19,6 +19,7 @@ from abcu import (
     TableOutOfRangeError,
     UnknownCandidateError,
     WeightFunction,
+    as_partial,
     ballot_score,
     binary_rule,
     committees_by_mask,
@@ -26,12 +27,15 @@ from abcu import (
     defeats,
     eval_weight,
     is_winning_committee,
+    necmem_av_3va,
+    necmem_av_linear,
     parse_rule_spec,
+    poscom_av_3va,
     profile_score,
     winning_committees,
 )
 from abcu.model import ApprovalBallot
-from abcu.rules import check_committee_size
+from abcu.rules import approval_counts, check_committee_size, mask_of
 from conftest import A, B, C, D
 from oracles import SCORERS, committees, winners
 
@@ -208,6 +212,59 @@ def test_integer_kernel_matches_fraction_oracle(data):
                     if cid in rival
                 )
                 assert defeats(rule, profile, committee, cid) == beaten
+
+
+def _check_av_count_judgements(profile, k):
+    """The count judgements of the AV routes against the committee scans.
+
+    On a complete profile every AV canonical completion is the profile
+    itself, so each route's answer is its count judgement alone.
+    """
+    m = profile.m
+    partial = as_partial(profile)
+    counts = approval_counts(profile)
+    assert counts == [profile_score(AV, profile, frozenset({c})) for c in range(m)]
+    winners_ = winning_committees(AV, profile, k)
+    for committee in committees_by_mask(m, k):
+        assert poscom_av_3va(partial, committee).answer == (committee in winners_)
+    first = min(winners_, key=mask_of)
+    for cid in range(m):
+        defeating = next(
+            (
+                w
+                for w in committees_by_mask(m, k)
+                if cid not in w and defeats(AV, profile, w, cid)
+            ),
+            None,
+        )
+        assert necmem_av_3va(partial, cid, k).witness_committee == defeating
+        decision = necmem_av_linear(partial, cid, k)
+        assert decision.answer == any(cid in w for w in winners_)
+        assert decision.witness_committee == (None if decision.answer else first)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_av_count_judgements_match_committee_scans(data):
+    m = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, m))
+    # A small ballot pool makes tied approval counts common.
+    pool = data.draw(
+        st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=3)
+    )
+    rows = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    _check_av_count_judgements(
+        complete_profile(CandidateRegistry(tuple("abcdef"[:m])), rows), k
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_av_count_judgements_without_voters_and_at_k_equal_m(m):
+    registry = CandidateRegistry(tuple("abcd"[:m]))
+    for k in range(1, m + 1):
+        _check_av_count_judgements(complete_profile(registry, []), k)
+    tied = complete_profile(registry, [range(m), range(m), [0]])
+    _check_av_count_judgements(tied, m)
 
 
 def test_mask_order_small_case():
