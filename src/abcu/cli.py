@@ -105,7 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cap(args) -> int:
-    source, cap = "--cap", getattr(args, "cap", None)
+    """The completion cap: --cap, else ABCU_CAP, else the default.
+
+    ``run_cli`` resolves it for every subcommand that accepts --cap,
+    whether or not the query enumerates, so a bad value is always a
+    usage problem.
+    """
+    source, cap = "--cap", args.cap
     if cap is None:
         source, raw = ENV_CAP, os.environ.get(ENV_CAP)
         try:
@@ -167,7 +173,7 @@ def _handle_poscom(args) -> tuple[dict, int]:
     profile, k = _load_profile(args)
     decision = poscom(
         profile, _committee(args, profile), parse_rule_spec(args.rule), k,
-        method=args.method, cap=_resolve_cap(args),
+        method=args.method, cap=args.cap,
     )
     doc = decision_document("poscom", decision, profile.registry, args.witness)
     return doc, 0 if decision.answer else 1
@@ -184,7 +190,7 @@ def _handle_posmem(args) -> tuple[dict, int]:
     profile, k = _load_profile(args)
     decision = posmem(
         profile, profile.registry.id_of(args.candidate), parse_rule_spec(args.rule),
-        k, method=args.method, cap=_resolve_cap(args),
+        k, method=args.method, cap=args.cap,
     )
     doc = decision_document("posmem", decision, profile.registry, args.witness)
     return doc, 0 if decision.answer else 1
@@ -194,7 +200,7 @@ def _handle_necmem(args) -> tuple[dict, int]:
     profile, k = _load_profile(args)
     decision = necmem(
         profile, profile.registry.id_of(args.candidate), parse_rule_spec(args.rule),
-        k, method=args.method, cap=_resolve_cap(args),
+        k, method=args.method, cap=args.cap,
     )
     doc = decision_document("necmem", decision, profile.registry, args.witness)
     return doc, 0 if decision.answer else 1
@@ -207,7 +213,7 @@ def _handle_posjr(args) -> tuple[dict, int]:
         decision = posjr(profile, committee, k)
     else:
         decision = possible_axiom_by_scan(
-            profile, committee, k, args.axiom, cap=_resolve_cap(args)
+            profile, committee, k, args.axiom, cap=args.cap
         )
     doc = decision_document(
         "posjr", decision, profile.registry, args.witness, {"axiom": args.axiom}
@@ -222,7 +228,7 @@ def _handle_necjr(args) -> tuple[dict, int]:
         decision = necjr(profile, committee, k)
     else:
         decision = necessary_axiom_by_scan(
-            profile, committee, k, args.axiom, cap=_resolve_cap(args)
+            profile, committee, k, args.axiom, cap=args.cap
         )
     doc = decision_document(
         "necjr", decision, profile.registry, args.witness, {"axiom": args.axiom}
@@ -248,10 +254,9 @@ def _handle_check(args) -> tuple[dict, int]:
 
 def _handle_enumerate(args) -> tuple[dict, int]:
     profile, _k = _load_profile(args)
-    cap = _resolve_cap(args)
     completions = [
         completion_rows(completion)
-        for completion in enumerate_completions(profile, cap)
+        for completion in enumerate_completions(profile, args.cap)
     ]
     doc = {
         "query": "enumerate",
@@ -312,6 +317,8 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "cap" in vars(args):
+            args.cap = _resolve_cap(args)
         doc, code = _HANDLERS[args.command](args)
         text = serialize_result(doc)
     except ResourceRefusal as exc:
@@ -330,3 +337,7 @@ def run_cli(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

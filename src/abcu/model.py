@@ -260,20 +260,64 @@ def _upward_closed(ballot: PartialBallot, chosen: frozenset[int]) -> bool:
     return all(x in chosen for x, y in ballot.precedence if y in chosen)
 
 
+def _order_masks(ballot: PartialBallot) -> tuple[list[int], list[int]]:
+    """Order bitmasks over the middle, bit i for its i-th lowest id.
+
+    up[i] holds bit i and the bits of everything ranked above that
+    candidate; down[i] holds bit i and those of everything ranked below.
+    """
+    index = {c: i for i, c in enumerate(sorted(ballot.middle))}
+    up = [1 << i for i in range(len(index))]
+    down = list(up)
+    for x, y in ballot.precedence:
+        up[index[y]] |= 1 << index[x]
+        down[index[x]] |= 1 << index[y]
+    return up, down
+
+
+def _upward_closed_masks(up: list[int]) -> list[int]:
+    """Every upward-closed bitmask over len(up) bits, ascending.
+
+    up[i] holds bit i and the bits of everything ranked above it. The
+    next mask after S sets the lowest clear bit p whose superiors on
+    higher bits S all holds, keeps S's bits above p, and clears the bits
+    below p except those the kept ones force. So the work follows the
+    number of such masks, not 2^len(up).
+    """
+    masks = [0]
+    mask = 0
+    while True:
+        for p, forced in enumerate(up):
+            if mask >> p & 1 or forced >> p + 1 & ~mask >> p + 1:
+                continue
+            kept = mask >> p << p | 1 << p
+            mask = kept
+            for i in range(p, len(up)):
+                if kept >> i & 1:
+                    mask |= up[i]
+            masks.append(mask)
+            break
+        else:
+            return masks
+
+
 def completions_of_ballot(ballot: PartialBallot) -> list[ApprovalBallot]:
     """All completions of one ballot, in a deterministic order.
 
     The order is by the bitmask of the chosen middle subset, bits assigned
     to middle candidates in ascending id order. For a totally ordered
-    middle this yields exactly the q+1 prefixes of the ranking.
+    middle this yields exactly the q+1 prefixes of the ranking. Only
+    upward-closed subsets are generated.
     """
     mids = sorted(ballot.middle)
-    out = []
-    for mask in range(1 << len(mids)):
-        chosen = frozenset(c for i, c in enumerate(mids) if mask >> i & 1)
-        if _upward_closed(ballot, chosen):
-            out.append(ApprovalBallot(frozenset(ballot.top | chosen)))
-    return out
+    if ballot.precedence:
+        masks = _upward_closed_masks(_order_masks(ballot)[0])
+    else:
+        masks = range(1 << len(mids))
+    return [
+        ApprovalBallot(ballot.top | {c for i, c in enumerate(mids) if mask >> i & 1})
+        for mask in masks
+    ]
 
 
 def count_ballot_completions(ballot: PartialBallot) -> int:
@@ -281,28 +325,27 @@ def count_ballot_completions(ballot: PartialBallot) -> int:
 
     Counts upward-closed middle subsets by the standard split on one
     element x: either x is in the subset (forcing everything above it) or
-    not (excluding everything below it).
+    not (excluding everything below it). Subsets are bitmasks, and the
+    splits run on an explicit stack, so a long chain neither recurses
+    deeply nor rescans the order.
     """
     if not ballot.precedence:
         return 1 << len(ballot.middle)
-    above: dict[int, frozenset[int]] = {c: ballot.forced_by(c) for c in ballot.middle}
-    below = {
-        c: frozenset({c} | {y for x, y in ballot.precedence if x == c})
-        for c in ballot.middle
-    }
-    cache: dict[frozenset[int], int] = {}
-
-    def count(elems: frozenset[int]) -> int:
-        if not elems:
-            return 1
-        got = cache.get(elems)
-        if got is None:
-            x = min(elems)
-            got = count(elems - above[x]) + count(elems - below[x])
-            cache[elems] = got
-        return got
-
-    return count(ballot.middle)
+    up, down = _order_masks(ballot)
+    full = (1 << len(up)) - 1
+    counts = {0: 1}
+    stack = [full]
+    while stack:
+        elems = stack[-1]
+        x = (elems & -elems).bit_length() - 1
+        parts = elems & ~up[x], elems & ~down[x]
+        todo = [part for part in parts if part not in counts]
+        if todo:
+            stack += todo
+        else:
+            counts[elems] = counts[parts[0]] + counts[parts[1]]
+            stack.pop()
+    return counts[full]
 
 
 def count_completions(profile: PartialProfile) -> int:

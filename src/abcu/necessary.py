@@ -6,11 +6,9 @@ it inside at least one winning committee. The committee question reduces
 to score differences: W fails exactly when some rival W' and some
 completion give W' a strictly higher score, and because voters complete
 independently the largest achievable value of score(W') - score(W)
-splits into independent per-voter maximizations. Each of those is solved
-exactly by scanning what the voter's middle contributes to W and W':
-fix the approved part R of the contested candidates, close it upward,
-and pad with any prefix of the unconstrained remainder, whose length
-only matters to rules that read the ballot size.
+splits into independent per-voter maximizations. Each of those is one
+integer scan (max_diff_ballot) over what the voter's middle contributes
+to W and W', and equal ballots are scanned once.
 
 Membership questions use per-rival canonical completions where the rule
 and ballot structure admit them, and capped enumeration elsewhere.
@@ -38,8 +36,8 @@ from .model import (
 from .rules import (
     Committee,
     ScoringFunction,
+    Scorer,
     approval_counts,
-    ballot_score,
     binary_rule,
     check_candidate,
     check_committee_size,
@@ -67,19 +65,62 @@ class ScoreDiffReport:
     witness: ApprovalProfile
 
 
-def _topological(ballot: PartialBallot, elems: list[int]) -> list[int]:
-    """Order ``elems`` so that anything ranked above comes first."""
-    remaining = set(elems)
-    out = []
-    while remaining:
-        c = min(
-            x
-            for x in remaining
-            if not (ballot.forced_by(x) & remaining) - {x}
-        )
-        out.append(c)
+def _scan(f: ScoringFunction, scorer: Scorer, ballot: PartialBallot,
+          committee: Committee, rival: Committee) -> tuple:
+    """One voter's first best (scaled difference, closure, free, j).
+
+    This is max_diff_ballot's scan over Scorer entries, which read only
+    the overlaps with W and W' and the ballot size: closure is R's upward
+    closure and free lists the candidates free to pad.
+    """
+    contested = sorted(ballot.middle & (committee | rival))
+    best = None
+    for r_mask in range(1 << len(contested)):
+        approved = {c for i, c in enumerate(contested) if r_mask >> i & 1}
+        excluded = set(contested) - approved
+        closure = approved.union(*(ballot.forced_by(c) for c in approved))
+        if closure & excluded:
+            continue
+        free = [] if f.is_thiele else [
+            c for c in ballot.middle
+            if c not in closure and not ballot.forced_by(c) & excluded
+        ]
+        in_w = len((ballot.top | approved) & committee)
+        in_r = len((ballot.top | approved) & rival)
+        size = len(ballot.top) + len(closure)
+        for j in range(len(free) + 1):
+            diff = scorer[in_r, size + j] - scorer[in_w, size + j]
+            if best is None or diff > best[0]:
+                best = (diff, closure, free, j)
+    if best is None:
+        raise RuntimeError("approving no contested candidate must be consistent")
+    return best
+
+
+def _witness_ballot(ballot: PartialBallot, pick: tuple) -> ApprovalBallot:
+    """Top, the closure, then j free candidates in an above-first order,
+    the lowest id first among those ready."""
+    _diff, closure, free, j = pick
+    chosen, remaining = set(closure), set(free)
+    for _ in range(j):
+        c = min(x for x in remaining if not (ballot.forced_by(x) & remaining) - {x})
+        chosen.add(c)
         remaining.remove(c)
-    return out
+    return ApprovalBallot(ballot.top | chosen)
+
+
+def _assemble(scorer: Scorer, profile: PartialProfile, committee: Committee,
+              rival: Committee, picks: dict) -> ApprovalProfile:
+    """The completion of each voter's pick, checked against their sum."""
+    built = {b: _witness_ballot(b, pick) for b, pick in picks.items()}
+    witness = ApprovalProfile(profile.registry, tuple(built[b] for b in profile.ballots))
+    margin = sum(
+        scorer[len(a & rival), len(a)] - scorer[len(a & committee), len(a)]
+        for a in (b.approved for b in witness.ballots)
+    )
+    if margin != sum(picks[b][0] for b in profile.ballots):
+        raise RuntimeError("per-voter maxima must assemble exactly")
+    return witness
 
 
 def max_diff_ballot(
@@ -97,40 +138,13 @@ def max_diff_ballot(
     candidates that are neither contested nor forced nor forcing anything
     in S - R, taken in an above-first order. Prefix length changes
     nothing for overlap-only rules, so only the empty prefix is scanned
-    for them; ballot-size-sensitive rules scan every length.
+    for them; ballot-size-sensitive rules scan every length. The
+    committees may differ in size.
     """
-    contested = sorted(ballot.middle & (committee | rival))
-    best: Fraction | None = None
-    best_ballot: ApprovalBallot | None = None
-    for r_mask in range(1 << len(contested)):
-        approved = frozenset(
-            c for i, c in enumerate(contested) if r_mask >> i & 1
-        )
-        excluded = frozenset(c for c in contested if c not in approved)
-        closure = frozenset().union(*(ballot.forced_by(c) for c in approved)) if approved else frozenset()
-        if closure & excluded:
-            continue
-        free = [] if f.is_thiele else [
-            c
-            for c in sorted(ballot.middle)
-            if c not in closure
-            and c not in approved
-            and c not in excluded
-            and not (ballot.forced_by(c) & excluded)
-        ]
-        order = _topological(ballot, free)
-        base = ballot.top | closure | approved
-        for j in range(len(order) + 1):
-            candidate_ballot = ApprovalBallot(frozenset(base | set(order[:j])))
-            diff = ballot_score(f, candidate_ballot, rival) - ballot_score(
-                f, candidate_ballot, committee
-            )
-            if best is None or diff > best:
-                best = diff
-                best_ballot = candidate_ballot
-    if best_ballot is None:
-        raise RuntimeError("approving no contested candidate must be consistent")
-    return best, best_ballot
+    m = len(ballot.top) + len(ballot.middle) + len(ballot.bottom)
+    scorer = Scorer(f, max(len(committee), len(rival)), m)
+    pick = _scan(f, scorer, ballot, committee, rival)
+    return Fraction(pick[0], scorer.scale), _witness_ballot(ballot, pick)
 
 
 def max_diff_profile(
@@ -142,24 +156,11 @@ def max_diff_profile(
     """Largest achievable score(rival) - score(committee) over completions."""
     if len(committee) != len(rival):
         raise BadKError("committees being compared must have equal size")
-    diffs = []
-    ballots = []
-    for b in profile.ballots:
-        diff, witness_ballot = max_diff_ballot(f, b, committee, rival)
-        diffs.append(diff)
-        ballots.append(witness_ballot)
-    witness = ApprovalProfile(profile.registry, tuple(ballots))
-    total = sum(diffs, Fraction(0))
-    check = sum(
-        (
-            ballot_score(f, b, rival) - ballot_score(f, b, committee)
-            for b in witness.ballots
-        ),
-        Fraction(0),
-    )
-    if check != total:
-        raise RuntimeError("per-voter maxima must assemble exactly")
-    return ScoreDiffReport(committee, rival, tuple(diffs), total, witness)
+    scorer = Scorer(f, len(committee), profile.m)
+    picks = {b: _scan(f, scorer, b, committee, rival) for b in dict.fromkeys(profile.ballots)}
+    witness = _assemble(scorer, profile, committee, rival, picks)
+    diffs = [Fraction(picks[b][0], scorer.scale) for b in profile.ballots]
+    return ScoreDiffReport(committee, rival, tuple(diffs), sum(diffs, Fraction(0)), witness)
 
 
 def neccom(
@@ -172,19 +173,20 @@ def neccom(
 
     W fails exactly when some rival achieves a positive maximum score
     difference; rivals are scanned ascending by candidate-id bitmask and
-    the first positive one supplies the counterexample completion.
+    the first positive one supplies the counterexample completion. Each
+    distinct ballot is scanned once per rival, in scaled integers.
     """
     check_committee_size(committee, k, profile.m)
     check_threshold(f.binary_threshold, k)
-    if k == profile.m:
-        # The full candidate set is the only committee of its size.
-        return Decision(True, None, None, "max-score-difference")
+    scorer = Scorer(f, k, profile.m)
+    distinct = dict.fromkeys(profile.ballots)
     for rival in committees_by_mask(profile.m, k):
         if rival == committee:
             continue
-        report = max_diff_profile(f, profile, committee, rival)
-        if report.total > 0:
-            return Decision(False, report.witness, rival, "max-score-difference")
+        picks = {b: _scan(f, scorer, b, committee, rival) for b in distinct}
+        if sum(picks[b][0] for b in profile.ballots) > 0:
+            witness = _assemble(scorer, profile, committee, rival, picks)
+            return Decision(False, witness, rival, "max-score-difference")
     return Decision(True, None, None, "max-score-difference")
 
 
@@ -200,8 +202,6 @@ def necmem_av_3va(profile: PartialProfile, candidate: int, k: int) -> Decision:
         raise ModelMismatchError("profile carries order constraints")
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
-    if k == profile.m:
-        return Decision(True, None, None, "av-3va-defeat-scan")
     avoiding = (w for w in committees_by_mask(profile.m, k) if candidate not in w)
     for committee in avoiding:
         completion = committee_completion_av(profile, committee)
@@ -260,8 +260,6 @@ def necmem_binary_linear(
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
     check_threshold(t, k)
-    if k == profile.m:
-        return Decision(True, None, None, "binary-linear-defeat-scan")
     rule = binary_rule(t)
     avoiding = (w for w in committees_by_mask(profile.m, k) if candidate not in w)
     for committee in avoiding:

@@ -230,8 +230,8 @@ class Scorer(dict):
     of scaled entries, keyed by (overlap, ballot size) and filled on
     first use, so an entry a table lacks raises exactly when a
     per-ballot evaluation would reach it. Every entry is multiplied by
-    the same _scale(f, k, m), so integer scores compare as the exact
-    ones do.
+    the same ``scale`` = _scale(f, k, m), so integer scores compare as
+    the exact ones do, and Fraction(entry, scale) is the exact value.
     """
 
     def __init__(
@@ -242,6 +242,10 @@ class Scorer(dict):
         self._scale = _scale(f, k, m)
         counts = Counter(b.approved for b in ballots)
         self._groups = [(mask_of(a), len(a), n) for a, n in counts.items()]
+
+    @property
+    def scale(self) -> int:
+        return self._scale
 
     def __missing__(self, key: tuple[int, int]) -> int:
         self[key] = value = int(_entry(self._f, *key) * self._scale)

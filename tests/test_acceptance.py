@@ -60,6 +60,7 @@ from abcu import (
     verify_weight_relation,
     winning_committees,
 )
+from abcu import cli
 from abcu.cli import run_cli
 from abcu.io import (
     decision_document,
@@ -584,7 +585,7 @@ def test_av_canonical_routes_scale_in_k():
 
 
 def test_criterion_10_cli_contract(
-    pair_profile, trio_profile, quad_profile, tmp_path, capsys
+    pair_profile, trio_profile, quad_profile, tmp_path, capsys, monkeypatch
 ):
     start = time.perf_counter()
     failures = []
@@ -666,5 +667,17 @@ def test_criterion_10_cli_contract(
     code, doc = run("enumerate", "--profile", paths["e1"])
     if doc["count"] != 2 or doc["completions"] != [[["a"], []], [["a"], ["b"]]]:
         failures.append(("enumerate", doc))
+
+    # An internal error exits 4, never 1 ("false"), with one stderr line.
+    def broken(args):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setitem(cli._HANDLERS, "winners", broken)
+    code = run_cli(["winners", "--profile", paths["e3"], "--rule", "cc"])
+    captured = capsys.readouterr()
+    if code != 4 or captured.out != "":
+        failures.append(("internal error", code, captured.out))
+    if not captured.err.startswith("abcu: internal error:") or captured.err.count("\n") != 1:
+        failures.append(("internal error stderr", captured.err))
 
     _report(10, start, failures)

@@ -170,7 +170,7 @@ def test_enumerate_lists_completions_in_order(profile_file, capsys):
     assert doc["completions"] == [[["a"], []], [["a"], ["b"]]]
 
 
-def test_completion_caps_refuse_work(profile_file, capsys, monkeypatch):
+def test_completion_caps_refuse_work(profile_file, capsys, monkeypatch, tmp_path):
     path = profile_file(PAIR_DOC)
     code, out, err = run(capsys, "enumerate", "--profile", path, "--cap", "1")
     assert code == 3 and out is None and "abcu:" in err
@@ -183,13 +183,34 @@ def test_completion_caps_refuse_work(profile_file, capsys, monkeypatch):
     monkeypatch.setenv("ABCU_CAP", "ten")
     code, out, err = run(capsys, "enumerate", "--profile", path)
     assert code == 2 and "ABCU_CAP" in err
-    # A cap below 1 is a usage problem, not refused work.
-    for flag, env in ((["--cap", "0"], "10"), (["--cap", "-1"], "10"), ([], "-1")):
-        monkeypatch.setenv("ABCU_CAP", env)
-        code, out, err = run(capsys, "enumerate", "--profile", path, *flag)
-        assert code == 2 and out is None
-        assert err.startswith("abcu:") and err.count("\n") == 1
-        assert (flag[0] if flag else "ABCU_CAP") in err
+    # A cap below 1 is a usage problem, not refused work, on every
+    # subcommand that accepts --cap, whether or not it enumerates.
+    quad = tmp_path / "quad.json"
+    quad.write_text(json.dumps(QUAD_DOC))
+    quad = str(quad)
+    commands = [
+        ["enumerate", "--profile", path],
+        ["poscom", "--profile", path, "--rule", "av", "--committee", "a"],
+        ["neccom", "--profile", path, "--rule", "av", "--committee", "a"],
+        ["posmem", "--profile", path, "--rule", "av", "--candidate", "a"],
+        ["necmem", "--profile", path, "--rule", "av", "--candidate", "a"],
+        *(
+            [command, "--profile", path, "--committee", "a", "--axiom", axiom]
+            for command in ("posjr", "necjr")
+            for axiom in ("jr", "ejr")
+        ),
+        ["winners", "--profile", quad, "--rule", "av"],
+        ["check", "--profile", quad, "--committee", "a,c"],
+    ]
+    for argv in commands:
+        monkeypatch.delenv("ABCU_CAP")
+        assert run(capsys, *argv)[0] in (0, 1), argv
+        for flag, env in ((["--cap", "0"], "10"), (["--cap", "-1"], "10"), ([], "-1")):
+            monkeypatch.setenv("ABCU_CAP", env)
+            code, out, err = run(capsys, *argv, *flag)
+            assert code == 2 and out is None, (argv, flag, env)
+            assert err.startswith("abcu:") and err.count("\n") == 1
+            assert (flag[0] if flag else "ABCU_CAP") in err
 
 
 def test_repeated_committee_names_are_usage_problems(profile_file, capsys):
@@ -341,6 +362,14 @@ def test_internal_errors_exit_four(profile_file, capsys, monkeypatch):
     assert err.startswith("abcu: internal error: TypeError(") and err.count("\n") == 1
 
 
+def _source_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    source_root = str(Path(abcu.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_installed_entry_point(profile_file, tmp_path):
     """The declared `abcu` console script works as a process.
 
@@ -367,9 +396,7 @@ def test_installed_entry_point(profile_file, tmp_path):
         assert scripts and all(Path(script).is_file() for script in scripts)
         commands += [[str(script)] for script in scripts]
 
-    env = dict(os.environ)
-    source_root = str(Path(abcu.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    env = _source_env()
     path = profile_file(PAIR_DOC)
     for command in commands:
         result = subprocess.run(
@@ -380,6 +407,23 @@ def test_installed_entry_point(profile_file, tmp_path):
         assert json.loads(result.stdout)["answer"] is True
         usage = subprocess.run(command, capture_output=True, text=True, cwd=tmp_path, env=env)
         assert usage.returncode == 2 and usage.stdout == ""
+        assert usage.stderr.startswith("usage: abcu ")
+
+
+def test_module_entry_points(profile_file, tmp_path):
+    """`python -m abcu` and `python -m abcu.cli` both run the command."""
+    env = _source_env()
+    path = profile_file(PAIR_DOC)
+    for module in ("abcu", "abcu.cli"):
+        command = [sys.executable, "-m", module]
+        result = subprocess.run(
+            [*command, "poscom", "--profile", path, "--rule", "av", "--committee", "a"],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert result.returncode == 0 and result.stderr == "", (module, result.stderr)
+        assert json.loads(result.stdout)["answer"] is True
+        usage = subprocess.run(command, capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert usage.returncode == 2 and usage.stdout == "", module
         assert usage.stderr.startswith("usage: abcu ")
 
 

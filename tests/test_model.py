@@ -1,5 +1,7 @@
 """Ballot validation, classification and completion enumeration."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,6 +226,61 @@ def test_completion_mask_order_is_ascending(drawn):
         for b in completions_of_ballot(ballot)
     ]
     assert masks == sorted(masks)
+
+
+def _mask_filter_completions(ballot):
+    """The reference enumeration: every middle mask, upward-closed kept."""
+    mids = sorted(ballot.middle)
+    out = []
+    for mask in range(1 << len(mids)):
+        chosen = frozenset(c for i, c in enumerate(mids) if mask >> i & 1)
+        if all(x in chosen for x, y in ballot.precedence if y in chosen):
+            out.append(frozenset(ballot.top | chosen))
+    return out
+
+
+@st.composite
+def wide_posets(draw, max_middle=7):
+    m = draw(st.integers(1, max_middle + 2))
+    ids = draw(st.permutations(range(m)))
+    q = draw(st.integers(0, min(m, max_middle)))
+    ranked, rest = ids[:q], ids[q:]
+    cut = draw(st.integers(0, len(rest)))
+    pairs = [
+        (ranked[i], ranked[j])
+        for i in range(len(ranked))
+        for j in range(i + 1, len(ranked))
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(m)))
+    return make_partial_ballot(rest[:cut], ranked, rest[cut:], registry, edges)
+
+
+@given(wide_posets())
+@settings(max_examples=200, deadline=None)
+def test_completions_follow_the_mask_filter_order(ballot):
+    got = [b.approved for b in completions_of_ballot(ballot)]
+    assert got == _mask_filter_completions(ballot)
+
+
+def test_long_chain_enumerates_in_time_with_its_completions():
+    # A chain of q candidates has q + 1 completions among 2^q middle
+    # masks. Shorter chains go first, so a scan over every mask fails at
+    # 20 (about a million masks) instead of hanging at 40. At 400 the
+    # cap check's count must not rescan the q^2 / 2 order pairs per
+    # candidate either.
+    for q in (10, 20, 40, 400):
+        registry = CandidateRegistry(tuple(f"c{i}" for i in range(q)))
+        chain = [(i, i + 1) for i in range(q - 1)]
+        ballot = make_partial_ballot([], range(q), [], registry, chain)
+        start = time.perf_counter()
+        completions = list(
+            enumerate_completions(PartialProfile(registry, (ballot,)), cap=q + 1)
+        )
+        assert time.perf_counter() - start < 1, q
+        assert [c.ballots[0].approved for c in completions] == [
+            frozenset(range(j)) for j in range(q + 1)
+        ]
 
 
 def test_classify_ignores_voter_order():

@@ -4,15 +4,20 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcu import (
     AV,
+    ApprovalBallot,
     BadKError,
     CandidateRegistry,
     CC,
     NoPolyAlgorithmError,
     PAV,
     SAV,
+    ScoringFunction,
+    ballot_score,
     binary_rule,
     is_completion,
     make_partial_ballot,
@@ -21,6 +26,7 @@ from abcu import (
     neccom,
     necmem,
     necmem_av_3va,
+    parse_rule_spec,
     profile_score,
     validate_partial_profile,
 )
@@ -195,3 +201,97 @@ def test_sav_prefix_lengths_affect_the_profile_maximum():
     assert report.total == max_diff(
         profile, sav_score, frozenset({B}), frozenset({A})
     )
+
+
+def _topological_reference(ballot, elems):
+    remaining = set(elems)
+    out = []
+    while remaining:
+        c = min(
+            x
+            for x in remaining
+            if not (ballot.forced_by(x) & remaining) - {x}
+        )
+        out.append(c)
+        remaining.remove(c)
+    return out
+
+
+def _reference_max_diff_ballot(f, ballot, committee, rival):
+    """The Fraction per-voter scan max_diff_ballot replaced, kept verbatim."""
+    contested = sorted(ballot.middle & (committee | rival))
+    best = None
+    best_ballot = None
+    for r_mask in range(1 << len(contested)):
+        approved = frozenset(
+            c for i, c in enumerate(contested) if r_mask >> i & 1
+        )
+        excluded = frozenset(c for c in contested if c not in approved)
+        closure = frozenset().union(*(ballot.forced_by(c) for c in approved)) if approved else frozenset()
+        if closure & excluded:
+            continue
+        free = [] if f.is_thiele else [
+            c
+            for c in sorted(ballot.middle)
+            if c not in closure
+            and c not in approved
+            and c not in excluded
+            and not (ballot.forced_by(c) & excluded)
+        ]
+        order = _topological_reference(ballot, free)
+        base = ballot.top | closure | approved
+        for j in range(len(order) + 1):
+            candidate_ballot = ApprovalBallot(frozenset(base | set(order[:j])))
+            diff = ballot_score(f, candidate_ballot, rival) - ballot_score(
+                f, candidate_ballot, committee
+            )
+            if best is None or diff > best:
+                best = diff
+                best_ballot = candidate_ballot
+    return best, best_ballot
+
+
+REFERENCE_RULES = [
+    *RULES.values(),
+    parse_rule_spec("table:0,1,3/2,7/4,2,9/4,5/2"),
+    ScoringFunction.table2d(
+        {(x, y): Fraction(x * (x + 1), 2 * y + 1) for y in range(7) for x in range(y + 1)}
+    ),
+]
+
+
+@st.composite
+def scan_cases(draw):
+    """One ballot with an order-free, linear or poset middle, and two
+    committees whose sizes may differ."""
+    m = draw(st.integers(1, 6))
+    ids = draw(st.permutations(range(m)))
+    q = draw(st.integers(0, m))
+    ranked, rest = ids[:q], ids[q:]
+    cut = draw(st.integers(0, len(rest)))
+    kind = draw(st.sampled_from(["3va", "linear", "poset"]))
+    if kind == "3va":
+        edges = []
+    elif kind == "linear":
+        edges = list(zip(ranked, ranked[1:]))
+    else:
+        pairs = [
+            (ranked[i], ranked[j])
+            for i in range(len(ranked))
+            for j in range(i + 1, len(ranked))
+        ]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(m)))
+    ballot = make_partial_ballot(rest[:cut], ranked, rest[cut:], registry, edges)
+    committee = draw(st.frozensets(st.integers(0, m - 1)))
+    rival = draw(st.frozensets(st.integers(0, m - 1)))
+    return ballot, committee, rival
+
+
+@given(scan_cases())
+@settings(max_examples=300, deadline=None)
+def test_integer_scan_matches_the_fraction_reference(case):
+    ballot, committee, rival = case
+    for f in REFERENCE_RULES:
+        expected = _reference_max_diff_ballot(f, ballot, committee, rival)
+        assert max_diff_ballot(f, ballot, committee, rival) == expected, f
