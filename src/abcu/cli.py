@@ -320,7 +320,9 @@ def run_cli(argv: list[str]) -> int:
         if "cap" in vars(args):
             args.cap = _resolve_cap(args)
         doc, code = _HANDLERS[args.command](args)
-        text = serialize_result(doc)
+        # Written and flushed here, so a closed stdout is an OSError too.
+        sys.stdout.write(serialize_result(doc) + "\n")
+        sys.stdout.flush()
     except ResourceRefusal as exc:
         print(f"abcu: {exc}", file=sys.stderr)
         return 3
@@ -331,12 +333,18 @@ def run_cli(argv: list[str]) -> int:
         # Exit 1 means "false", so a bug must not escape as a traceback.
         print(f"abcu: internal error: {exc!r}", file=sys.stderr)
         return 4
-    print(text)
     return code
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    code = run_cli(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone and the result is still buffered: point
+        # stdout at devnull so the flush at interpreter exit succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

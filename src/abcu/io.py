@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ProfileSyntaxError
 from .model import (
@@ -28,6 +28,8 @@ from .model import (
 from .representation import GroupWitness
 
 _VOTER_KEYS = {"top", "middle", "bottom", "order"}
+_NO_NAMES: list = []
+_ARRAY = {list}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -43,8 +45,77 @@ def _name_list(value: Any, context: str) -> list[str]:
     return value
 
 
+def _id_set(names: Any, id_of: Callable[[str], int]) -> frozenset[int]:
+    """The ids of a name array; LookupError, TypeError or ValueError if it
+    is no array, names a non-name or an unknown name, or repeats one.
+
+    ``id_of`` is the registry's name -> id lookup, which holds names only.
+    """
+    if type(names) is not list:
+        raise TypeError("not an array")
+    ids = frozenset(map(id_of, names))
+    if len(ids) != len(names):
+        raise ValueError("repeated name")
+    return ids
+
+
+def _voter_record(voter: Any, id_of: Callable[[str], int], everyone: frozenset[int]) -> tuple:
+    """One voter's id sets and order edges, for a well-formed record only.
+
+    Any fault raises LookupError, TypeError or ValueError; _checked_record
+    then names it.
+    """
+    if type(voter) is not dict or not voter.keys() <= _VOTER_KEYS:
+        raise TypeError("not a voter record")
+    top = _id_set(voter.get("top", _NO_NAMES), id_of)
+    middle = _id_set(voter.get("middle", _NO_NAMES), id_of)
+    if "bottom" in voter:
+        bottom = _id_set(voter["bottom"], id_of)
+    else:
+        bottom = everyone.difference(top, middle)
+    order = voter.get("order", _NO_NAMES)
+    if type(order) is not list or not set(map(type, order)) <= _ARRAY:
+        raise TypeError("not an array of arrays")
+    return top, middle, bottom, [(id_of(x), id_of(y)) for x, y in order]
+
+
+def _checked_record(i: int, voter: Any, registry: CandidateRegistry) -> tuple:
+    """One voter's ids, found by checks that raise the record's first
+    syntax fault in document order."""
+    _require(isinstance(voter, dict), f"voter {i} must be an object")
+    unknown = set(voter) - _VOTER_KEYS
+    _require(not unknown, f"voter {i} has unknown keys: {sorted(unknown)}")
+    top = _name_list(voter.get("top", []), f'voter {i} "top"')
+    middle = _name_list(voter.get("middle", []), f'voter {i} "middle"')
+    top_ids = [registry.id_of(name) for name in top]
+    middle_ids = [registry.id_of(name) for name in middle]
+    if "bottom" in voter:
+        bottom = _name_list(voter["bottom"], f'voter {i} "bottom"')
+        bottom_ids = [registry.id_of(name) for name in bottom]
+    else:
+        placed = set(top_ids) | set(middle_ids)
+        bottom_ids = [c for c in range(len(registry)) if c not in placed]
+    order = voter.get("order", [])
+    _require(isinstance(order, list), f'voter {i} "order" must be an array')
+    edges = []
+    for pair in order:
+        _require(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(p, str) for p in pair),
+            f'voter {i} "order" entries must be [name, name] pairs',
+        )
+        edges.append((registry.id_of(pair[0]), registry.id_of(pair[1])))
+    return top_ids, middle_ids, bottom_ids, edges
+
+
 def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
-    """Parse a profile document; returns the profile and its default k."""
+    """Parse a profile document; returns the profile and its default k.
+
+    Every voter's syntax is checked before any voter is validated, so the
+    error raised is the first syntax fault if there is one. Each name
+    array maps to an id set in one pass; only a record that pass rejects
+    goes through the name-by-name checks that say what is wrong with it.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -61,32 +132,13 @@ def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
                  '"k" must be a positive integer')
     voters = doc.get("voters")
     _require(isinstance(voters, list), '"voters" must be an array')
+    id_of, everyone = registry.index.__getitem__, registry.ids
     records = []
     for i, voter in enumerate(voters):
-        _require(isinstance(voter, dict), f"voter {i} must be an object")
-        unknown = set(voter) - _VOTER_KEYS
-        _require(not unknown, f"voter {i} has unknown keys: {sorted(unknown)}")
-        top = _name_list(voter.get("top", []), f'voter {i} "top"')
-        middle = _name_list(voter.get("middle", []), f'voter {i} "middle"')
-        top_ids = [registry.id_of(name) for name in top]
-        middle_ids = [registry.id_of(name) for name in middle]
-        if "bottom" in voter:
-            bottom = _name_list(voter["bottom"], f'voter {i} "bottom"')
-            bottom_ids = [registry.id_of(name) for name in bottom]
-        else:
-            placed = set(top_ids) | set(middle_ids)
-            bottom_ids = [c for c in range(len(registry)) if c not in placed]
-        order = voter.get("order", [])
-        _require(isinstance(order, list), f'voter {i} "order" must be an array')
-        edges = []
-        for pair in order:
-            _require(
-                isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(p, str) for p in pair),
-                f'voter {i} "order" entries must be [name, name] pairs',
-            )
-            edges.append((registry.id_of(pair[0]), registry.id_of(pair[1])))
-        records.append((top_ids, middle_ids, bottom_ids, edges))
+        try:
+            records.append(_voter_record(voter, id_of, everyone))
+        except (LookupError, TypeError, ValueError):
+            records.append(_checked_record(i, voter, registry))
     return validate_partial_profile(records, registry), k
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceededError,
@@ -40,14 +40,27 @@ class CandidateRegistry:
     """Immutable mapping between candidate names and dense integer ids."""
 
     names: tuple[str, ...]
-    # name -> id; derived from names, so it takes no part in eq/hash/repr.
+    # Derived from names, so they take no part in eq/hash/repr: the
+    # name -> id dict and the set of every id.
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _ids: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index = {name: cid for cid, name in enumerate(self.names)}
         if len(index) != len(self.names):
             raise ValueError("candidate names must be distinct")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_ids", frozenset(index.values()))
+
+    @property
+    def index(self) -> Mapping[str, int]:
+        """The name -> id mapping; it holds names only. Do not modify it."""
+        return self._index
+
+    @property
+    def ids(self) -> frozenset[int]:
+        """Every candidate id, 0 to m - 1."""
+        return self._ids
 
     def __len__(self) -> int:
         return len(self.names)
@@ -162,19 +175,56 @@ class ModelClass(Enum):
     POSET = "poset"
 
 
-def _transitive_closure(edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    succ: dict[int, set[int]] = {}
+def _bit_index(middle: frozenset[int]) -> dict[int, int]:
+    """Bit i for the i-th lowest middle id, the layout of every order mask."""
+    return {c: i for i, c in enumerate(sorted(middle))}
+
+
+def _closed_rows(index: dict[int, int], edges: frozenset[tuple[int, int]]) -> list[int]:
+    """Transitively closed order rows: bit j of row i says i is above j.
+
+    One bitmask Warshall pass, O(q^2) mask operations over q middle
+    candidates. A row holding its own bit marks a cycle. Raises KeyError
+    when an edge leaves the middle.
+    """
+    rows = [0] * len(index)
     for x, y in edges:
-        succ.setdefault(x, set()).add(y)
-    changed = True
-    while changed:
-        changed = False
-        for x, outs in succ.items():
-            extra = set().union(*(succ.get(y, ()) for y in outs)) - outs
-            if extra:
-                outs |= extra
-                changed = True
-    return {(x, y) for x, outs in succ.items() for y in outs}
+        rows[index[x]] |= 1 << index[y]
+    for k in range(len(rows)):
+        through = rows[k]
+        if not through:
+            continue
+        for i, row in enumerate(rows):
+            if row >> k & 1:
+                rows[i] = row | through
+    return rows
+
+
+def _pairs(index: dict[int, int], rows: list[int]) -> frozenset[tuple[int, int]]:
+    """The (above, below) id pairs the rows hold, one step per pair."""
+    ids = list(index)
+    pairs = []
+    for x, row in zip(ids, rows):
+        while row:
+            low = row & -row
+            pairs.append((x, ids[low.bit_length() - 1]))
+            row ^= low
+    return frozenset(pairs)
+
+
+def _partition_fault(tset, mset, bset, registry: CandidateRegistry, where: str) -> None:
+    """Raise the first fault of a top/middle/bottom split that is no partition."""
+    m = len(registry)
+    for cid in itertools.chain(tset, mset, bset):
+        if not 0 <= cid < m:
+            raise UnknownCandidateError(f"candidate id {cid} out of range{where}")
+    if not (tset.isdisjoint(mset) and tset.isdisjoint(bset) and mset.isdisjoint(bset)):
+        dup = (tset & mset) | (tset & bset) | (mset & bset)
+        names = ", ".join(sorted(registry.name_of(c) for c in dup))
+        raise PartitionOverlapError(f"candidates in more than one part{where}: {names}")
+    missing = registry.ids - tset - mset - bset
+    names = ", ".join(sorted(registry.name_of(c) for c in missing))
+    raise PartitionIncompleteError(f"candidates in no part{where}: {names}")
 
 
 def make_partial_ballot(
@@ -189,35 +239,37 @@ def make_partial_ballot(
 
     Checks, in order: ids known to the registry, the three parts disjoint,
     the parts jointly covering the registry, order edges confined to the
-    middle, and acyclicity after transitive closure.
+    middle, and acyclicity after transitive closure. A valid record costs
+    one size sum and one set comparison for its partition; the ordered
+    checks run only to name the fault of an invalid one.
     """
     where = f" (voter {voter})" if voter is not None else ""
-    m = len(registry)
     tset, mset, bset = frozenset(top), frozenset(middle), frozenset(bottom)
-    for cid in itertools.chain(tset, mset, bset):
-        if not 0 <= cid < m:
-            raise UnknownCandidateError(f"candidate id {cid} out of range{where}")
-    if not (tset.isdisjoint(mset) and tset.isdisjoint(bset) and mset.isdisjoint(bset)):
-        dup = (tset & mset) | (tset & bset) | (mset & bset)
-        names = ", ".join(sorted(registry.name_of(c) for c in dup))
-        raise PartitionOverlapError(f"candidates in more than one part{where}: {names}")
-    # In-range and disjoint, so the parts cover the registry iff the sizes add up.
-    if len(tset) + len(mset) + len(bset) != m:
-        missing = frozenset(range(m)) - tset - mset - bset
-        names = ", ".join(sorted(registry.name_of(c) for c in missing))
-        raise PartitionIncompleteError(f"candidates in no part{where}: {names}")
-    raw_edges = set(precedence)
-    if not raw_edges:
+    # The parts partition the registry iff their sizes add up to m and
+    # their union is every id.
+    everyone = registry.ids
+    if (len(tset) + len(mset) + len(bset) != len(everyone)
+            or tset | mset | bset != everyone):
+        _partition_fault(tset, mset, bset, registry, where)
+    edges = frozenset(precedence)
+    if not edges:
         return PartialBallot(tset, mset, bset)
-    for x, y in raw_edges:
-        if x not in mset or y not in mset:
-            raise EdgeOutsideMiddleError(
-                f"order edge ({x}, {y}) leaves the middle{where}"
-            )
-    closed = _transitive_closure(raw_edges)
-    if any(x == y for x, y in raw_edges) or any((y, x) in closed for x, y in closed):
+    index = _bit_index(mset)
+    try:
+        rows = _closed_rows(index, edges)
+    except KeyError:
+        for x, y in edges:
+            if x not in mset or y not in mset:
+                raise EdgeOutsideMiddleError(
+                    f"order edge ({x}, {y}) leaves the middle{where}"
+                ) from None
+        raise
+    if any(row >> i & 1 for i, row in enumerate(rows)):
         raise CycleDetectedError(f"order constraints are cyclic{where}")
-    return PartialBallot(tset, mset, bset, frozenset(closed))
+    # An order that is already closed is kept as given.
+    if sum(row.bit_count() for row in rows) > len(edges):
+        edges = _pairs(index, rows)
+    return PartialBallot(tset, mset, bset, edges)
 
 
 def validate_partial_profile(
@@ -266,7 +318,7 @@ def _order_masks(ballot: PartialBallot) -> tuple[list[int], list[int]]:
     up[i] holds bit i and the bits of everything ranked above that
     candidate; down[i] holds bit i and those of everything ranked below.
     """
-    index = {c: i for i, c in enumerate(sorted(ballot.middle))}
+    index = _bit_index(ballot.middle)
     up = [1 << i for i in range(len(index))]
     down = list(up)
     for x, y in ballot.precedence:
@@ -449,8 +501,7 @@ def complete_profile(
 
 def as_partial(profile: ApprovalProfile) -> PartialProfile:
     """View a complete profile as the partial profile with empty middles."""
-    m = profile.m
-    everyone = frozenset(range(m))
+    everyone = profile.registry.ids
     return PartialProfile(
         profile.registry,
         tuple(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import BadKError, ModelMismatchError, NoPolyAlgorithmError
 from .model import (
@@ -190,6 +191,29 @@ def neccom(
     return Decision(True, None, None, "max-score-difference")
 
 
+def _defeat_scan(
+    profile: PartialProfile,
+    candidate: int,
+    k: int,
+    method: str,
+    completion_for: Callable[[Committee], ApprovalProfile],
+    defeats_every_holder: Callable[[ApprovalProfile, Committee], bool],
+) -> Decision:
+    """The candidate fails exactly when some committee W avoiding it, in
+    its own canonical completion, defeats every committee holding it.
+
+    Committees are scanned ascending by candidate-id bitmask; the first W
+    that does so is the witness committee.
+    """
+    for committee in committees_by_mask(profile.m, k):
+        if candidate in committee:
+            continue
+        completion = completion_for(committee)
+        if defeats_every_holder(completion, committee):
+            return Decision(False, completion, committee, method)
+    return Decision(True, None, None, method)
+
+
 def necmem_av_3va(profile: PartialProfile, candidate: int, k: int) -> Decision:
     """Necessary member under the linear-weight rule, order-free middles.
 
@@ -202,16 +226,19 @@ def necmem_av_3va(profile: PartialProfile, candidate: int, k: int) -> Decision:
         raise ModelMismatchError("profile carries order constraints")
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
-    avoiding = (w for w in committees_by_mask(profile.m, k) if candidate not in w)
-    for committee in avoiding:
-        completion = committee_completion_av(profile, committee)
+
+    def outscores_best_holder(completion, committee):
         counts = approval_counts(completion)
         # The best committee holding the candidate adds the k-1 highest
         # other counts to its own; W must outscore that one.
         others = sorted(counts[:candidate] + counts[candidate + 1:], reverse=True)
-        if sum(counts[c] for c in committee) > counts[candidate] + sum(others[: k - 1]):
-            return Decision(False, completion, committee, "av-3va-defeat-scan")
-    return Decision(True, None, None, "av-3va-defeat-scan")
+        return sum(counts[c] for c in committee) > counts[candidate] + sum(others[: k - 1])
+
+    return _defeat_scan(
+        profile, candidate, k, "av-3va-defeat-scan",
+        lambda committee: committee_completion_av(profile, committee),
+        outscores_best_holder,
+    )
 
 
 def necmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decision:
@@ -261,12 +288,11 @@ def necmem_binary_linear(
     check_k(k, profile.m)
     check_threshold(t, k)
     rule = binary_rule(t)
-    avoiding = (w for w in committees_by_mask(profile.m, k) if candidate not in w)
-    for committee in avoiding:
-        completion = threshold_completion(profile, committee, t)
-        if defeats(rule, completion, committee, candidate):
-            return Decision(False, completion, committee, "binary-linear-defeat-scan")
-    return Decision(True, None, None, "binary-linear-defeat-scan")
+    return _defeat_scan(
+        profile, candidate, k, "binary-linear-defeat-scan",
+        lambda committee: threshold_completion(profile, committee, t),
+        lambda completion, committee: defeats(rule, completion, committee, candidate),
+    )
 
 
 def necmem(

@@ -427,6 +427,41 @@ def test_module_entry_points(profile_file, tmp_path):
         assert usage.stderr.startswith("usage: abcu ")
 
 
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_two_without_a_traceback(profile_file, tmp_path, buffered):
+    """A reader that goes away before the result is written is an I/O
+    problem (exit 2), not a false answer (exit 1).
+
+    The pipe's read end is closed before the command starts, so every
+    write fails. A small result stays in stdout's buffer, which the
+    interpreter would flush again at exit; a wide one (4096 completions)
+    fails as it is written.
+    """
+    names = [f"c{i}" for i in range(13)]
+    wide = {"candidates": names, "k": 1, "voters": [{"top": names[:1], "middle": names[1:]}]}
+    env = _source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for doc, argv in (
+        (QUAD_DOC, ["winners", "--rule", "av"]),
+        (QUAD_DOC, ["enumerate"]),
+        (wide, ["enumerate"]),
+    ):
+        path = profile_file(doc)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "abcu", *argv, "--profile", path],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2, (argv, result.stderr)
+        assert result.stderr == "abcu: [Errno 32] Broken pipe\n", argv
+
+
 def _captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

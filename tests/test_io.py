@@ -24,6 +24,7 @@ from abcu.io import (
     serialize_profile,
     serialize_result,
 )
+import reference_loader
 from conftest import A, B
 
 
@@ -224,3 +225,128 @@ def test_result_rendering_rejects_other_objects():
 
 def test_completion_rows(quad_profile):
     assert completion_rows(quad_profile) == [["c"], ["c"], ["a"], ["b"]]
+
+
+_NAMES = ("c", "a", "e", "b", "d")
+_PARTS = ("top", "middle", "bottom")
+
+
+@st.composite
+def _voter_records(draw, names):
+    """A valid voter record: a shuffled partition, a DAG on the middle,
+    and keys left to their defaults when that means the same."""
+    parts = draw(st.lists(st.sampled_from(_PARTS), min_size=len(names), max_size=len(names)))
+    record = {
+        part: draw(st.permutations([n for n, p in zip(names, parts) if p == part]))
+        for part in _PARTS
+    }
+    rank = draw(st.permutations(record["middle"]))
+    pairs = [[x, y] for i, x in enumerate(rank) for y in rank[i + 1:]]
+    record["order"] = draw(st.lists(st.sampled_from(pairs), unique_by=tuple)) if pairs else []
+    for key in ("top", "middle", "order"):
+        if not record[key] and draw(st.booleans()):
+            del record[key]
+    if draw(st.booleans()):
+        del record["bottom"]
+    return record
+
+
+@st.composite
+def _documents(draw):
+    names = list(_NAMES[: draw(st.integers(1, len(_NAMES)))])
+    doc = {"candidates": names, "voters": draw(st.lists(_voter_records(names), max_size=4))}
+    if draw(st.booleans()):
+        doc["k"] = draw(st.integers(1, len(names)))
+    return doc
+
+
+_NON_NAMES = (1, 1.5, True, None, ["a"], {"a": 1})
+_NON_ARRAYS = ("a", "ab", None, 3, {"a": 1})
+_NON_PAIRS = ("ab", ["a"], ["a", "b", "c"], ["a", 1], [None, "a"], [["a"], "b"], None, {"a": "b"})
+
+
+def _fault(draw, voter, names):
+    """Break one voter record in one of the ways a document can be wrong."""
+    if not isinstance(voter, dict):
+        return voter
+    kind = draw(st.sampled_from((
+        "overlap", "gap", "edge-outside", "self-loop", "cycle", "repeat",
+        "unknown-name", "unknown-edge-name", "non-name", "not-array", "bad-pair",
+        "unknown-key", "not-object",
+    )))
+    voter = {key: list(value) if isinstance(value, list) else value
+             for key, value in voter.items()}
+    part = draw(st.sampled_from(_PARTS))
+    names_in = voter.setdefault(part, [])
+    order = voter.setdefault("order", [])
+    if not isinstance(names_in, list) or not isinstance(order, list):
+        return voter  # an earlier fault already broke this record
+    if kind == "not-object":
+        return draw(st.sampled_from(([], "top", 3, None)))
+    if kind == "unknown-key":
+        voter[draw(st.sampled_from(("extra", "Top", "")))] = []
+    elif kind == "not-array":
+        voter[draw(st.sampled_from((*_PARTS, "order")))] = draw(st.sampled_from(_NON_ARRAYS))
+    elif kind == "non-name":
+        names_in.insert(draw(st.integers(0, len(names_in))), draw(st.sampled_from(_NON_NAMES)))
+    elif kind == "unknown-name":
+        names_in.insert(draw(st.integers(0, len(names_in))), "zz")
+    elif kind == "repeat" and names_in:
+        names_in.append(draw(st.sampled_from(names_in)))
+    elif kind == "overlap":
+        names_in.append(draw(st.sampled_from(names)))
+    elif kind == "gap" and names_in:
+        names_in.remove(draw(st.sampled_from(names_in)))
+        voter.setdefault("bottom", [])
+    elif kind == "bad-pair":
+        order.append(draw(st.sampled_from(_NON_PAIRS)))
+    elif kind == "unknown-edge-name":
+        order.append(draw(st.permutations([draw(st.sampled_from(names)), "zz"])))
+    elif kind == "edge-outside":
+        order.append(
+            [draw(st.sampled_from(names)), draw(st.sampled_from(names))]
+        )
+    elif kind == "self-loop":
+        x = draw(st.sampled_from(names))
+        order.append([x, x])
+    elif kind == "cycle":
+        loop = draw(st.lists(st.sampled_from(names), min_size=2, max_size=4, unique=True)) \
+            if len(names) > 1 else list(names)
+        order.extend(
+            [x, y] for x, y in zip(loop, loop[1:] + loop[:1])
+        )
+    return voter
+
+
+@st.composite
+def _malformed_documents(draw):
+    doc = draw(_documents())
+    voters = doc["voters"]
+    if not voters:
+        voters.append({})
+    for i in draw(st.lists(st.integers(0, len(voters) - 1), min_size=1, max_size=3)):
+        voters[i] = _fault(draw, voters[i], doc["candidates"])
+    return doc
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+def test_valid_documents_load_as_the_reference_loads_them(doc):
+    text = json.dumps(doc)
+    assert parse_profile(text) == reference_loader.parse_profile(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_malformed_documents())
+def test_malformed_documents_fail_as_the_reference_fails(doc):
+    # Both loaders report every voter's syntax faults before any voter's
+    # validation faults; the first fault found names the error.
+    text = json.dumps(doc)
+    assert _outcome(parse_profile, text) == _outcome(reference_loader.parse_profile, text)

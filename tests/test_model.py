@@ -33,6 +33,7 @@ from abcu import (
 )
 from conftest import A, B, C
 from oracles import ballot_options
+import reference_loader
 
 R2 = CandidateRegistry(("a", "b"))
 R3 = CandidateRegistry(("a", "b", "c"))
@@ -269,10 +270,15 @@ def test_long_chain_enumerates_in_time_with_its_completions():
     # 20 (about a million masks) instead of hanging at 40. At 400 the
     # cap check's count must not rescan the q^2 / 2 order pairs per
     # candidate either.
-    for q in (10, 20, 40, 400):
+    # Validation closes the chain's order: at 800 that is 319,600 pairs,
+    # which a closure by repeated set unions needs seconds to reach.
+    for q in (10, 20, 40, 400, 800):
         registry = CandidateRegistry(tuple(f"c{i}" for i in range(q)))
         chain = [(i, i + 1) for i in range(q - 1)]
+        start = time.perf_counter()
         ballot = make_partial_ballot([], range(q), [], registry, chain)
+        assert time.perf_counter() - start < 1, q
+        assert ballot.precedence == {(i, j) for i in range(q) for j in range(i + 1, q)}
         start = time.perf_counter()
         completions = list(
             enumerate_completions(PartialProfile(registry, (ballot,)), cap=q + 1)
@@ -300,3 +306,49 @@ def test_linear_completions_are_ranking_prefixes(trio_profile):
         frozenset(ballot.top | set(seq[:i])) for i in range(len(seq) + 1)
     }
     assert {b.approved for b in completions_of_ballot(ballot)} == prefixes
+
+
+@st.composite
+def edge_sets(draw, max_q=7):
+    """Order edges over a middle of q ids out of q + 2: a DAG (edges follow a
+    random ranking), any edge set on the middle, which may hold self-loops
+    and cycles of any length, or any edge set at all."""
+    q = draw(st.integers(1, max_q))
+    ids = draw(st.permutations(range(q + 2)))
+    middle = ids[:q]
+    kind = draw(st.sampled_from(("dag", "middle", "any")))
+    if kind == "dag":
+        pairs = [(x, y) for i, x in enumerate(middle) for y in middle[i + 1:]]
+    else:
+        ends = middle if kind == "middle" else ids
+        pairs = [(x, y) for x in ends for y in ends]
+    edges = draw(st.lists(st.sampled_from(pairs))) if pairs else []
+    return middle, edges
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(edge_sets())
+@settings(max_examples=500, deadline=None)
+def test_order_closure_matches_the_reference_closure(drawn):
+    middle, edges = drawn
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(len(middle) + 2)))
+    rest = sorted(set(range(len(middle) + 2)) - set(middle))
+    got = _outcome(lambda: make_partial_ballot(rest[:1], middle, rest[1:], registry, edges))
+    want = _outcome(lambda: reference_loader.make_partial_ballot(
+        rest[:1], middle, rest[1:], registry, edges))
+    assert got == want
+    raw = set(edges)
+    closed = reference_loader.transitive_closure(raw)
+    cyclic = any(x == y for x, y in raw) or any((y, x) in closed for x, y in closed)
+    if not {x for edge in raw for x in edge} <= set(middle):
+        assert got[0] is EdgeOutsideMiddleError
+    elif cyclic:
+        assert got == (CycleDetectedError, "order constraints are cyclic")
+    else:
+        assert got.precedence == closed

@@ -1,5 +1,8 @@
 """The package's public surface."""
 
+import ast
+from pathlib import Path
+
 import abcu
 
 EXPORTED = {
@@ -35,3 +38,32 @@ def test_public_names_are_exactly_the_declared_set():
     assert set(abcu.__all__) == EXPORTED
     assert all(hasattr(abcu, name) for name in abcu.__all__)
 
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_modules_use_no_private_names_of_other_modules():
+    # Each module keeps its helpers to itself: no module imports a
+    # _-prefixed name from another abcu module, and _-prefixed attributes
+    # are read only on self or cls, never on another module or on another
+    # class's objects (registry._index, say).
+    src = Path(abcu.__file__).parent
+    faults = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                target = node.module or ""
+                if node.level == 0 and target.split(".")[0] != "abcu":
+                    continue
+                faults += [
+                    f"{path.name}:{node.lineno} imports {alias.name} from {'.' * node.level}{target}"
+                    for alias in node.names if _private(alias.name)
+                ]
+            elif isinstance(node, ast.Attribute) and _private(node.attr):
+                owner = node.value
+                if not (isinstance(owner, ast.Name) and owner.id in ("self", "cls")):
+                    faults.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
+    assert faults == []
