@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import sys
 from fractions import Fraction
@@ -169,71 +170,26 @@ def _handle_winners(args) -> tuple[dict, int]:
     return doc, 0
 
 
-def _handle_poscom(args) -> tuple[dict, int]:
-    profile, k = _load_profile(args)
-    decision = poscom(
-        profile, _committee(args, profile), parse_rule_spec(args.rule), k,
-        method=args.method, cap=args.cap,
-    )
-    doc = decision_document("poscom", decision, profile.registry, args.witness)
-    return doc, 0 if decision.answer else 1
+def _decision_handler(decide):
+    """A handler that loads the profile, runs ``decide(args, profile, k)``
+    and reports its Decision: exit 0 for a true answer, 1 for a false one."""
+
+    def handle(args) -> tuple[dict, int]:
+        profile, k = _load_profile(args)
+        decision = decide(args, profile, k)
+        extra = {"axiom": args.axiom} if "axiom" in vars(args) else None
+        doc = decision_document(args.command, decision, profile.registry, args.witness, extra)
+        return doc, 0 if decision.answer else 1
+
+    return handle
 
 
-def _handle_neccom(args) -> tuple[dict, int]:
-    profile, k = _load_profile(args)
-    decision = neccom(parse_rule_spec(args.rule), profile, _committee(args, profile), k)
-    doc = decision_document("neccom", decision, profile.registry, args.witness)
-    return doc, 0 if decision.answer else 1
-
-
-def _handle_posmem(args) -> tuple[dict, int]:
-    profile, k = _load_profile(args)
-    decision = posmem(
-        profile, profile.registry.id_of(args.candidate), parse_rule_spec(args.rule),
-        k, method=args.method, cap=args.cap,
-    )
-    doc = decision_document("posmem", decision, profile.registry, args.witness)
-    return doc, 0 if decision.answer else 1
-
-
-def _handle_necmem(args) -> tuple[dict, int]:
-    profile, k = _load_profile(args)
-    decision = necmem(
-        profile, profile.registry.id_of(args.candidate), parse_rule_spec(args.rule),
-        k, method=args.method, cap=args.cap,
-    )
-    doc = decision_document("necmem", decision, profile.registry, args.witness)
-    return doc, 0 if decision.answer else 1
-
-
-def _handle_posjr(args) -> tuple[dict, int]:
-    profile, k = _load_profile(args)
+def _axiom_decision(args, profile: PartialProfile, k: int, canonical, scan):
+    """JR by its canonical completion, PJR and EJR by a completion scan."""
     committee = _committee(args, profile)
     if args.axiom == "jr":
-        decision = posjr(profile, committee, k)
-    else:
-        decision = possible_axiom_by_scan(
-            profile, committee, k, args.axiom, cap=args.cap
-        )
-    doc = decision_document(
-        "posjr", decision, profile.registry, args.witness, {"axiom": args.axiom}
-    )
-    return doc, 0 if decision.answer else 1
-
-
-def _handle_necjr(args) -> tuple[dict, int]:
-    profile, k = _load_profile(args)
-    committee = _committee(args, profile)
-    if args.axiom == "jr":
-        decision = necjr(profile, committee, k)
-    else:
-        decision = necessary_axiom_by_scan(
-            profile, committee, k, args.axiom, cap=args.cap
-        )
-    doc = decision_document(
-        "necjr", decision, profile.registry, args.witness, {"axiom": args.axiom}
-    )
-    return doc, 0 if decision.answer else 1
+        return canonical(profile, committee, k)
+    return scan(profile, committee, k, args.axiom, cap=args.cap)
 
 
 def _handle_check(args) -> tuple[dict, int]:
@@ -298,12 +254,31 @@ def _handle_gen(args) -> tuple[dict, int]:
 
 _HANDLERS = {
     "winners": _handle_winners,
-    "poscom": _handle_poscom,
-    "neccom": _handle_neccom,
-    "posmem": _handle_posmem,
-    "necmem": _handle_necmem,
-    "posjr": _handle_posjr,
-    "necjr": _handle_necjr,
+    # Each command reads its options in a fixed order, so a document with
+    # two faults always reports the same one first. The lambdas look the
+    # query functions up when called, so a wrapper rebound over a module
+    # name sees every call.
+    "poscom": _decision_handler(lambda args, profile, k: poscom(
+        profile, _committee(args, profile), parse_rule_spec(args.rule), k,
+        method=args.method, cap=args.cap,
+    )),
+    "neccom": _decision_handler(lambda args, profile, k: neccom(
+        parse_rule_spec(args.rule), profile, _committee(args, profile), k,
+    )),
+    "posmem": _decision_handler(lambda args, profile, k: posmem(
+        profile, profile.registry.id_of(args.candidate), parse_rule_spec(args.rule), k,
+        method=args.method, cap=args.cap,
+    )),
+    "necmem": _decision_handler(lambda args, profile, k: necmem(
+        profile, profile.registry.id_of(args.candidate), parse_rule_spec(args.rule), k,
+        method=args.method, cap=args.cap,
+    )),
+    "posjr": _decision_handler(lambda args, profile, k: _axiom_decision(
+        args, profile, k, posjr, possible_axiom_by_scan,
+    )),
+    "necjr": _decision_handler(lambda args, profile, k: _axiom_decision(
+        args, profile, k, necjr, necessary_axiom_by_scan,
+    )),
     "check": _handle_check,
     "enumerate": _handle_enumerate,
     "gen": _handle_gen,
@@ -337,6 +312,15 @@ def run_cli(argv: list[str]) -> int:
 
 
 def main() -> None:
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # Unbuffered stdout (python -u) ignores a short write, so a reader
+        # leaving mid-write would cut the result off silently. A buffered
+        # layer writes the rest and raises, as the default stdout does.
+        raw = io.FileIO(sys.stdout.fileno(), "w", closefd=False)
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(raw), sys.stdout.encoding, sys.stdout.errors,
+            write_through=True,
+        )
     code = run_cli(sys.argv[1:])
     try:
         sys.stdout.flush()

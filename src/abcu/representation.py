@@ -12,9 +12,9 @@ The checks below scan candidate subsets rather than voter subsets. That
 is an exact reformulation, not a heuristic: a violating group may sit
 strictly inside the set of all voters approving its common candidates
 (adding one well-served voter to a violating group hides the violation),
-so the scans quantify over the served-side slack explicitly, the
-proportional one over the committee members the group may touch and the
-extended one over the per-voter satisfaction bound. The definition-level
+so the one scan bounds each voter's satisfaction explicitly, and the
+proportional check then bounds the committee members the group may touch
+inside each group that scan yields. The definition-level
 scan over all voter groups is kept alongside as the adjudicating oracle
 for small electorates.
 """
@@ -66,34 +66,56 @@ def check_jr(
     return (witness is None), witness
 
 
+def _large_groups(profile: ApprovalProfile, committee: Committee, k: int, levels):
+    """Yield ``(level, S, group)`` per level and l-set S, in scan order, when
+    the voters approving all of S and under l committee members number at
+    least l * n / k."""
+    n = profile.n
+    if n == 0:
+        return
+    masks = [mask_of(b.approved) for b in profile.ballots]
+    wmask = mask_of(committee)
+    overlap = [bin(mask & wmask).count("1") for mask in masks]
+    for level in levels:
+        short = [v for v in range(n) if overlap[v] < level]
+        if k * len(short) < level * n:
+            continue
+        for shared in combinations(range(profile.m), level):
+            smask = mask_of(shared)
+            group = [v for v in short if masks[v] & smask == smask]
+            if k * len(group) >= level * n:
+                yield level, shared, group
+
+
+def _ejr_violation(
+    profile: ApprovalProfile, committee: Committee, k: int, levels
+) -> GroupWitness | None:
+    for level, shared, group in _large_groups(profile, committee, k, levels):
+        return GroupWitness(frozenset(group), frozenset(shared), level, None)
+    return None
+
+
 def _pjr_violation(
     profile: ApprovalProfile, committee: Committee, k: int, levels
 ) -> GroupWitness | None:
+    """A voter whose committee approvals fit in X, |X| < l, approves under
+    l members, so the group for (S, X) is the part of S's large group that
+    fits in X, in the same order; a small group has no large part."""
     n = profile.n
-    if n == 0:
-        return None
-    masks = [mask_of(b.approved) for b in profile.ballots]
-    wmask = mask_of(committee)
+    served = [mask_of(b.approved & committee) for b in profile.ballots]
     members = sorted(committee)
-    for level in levels:
-        for shared in combinations(range(profile.m), level):
-            smask = mask_of(shared)
-            for x_size in range(level):
-                for allowed in combinations(members, x_size):
-                    amask = mask_of(allowed)
-                    group = [
-                        v
-                        for v in range(n)
-                        if masks[v] & smask == smask
-                        and masks[v] & wmask & ~amask == 0
-                    ]
-                    if group and k * len(group) >= level * n:
-                        return GroupWitness(
-                            frozenset(group),
-                            frozenset(shared),
-                            level,
-                            frozenset(allowed),
-                        )
+    for level, shared, group in _large_groups(profile, committee, k, levels):
+        for x_size in range(level):
+            for allowed in combinations(members, x_size):
+                outside = ~mask_of(allowed)
+                fitting = [v for v in group if served[v] & outside == 0]
+                if k * len(fitting) >= level * n:
+                    return GroupWitness(
+                        frozenset(fitting),
+                        frozenset(shared),
+                        level,
+                        frozenset(allowed),
+                    )
     return None
 
 
@@ -109,27 +131,6 @@ def check_pjr(
     check_committee_size(committee, k, profile.m)
     witness = _pjr_violation(profile, committee, k, range(1, k + 1))
     return (witness is None), witness
-
-
-def _ejr_violation(
-    profile: ApprovalProfile, committee: Committee, k: int, levels
-) -> GroupWitness | None:
-    n = profile.n
-    if n == 0:
-        return None
-    masks = [mask_of(b.approved) for b in profile.ballots]
-    wmask = mask_of(committee)
-    overlap = [bin(mask & wmask).count("1") for mask in masks]
-    for level in levels:
-        short = [v for v in range(n) if overlap[v] < level]
-        for shared in combinations(range(profile.m), level):
-            smask = mask_of(shared)
-            group = [v for v in short if masks[v] & smask == smask]
-            if group and k * len(group) >= level * n:
-                return GroupWitness(
-                    frozenset(group), frozenset(shared), level, None
-                )
-    return None
 
 
 def check_ejr(

@@ -462,6 +462,37 @@ def test_closed_stdout_exits_two_without_a_traceback(profile_file, tmp_path, buf
         assert result.stderr == "abcu: [Errno 32] Broken pipe\n", argv
 
 
+@pytest.mark.parametrize("buffered", [True, False])
+def test_reader_leaving_mid_write_exits_two(profile_file, tmp_path, buffered):
+    """A reader that takes the first line and leaves cuts the result short,
+    which must not read as a true answer.
+
+    The result (about 520 KB) is far larger than a pipe holds, so the
+    reader closes while the write is still in progress and the write is
+    cut short rather than refused.
+    """
+    names = [f"c{i}" for i in range(13)]
+    wide = {"candidates": names, "k": 1, "voters": [{"top": names[:1], "middle": names[1:]}]}
+    env = _source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    process = subprocess.Popen(
+        [sys.executable, "-m", "abcu", "enumerate", "--profile", profile_file(wide)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
+    )
+    try:
+        assert process.stdout.readline() == b"{\n"
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        code = process.wait(timeout=60)
+    finally:
+        process.kill()
+        process.stderr.close()
+    assert code == 2, stderr
+    assert stderr == "abcu: [Errno 32] Broken pipe\n"
+
+
 def _captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -27,12 +27,15 @@ from abcu import (
     possible_axiom_by_scan,
     validate_partial_profile,
 )
+from abcu.representation import _ejr_violation, _pjr_violation
+from abcu.rules import mask_of
 from conftest import A, B, C, D
 from oracles import all_completions, axiom_holds
 from profilegen import random_committee, random_complete_profile, random_partial_profile
 
 AB = frozenset({A, B})
 AC = frozenset({A, C})
+E = 4
 
 
 def assert_valid_witness(profile, committee, k, axiom, witness):
@@ -202,6 +205,98 @@ def _jr_per_candidate(profile, committee, k):
 def test_jr_witnesses_match_the_per_candidate_scan(drawn):
     profile, committee, k = drawn
     assert check_jr(profile, committee, k) == _jr_per_candidate(profile, committee, k)
+
+
+def _pjr_own_pass(profile, committee, k, levels):
+    """The proportional scan with its own pass over every (S, X), kept as
+    the reference for the one that searches inside the extended groups."""
+    n = profile.n
+    if n == 0:
+        return None
+    masks = [mask_of(b.approved) for b in profile.ballots]
+    wmask = mask_of(committee)
+    members = sorted(committee)
+    for level in levels:
+        for shared in combinations(range(profile.m), level):
+            smask = mask_of(shared)
+            for x_size in range(level):
+                for allowed in combinations(members, x_size):
+                    amask = mask_of(allowed)
+                    group = [
+                        v
+                        for v in range(n)
+                        if masks[v] & smask == smask
+                        and masks[v] & wmask & ~amask == 0
+                    ]
+                    if group and k * len(group) >= level * n:
+                        return GroupWitness(
+                            frozenset(group),
+                            frozenset(shared),
+                            level,
+                            frozenset(allowed),
+                        )
+    return None
+
+
+def _ejr_by_definition(profile, committee, k, levels):
+    """The first large group of voters approving an l-set S and under l
+    committee members, over sets rather than masks."""
+    n = profile.n
+    for level in levels:
+        for shared in combinations(range(profile.m), level):
+            group = [
+                v
+                for v, b in enumerate(profile.ballots)
+                if set(shared) <= b.approved and len(b.approved & committee) < level
+            ]
+            if group and k * len(group) >= level * n:
+                return GroupWitness(frozenset(group), frozenset(shared), level, None)
+    return None
+
+
+def assert_scans_match_references(profile, committee, k):
+    for levels in [range(1, k + 1), *([level] for level in range(1, k + 1))]:
+        assert _pjr_violation(profile, committee, k, levels) == _pjr_own_pass(
+            profile, committee, k, levels
+        )
+        assert _ejr_violation(profile, committee, k, levels) == _ejr_by_definition(
+            profile, committee, k, levels
+        )
+    pjr = _pjr_own_pass(profile, committee, k, range(1, k + 1))
+    ejr = _ejr_by_definition(profile, committee, k, range(1, k + 1))
+    assert check_pjr(profile, committee, k) == (pjr is None, pjr)
+    assert check_ejr(profile, committee, k) == (ejr is None, ejr)
+
+
+@given(complete_instances())
+@settings(max_examples=150, deadline=None)
+def test_group_scans_match_their_references(drawn):
+    assert_scans_match_references(*drawn)
+
+
+def test_proportional_witness_may_lie_past_the_first_extended_group():
+    # (A) EJR fails at S = {b, d}, but no part of that group is confined
+    # to fewer than two committee members, so PJR holds.
+    registry = CandidateRegistry(tuple("abcd"))
+    profile = complete_profile(registry, [{A, B, D}, {B, C, D}])
+    committee = frozenset({A, C})
+    assert_scans_match_references(profile, committee, 2)
+    assert check_ejr(profile, committee, 2) == (
+        False, GroupWitness(frozenset({0, 1}), frozenset({B, D}), 2, None)
+    )
+    assert check_pjr(profile, committee, 2) == (True, None)
+    # (B) The first large extended group, S = {b, c} with voters {0, 2},
+    # has no fitting part; the PJR witness is the next group, S = {b, d}.
+    registry = CandidateRegistry(tuple("abcde"))
+    profile = complete_profile(registry, [{B, C, D}, {B, D}, {A, B, C}])
+    committee = frozenset({A, D, E})
+    assert_scans_match_references(profile, committee, 3)
+    assert check_ejr(profile, committee, 3) == (
+        False, GroupWitness(frozenset({0, 2}), frozenset({B, C}), 2, None)
+    )
+    assert check_pjr(profile, committee, 3) == (
+        False, GroupWitness(frozenset({0, 1}), frozenset({B, D}), 2, frozenset({D}))
+    )
 
 
 @given(complete_instances())
