@@ -44,7 +44,7 @@ from .representation import (
     posjr,
     possible_axiom_by_scan,
 )
-from .rules import mask_of, parse_rule_spec, profile_score, winning_committees
+from .rules import best_committees, parse_rule_spec
 
 ENV_CAP = "ABCU_CAP"
 
@@ -156,13 +156,13 @@ def _handle_winners(args) -> tuple[dict, int]:
     profile, k = _load_profile(args)
     complete = _require_complete(profile, "winners")
     rule = parse_rule_spec(args.rule)
-    winners = sorted(winning_committees(rule, complete, k), key=mask_of)
+    score, winners = best_committees(rule, complete, k)
     doc = {
         "query": "winners",
         "answer": True,
         "method": "exhaustive-scan",
         "k": k,
-        "score": profile_score(rule, complete, winners[0]),
+        "score": score,
         "committees": [
             [profile.registry.names[c] for c in sorted(w)] for w in winners
         ],

@@ -34,8 +34,8 @@ from .rules import (
     check_k,
     check_threshold,
     committees_by_mask,
+    is_winning_committee,
     scored_completions,
-    winning_committees,
 )
 
 
@@ -63,7 +63,7 @@ def poscom_binary_linear(
     check_committee_size(committee, k, profile.m)
     check_threshold(t, k)
     canonical = threshold_completion(profile, committee, t)
-    if committee in winning_committees(binary_rule(t), canonical, k):
+    if is_winning_committee(binary_rule(t), canonical, committee):
         return Decision(True, canonical, committee, "binary-linear-prefix")
     return Decision(False, None, None, "binary-linear-prefix")
 

@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -225,23 +226,50 @@ def _scale(f: ScoringFunction, k: int, m: int) -> int:
 class Scorer(dict):
     """Integer committee scores for one rule and committee size.
 
-    Ballots are grouped by approval bitmask with a multiplicity, and
-    committees are passed as bitmasks. The mapping itself is the table
-    of scaled entries, keyed by (overlap, ballot size) and filled on
-    first use, so an entry a table lacks raises exactly when a
-    per-ballot evaluation would reach it. Every entry is multiplied by
+    The mapping itself is the table of scaled entries, keyed by (overlap,
+    ballot size) and filled on first use. Every entry is multiplied by
     the same ``scale`` = _scale(f, k, m), so integer scores compare as
     the exact ones do, and Fraction(entry, scale) is the exact value.
+    Committees are passed as bitmasks of at most k members.
+
+    A score is read in one of two ways. The grouped scan reads one entry
+    per distinct approval set (ballots grouped with a multiplicity). The
+    co-approval table takes, for each ballot size s, the Möbius
+    coefficients mu_s(t) = sum over j <= t of (-1)^(t-j) C(t, j)
+    entry(j, s), so that entry(x, s) = sum over t <= x of C(x, t) mu_s(t),
+    and folds each group into w[T] += n mu_s(|T|) for every T inside its
+    approval set A with |T| <= d_s, the last t <= min(k, s) with
+    mu_s(t) != 0. Then score(W) = sum of w[T] over the subsets T of W:
+    k reads per committee when every d_s <= 1 (AV, SAV), 2^k otherwise.
+
+    A caller that will score ``committees`` committees passes that count.
+    The table is built only when its build (one step per subset folded)
+    plus ``committees`` times the reads costs less than ``committees``
+    times the groups, and only when every entry it reads exists; a table
+    rule that lacks an entry keeps the grouped scan, so a missing entry
+    raises exactly when a scan reaches it.
     """
 
     def __init__(
-        self, f: ScoringFunction, k: int, m: int, ballots: Iterable[ApprovalBallot] = ()
+        self,
+        f: ScoringFunction,
+        k: int,
+        m: int,
+        ballots: Iterable[ApprovalBallot] = (),
+        committees: int = 0,
     ) -> None:
         super().__init__()
         self._f = f
         self._scale = _scale(f, k, m)
         counts = Counter(b.approved for b in ballots)
         self._groups = [(mask_of(a), len(a), n) for a, n in counts.items()]
+        self._weights: dict[int, int] | None = None
+        self._additive = False
+        if committees and len(counts) > k:
+            try:
+                self._fold(counts, k, committees)
+            except TableOutOfRangeError:
+                pass
 
     @property
     def scale(self) -> int:
@@ -251,8 +279,58 @@ class Scorer(dict):
         self[key] = value = int(_entry(self._f, *key) * self._scale)
         return value
 
+    def _mobius(self, size: int, k: int) -> list[int]:
+        """mu_size(0..d): the Möbius coefficients up to the last nonzero one."""
+        entries = [self[j, size] for j in range(min(k, size) + 1)]
+        mu = [
+            sum((-1) ** (t - j) * math.comb(t, j) * entries[j] for j in range(t + 1))
+            for t in range(len(entries))
+        ]
+        while len(mu) > 1 and not mu[-1]:
+            mu.pop()
+        return mu
+
+    def _fold(self, counts: Counter, k: int, committees: int) -> None:
+        """Build the co-approval table when it beats the grouped scan."""
+        mobius = {s: self._mobius(s, k) for s in {len(a) for a in counts}}
+        additive = all(len(mu) <= 2 for mu in mobius.values())
+        reads = k if additive else 1 << k
+        build = sum(
+            math.comb(len(a), t)
+            for a in counts
+            for t, coeff in enumerate(mobius[len(a)]) if coeff
+        )
+        if build + committees * reads >= committees * len(counts):
+            return
+        weights = {0: 0}
+        for a, n in counts.items():
+            bits = [1 << c for c in a]
+            for t, coeff in enumerate(mobius[len(a)]):
+                if coeff:
+                    for subset in combinations(bits, t):
+                        key = sum(subset)
+                        weights[key] = weights.get(key, 0) + n * coeff
+        self._weights, self._additive = weights, additive
+
     def score(self, mask: int) -> int:
-        return sum(n * self[(a & mask).bit_count(), size] for a, size, n in self._groups)
+        weights = self._weights
+        if weights is None:
+            return sum(
+                n * self[(a & mask).bit_count(), size] for a, size, n in self._groups
+            )
+        total = weights[0]
+        get = weights.get
+        if self._additive:
+            while mask:
+                low = mask & -mask
+                total += get(low, 0)
+                mask ^= low
+            return total
+        sub = mask
+        while sub:
+            total += get(sub, 0)
+            sub = (sub - 1) & mask
+        return total
 
     def row(self, approved: frozenset[int], masks: list[int]) -> list[int]:
         """One ballot's scaled score against each committee mask."""
@@ -316,16 +394,25 @@ def check_threshold(t: int | None, k: int) -> None:
         raise BadThresholdError(f"threshold {t} exceeds committee size {k}")
 
 
+def best_committees(
+    f: ScoringFunction, profile: ApprovalProfile, k: int
+) -> tuple[Fraction, list[Committee]]:
+    """The maximum score of a size-k committee, exact, with every
+    committee reaching it, ascending by bitmask; by exhaustive scan."""
+    check_k(k, profile.m)
+    scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m, k))
+    masks = list(_masks(profile.m, k))
+    scores = [scorer.score(mask) for mask in masks]
+    best = max(scores)
+    winners = [_members(mask) for mask, s in zip(masks, scores) if s == best]
+    return Fraction(best, scorer.scale), winners
+
+
 def winning_committees(
     f: ScoringFunction, profile: ApprovalProfile, k: int
 ) -> set[Committee]:
     """All maximum-score committees of size k, by exhaustive scan."""
-    check_k(k, profile.m)
-    scorer = Scorer(f, k, profile.m, profile.ballots)
-    masks = list(_masks(profile.m, k))
-    scores = [scorer.score(mask) for mask in masks]
-    best = max(scores)
-    return {_members(mask) for mask, s in zip(masks, scores) if s == best}
+    return set(best_committees(f, profile, k)[1])
 
 
 def is_winning_committee(
@@ -333,7 +420,7 @@ def is_winning_committee(
 ) -> bool:
     """Whether no same-size committee scores strictly higher."""
     k = len(committee)
-    scorer = Scorer(f, k, profile.m, profile.ballots)
+    scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m, k))
     own = scorer.score(mask_of(committee))
     return all(scorer.score(mask) <= own for mask in _masks(profile.m, k))
 
@@ -352,7 +439,7 @@ def defeats(
         )
     k = len(committee)
     check_k(k, profile.m)
-    scorer = Scorer(f, k, profile.m, profile.ballots)
+    scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m - 1, k - 1))
     own = scorer.score(mask_of(committee))
     bit = 1 << candidate
     return all(

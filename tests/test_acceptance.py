@@ -70,7 +70,16 @@ from abcu.io import (
 )
 from abcu.representation import _ejr_violation, _pjr_violation
 from conftest import A, B, C, D
-from oracles import SCORERS, all_completions, axiom_holds, decide_all, max_diff
+from oracles import (
+    SCORERS,
+    all_completions,
+    axiom_holds,
+    decide_all,
+    max_diff,
+    pav_score,
+    table_score,
+    winners,
+)
 from profilegen import (
     random_committee,
     random_complete_profile,
@@ -582,6 +591,30 @@ def test_av_canonical_routes_scale_in_k():
     assert min(counts[c] for c in winner) >= max(
         counts[c] for c in range(m) if c not in winner
     )
+
+
+def test_winner_scans_scale():
+    """Winner scans at n = 300, m = 16, k = 5 under av, pav and cc.
+
+    Nearly every ballot is distinct, so a grouped scan reads about 300
+    entries for each of the C(16, 5) = 4368 committees; the co-approval
+    table reads k of them under av and 2^k under pav and cc. At n = 20,
+    m = 18, k = 8 the 2^8 reads outnumber the ballots, so pav keeps the
+    grouped scan; its winners are checked against the oracle.
+    """
+    rng = Random(1605)
+    big = random_complete_profile(rng, 300, 16)
+    for name, rule in (("av", AV), ("pav", PAV), ("cc", CC)):
+        t0 = time.perf_counter()
+        winning_committees(rule, big, 5)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0, f"{name} took {elapsed:.2f}s"
+
+    small = random_complete_profile(rng, 20, 18)
+    rows = [b.approved for b in small.ballots]
+    # The oracle's pav weights, read from a table so the scan stays quick.
+    harmonic = [pav_score(frozenset(range(x)), frozenset(range(x))) for x in range(9)]
+    assert winning_committees(PAV, small, 8) == winners(table_score(harmonic), rows, 18, 8)
 
 
 def test_criterion_10_cli_contract(

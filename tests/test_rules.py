@@ -1,5 +1,6 @@
 """Weight functions, committee scores, winner scans, rule parsing."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,9 +36,9 @@ from abcu import (
     winning_committees,
 )
 from abcu.model import ApprovalBallot
-from abcu.rules import approval_counts, check_committee_size, mask_of
+from abcu.rules import Scorer, approval_counts, check_committee_size, mask_of
 from conftest import A, B, C, D
-from oracles import SCORERS, committees, winners
+from oracles import SCORERS, committees, table_score, winners
 
 R2 = CandidateRegistry(("a", "b"))
 
@@ -171,33 +172,69 @@ def test_committee_size_checks():
         check_committee_size(frozenset({9}), 1, 4)
 
 
+TABLE_VALUES = "0,2,3,7/2,4,4,9/2"
 TABLE2D_ENTRIES = {
     (x, y): Fraction(x * (x + 1), 2 * y + 1) for y in range(7) for x in range(y + 1)
 }
-KERNEL_RULES = [(parse_rule_spec(name), score) for name, score in SCORERS.items()] + [
-    (
-        ScoringFunction.table2d(TABLE2D_ENTRIES),
-        lambda approved, committee: TABLE2D_ENTRIES[
-            len(approved & committee), len(approved)
-        ],
+# Nonzero at overlap 0, so every committee also collects a constant term.
+OFFSET_ENTRIES = {
+    (x, y): Fraction(x * x + y, y + 1) for y in range(7) for x in range(y + 1)
+}
+
+
+def _table2d_rule(entries):
+    return (
+        ScoringFunction.table2d(entries),
+        lambda approved, committee: entries[len(approved & committee), len(approved)],
     )
+
+
+KERNEL_RULES = [(parse_rule_spec(name), score) for name, score in SCORERS.items()] + [
+    (parse_rule_spec("table:" + TABLE_VALUES), table_score(TABLE_VALUES.split(","))),
+    _table2d_rule(TABLE2D_ENTRIES),
+    _table2d_rule(OFFSET_ENTRIES),
 ]
+KERNEL_IDS = list(SCORERS) + ["table", "table2d", "table2d-offset"]
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_integer_kernel_matches_fraction_oracle(data):
-    m = data.draw(st.integers(1, 6))
-    k = data.draw(st.integers(1, m))
-    # Drawing voters from a small pool makes repeated ballots common.
-    pool = data.draw(
-        st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=4)
-    )
-    rows = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    if data.draw(st.booleans()):
+        m = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, m))
+        # Drawing voters from a small pool makes repeated ballots common
+        # and mostly keeps the grouped scan.
+        pool = data.draw(
+            st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=4)
+        )
+        rows = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    else:
+        # More distinct ballots than 2^k, each cast at least once, let the
+        # co-approval table pay for rules that read 2^k entries too.
+        m = data.draw(st.integers(4, 6))
+        k = data.draw(st.integers(2, 3))
+        pool = data.draw(
+            st.lists(
+                st.frozensets(st.integers(0, m - 1)),
+                min_size=2**k + 1,
+                max_size=2**m,
+                unique=True,
+            )
+        )
+        rows = pool + data.draw(st.lists(st.sampled_from(pool), max_size=8))
     profile = complete_profile(CandidateRegistry(tuple("abcdef"[:m])), rows)
     for rule, score in KERNEL_RULES:
-        def total(committee):
-            return sum((score(a, committee) for a in rows), Fraction(0))
+        totals = {
+            committee: sum((score(a, committee) for a in rows), Fraction(0))
+            for committee in committees(m, k)
+        }
+        for scorer in (
+            Scorer(rule, k, m, profile.ballots),
+            Scorer(rule, k, m, profile.ballots, math.comb(m, k)),
+        ):
+            for committee, total in totals.items():
+                assert Fraction(scorer.score(mask_of(committee)), scorer.scale) == total
 
         expected = winners(score, rows, m, k)
         assert winning_committees(rule, profile, k) == expected
@@ -207,11 +244,42 @@ def test_integer_kernel_matches_fraction_oracle(data):
             )
             for cid in set(range(m)) - committee:
                 beaten = all(
-                    total(rival) < total(committee)
+                    totals[rival] < totals[committee]
                     for rival in committees(m, k)
                     if cid in rival
                 )
                 assert defeats(rule, profile, committee, cid) == beaten
+
+
+@pytest.mark.parametrize("rule, score", KERNEL_RULES, ids=KERNEL_IDS)
+@pytest.mark.parametrize("k", [2, 3])
+def test_scorer_reads_the_table_only_when_it_pays(rule, score, k):
+    every = [frozenset(c) for size in range(7) for c in combinations(range(6), size)]
+    # Every approval set of six candidates pays for the table; k distinct
+    # ballots never do, since an additive rule still reads k entries.
+    for rows, tabled in ((every, True), (every[-k:], False)):
+        profile = complete_profile(CandidateRegistry(tuple("abcdef")), rows)
+        scorer = Scorer(rule, k, 6, profile.ballots, math.comb(6, k))
+        assert (scorer._weights is not None) == tabled
+        for committee in committees(6, k):
+            total = sum((score(a, committee) for a in rows), Fraction(0))
+            assert Fraction(scorer.score(mask_of(committee)), scorer.scale) == total
+
+
+def test_missing_table_entry_raises_only_where_a_scan_reaches_it():
+    a, b, c, d, e, f = range(6)
+    rows = [{a, b}, {a}, {b}, {d}, {e}, {d, e}, {e, f}]
+    profile = complete_profile(CandidateRegistry(tuple("abcdef")), rows)
+    # With w(2) present, these ballots are enough for the table to pay.
+    full = Scorer(parse_rule_spec("table:0,1,1"), 2, 6, profile.ballots, math.comb(5, 1))
+    assert full._weights is not None
+    # table:0,1 lacks w(2). No ballot holds c, so no committee holding c
+    # reaches overlap 2 and the defeat scan answers; {d, f} ties {c, e}.
+    short = parse_rule_spec("table:0,1")
+    assert not defeats(short, profile, frozenset({d, f}), c)
+    # The full scan reaches {a, b}, which the ballot {a, b} overlaps twice.
+    with pytest.raises(TableOutOfRangeError):
+        winning_committees(short, profile, 2)
 
 
 def _check_av_count_judgements(profile, k):
