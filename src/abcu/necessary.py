@@ -39,14 +39,16 @@ from .rules import (
     ScoringFunction,
     Scorer,
     approval_counts,
+    av_leader,
     binary_rule,
     check_candidate,
     check_committee_size,
     check_k,
     check_threshold,
     committees_by_mask,
+    completion_winners,
     defeats,
-    scored_completions,
+    members_of,
 )
 
 
@@ -229,10 +231,7 @@ def necmem_av_3va(profile: PartialProfile, candidate: int, k: int) -> Decision:
 
     def outscores_best_holder(completion, committee):
         counts = approval_counts(completion)
-        # The best committee holding the candidate adds the k-1 highest
-        # other counts to its own; W must outscore that one.
-        others = sorted(counts[:candidate] + counts[candidate + 1:], reverse=True)
-        return sum(counts[c] for c in committee) > counts[candidate] + sum(others[: k - 1])
+        return sum(counts[c] for c in committee) > av_leader(counts, k, candidate)[0]
 
     return _defeat_scan(
         profile, candidate, k, "av-3va-defeat-scan",
@@ -263,12 +262,10 @@ def necmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
         return sequence[: sequence.index(candidate)]
 
     adversarial = completion_by(profile, pick)
-    scores = approval_counts(adversarial)
-    better = sum(1 for c in range(profile.m) if scores[c] > scores[candidate])
-    if better > k - 1:
-        # The lowest-mask winner: the top k by count, ties to the lower id.
-        first = sorted(range(profile.m), key=lambda c: (-scores[c], c))[:k]
-        return Decision(False, adversarial, frozenset(first), "av-linear-canonical")
+    counts = approval_counts(adversarial)
+    best, leader = av_leader(counts, k)
+    if av_leader(counts, k, candidate)[0] < best:
+        return Decision(False, adversarial, leader, "av-linear-canonical")
     return Decision(True, None, None, "av-linear-canonical")
 
 
@@ -322,9 +319,8 @@ def necmem(
             raise NoPolyAlgorithmError(
                 f"no polynomial route for rule {f.label!r} on this profile"
             )
-    commits = list(committees_by_mask(profile.m, k))
-    for completion, scores in scored_completions(f, profile, k, cap):
-        best = max(scores)
-        if not any(s == best and candidate in c for c, s in zip(commits, scores)):
-            return Decision(False, completion, commits[scores.index(best)], "brute-force")
+    bit = 1 << candidate
+    for completion, winners in completion_winners(f, profile, k, cap):
+        if not any(w & bit for w in winners):
+            return Decision(False, completion, members_of(winners[0]), "brute-force")
     return Decision(True, None, None, "brute-force")

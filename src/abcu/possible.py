@@ -13,6 +13,8 @@ back to capped brute-force enumeration otherwise.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .errors import ModelMismatchError, NoPolyAlgorithmError
 from .model import (
     DEFAULT_CAP,
@@ -28,14 +30,17 @@ from .rules import (
     Committee,
     ScoringFunction,
     approval_counts,
+    av_leader,
     binary_rule,
     check_candidate,
     check_committee_size,
     check_k,
     check_threshold,
     committees_by_mask,
+    completion_winners,
     is_winning_committee,
-    scored_completions,
+    mask_of,
+    members_of,
 )
 
 
@@ -46,9 +51,7 @@ def poscom_av_3va(profile: PartialProfile, committee: Committee) -> Decision:
     check_committee_size(committee, len(committee), profile.m)
     canonical = committee_completion_av(profile, committee)
     counts = approval_counts(canonical)
-    # W wins under AV exactly when no outsider outcounts its weakest member.
-    weakest = min(counts[c] for c in committee)
-    if all(n <= weakest for c, n in enumerate(counts) if c not in committee):
+    if sum(counts[c] for c in committee) == av_leader(counts, len(committee))[0]:
         return Decision(True, canonical, committee, "av-3va-canonical")
     return Decision(False, None, None, "av-3va-canonical")
 
@@ -81,19 +84,21 @@ def poscom_brute(
     becomes the witness. The cap is checked before any enumeration work.
     """
     check_committee_size(committee, k, profile.m)
-    target = list(committees_by_mask(profile.m, k)).index(committee)
-    for completion, scores in scored_completions(f, profile, k, cap):
-        if scores[target] == max(scores):
+    target = mask_of(committee)
+    for completion, winners in completion_winners(f, profile, k, cap):
+        if target in winners:
             return Decision(True, completion, committee, "brute-force")
     return Decision(False, None, None, "brute-force")
 
 
-def _poly_poscom_route(profile: PartialProfile, f: ScoringFunction) -> str | None:
-    """Name of the canonical-completion route for this cell, if any."""
+def _poly_poscom_route(
+    profile: PartialProfile, f: ScoringFunction
+) -> Callable[[PartialProfile, Committee], Decision] | None:
+    """The canonical-completion route for this cell, if any."""
     if f.is_av and is_three_valued(profile):
-        return "av-3va"
+        return poscom_av_3va
     if f.binary_threshold is not None and is_linearly_ordered(profile):
-        return "binary-linear"
+        return lambda p, w: poscom_binary_linear(p, w, f.binary_threshold)
     return None
 
 
@@ -117,10 +122,8 @@ def poscom(
     check_threshold(f.binary_threshold, k)
     if method != "brute":
         route = _poly_poscom_route(profile, f)
-        if route == "av-3va":
-            return poscom_av_3va(profile, committee)
-        if route == "binary-linear":
-            return poscom_binary_linear(profile, committee, f.binary_threshold)
+        if route is not None:
+            return route(profile, committee)
         if method == "poly":
             raise NoPolyAlgorithmError(
                 f"no polynomial route for rule {f.label!r} on this profile"
@@ -149,15 +152,11 @@ def posmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
         return sequence[: sequence.index(candidate) + 1]
 
     canonical = completion_by(profile, pick)
-    scores = approval_counts(canonical)
-    if sum(1 for s in scores if s > scores[candidate]) > k - 1:
+    counts = approval_counts(canonical)
+    held, leader = av_leader(counts, k, candidate)
+    if held < av_leader(counts, k)[0]:
         return Decision(False, None, None, "av-linear-prefix")
-    others = sorted(
-        (c for c in range(profile.m) if c != candidate), key=lambda c: (-scores[c], c)
-    )
-    return Decision(
-        True, canonical, frozenset({candidate, *others[: k - 1]}), "av-linear-prefix"
-    )
+    return Decision(True, canonical, leader, "av-linear-prefix")
 
 
 def posmem(
@@ -183,10 +182,11 @@ def posmem(
     if method != "brute":
         if f.is_av and is_linearly_ordered(profile):
             return posmem_av_linear(profile, candidate, k)
-        if _poly_poscom_route(profile, f) is not None:
+        route = _poly_poscom_route(profile, f)
+        if route is not None:
             holding = (w for w in committees_by_mask(profile.m, k) if candidate in w)
             for committee in holding:
-                inner = poscom(profile, committee, f, k, method="poly")
+                inner = route(profile, committee)
                 if inner.answer:
                     return Decision(True, inner.witness, committee, "poscom-iteration")
             return Decision(False, None, None, "poscom-iteration")
@@ -194,10 +194,9 @@ def posmem(
             raise NoPolyAlgorithmError(
                 f"no polynomial route for rule {f.label!r} on this profile"
             )
-    commits = list(committees_by_mask(profile.m, k))
-    for completion, scores in scored_completions(f, profile, k, cap):
-        best = max(scores)
-        for committee, score in zip(commits, scores):
-            if score == best and candidate in committee:
-                return Decision(True, completion, committee, "brute-force")
+    bit = 1 << candidate
+    for completion, winners in completion_winners(f, profile, k, cap):
+        holder = next((w for w in winners if w & bit), None)
+        if holder is not None:
+            return Decision(True, completion, members_of(holder), "brute-force")
     return Decision(False, None, None, "brute-force")

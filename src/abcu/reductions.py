@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DivisibilityError, ProfileSyntaxError, TooLargeError
-from .model import CandidateRegistry, PartialBallot, PartialProfile
+from .model import CandidateRegistry, PartialBallot, PartialProfile, make_partial_ballot
 from .rules import (
     CC,
     Committee,
@@ -110,21 +110,10 @@ def solve_one_in_three_brute(instance: OneInThreeInstance) -> bool:
     return False
 
 
-def _ballot(
-    top=(), middle=(), precedence=(), m: int = 0
-) -> PartialBallot:
-    tset, mset = frozenset(top), frozenset(middle)
-    return PartialBallot(
-        tset, mset, frozenset(range(m)) - tset - mset, frozenset(precedence)
-    )
-
-
-def _close_chain(chain: list[int]) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        (chain[i], chain[j])
-        for i in range(len(chain))
-        for j in range(i + 1, len(chain))
-    )
+def _ballot(registry: CandidateRegistry, top=(), middle=(), chain=()) -> PartialBallot:
+    """Approve ``top``, leave ``middle`` open along ``chain``, reject the rest."""
+    rest = registry.ids.difference(top, middle)
+    return make_partial_ballot(top, middle, rest, registry, zip(chain, chain[1:]))
 
 
 def build_cc_3va(instance: OneInThreeInstance) -> GadgetOutput:
@@ -149,13 +138,9 @@ def build_cc_3va(instance: OneInThreeInstance) -> GadgetOutput:
             i for i, clause in enumerate(instance.clauses) if element in clause
         }
         avoiding = set(range(n_clauses)) - containing
-        ballots.append(_ballot(avoiding, pair, m=m))
-    clause_block = set(range(n_clauses))
-    for _ in range(3):
-        ballots.append(_ballot(clause_block, m=m))
-    for _ in range(2):
-        ballots.append(_ballot({w1}, m=m))
-    ballots.append(_ballot({w2}, m=m))
+        ballots.append(_ballot(registry, avoiding, pair))
+    for top, count in ((range(n_clauses), 3), ({w1}, 2), ({w2}, 1)):
+        ballots.extend(_ballot(registry, top) for _ in range(count))
     profile = PartialProfile(registry, tuple(ballots))
     return GadgetOutput(profile, frozenset(pair), 2, CC, "cc")
 
@@ -175,34 +160,24 @@ def build_linear_x3c(instance: X3CInstance, x: Fraction) -> GadgetOutput:
     size = instance.universe_size
     names = [f"u{e + 1}" for e in range(size)] + ["c", "d", "z"]
     registry = CandidateRegistry(tuple(names))
-    m = len(names)
     c, d, z = size, size + 1, size + 2
     universe = set(range(size))
     ballots = []
     for triple in instance.triples:
         chain = sorted(triple) + [c]
-        ballots.append(_ballot((), set(triple) | {c}, _close_chain(chain), m=m))
+        ballots.append(_ballot(registry, (), chain, chain))
     if x <= 1:
         if q % 2:
             raise DivisibilityError("this weight step needs an even q")
-        half = q // 2
-        for _ in range(half):
-            ballots.append(_ballot({z}, m=m))
-        for _ in range(half):
-            ballots.append(_ballot({z} | universe, m=m))
-        for _ in range(half):
-            ballots.append(_ballot({d}, m=m))
-        for _ in range(half):
-            ballots.append(_ballot({d} | universe, m=m))
+        count, blocks = q // 2, ({z}, {z} | universe, {d}, {d} | universe)
     else:
         count = Fraction(q) / x
         if count.denominator != 1:
             raise DivisibilityError("this weight step needs q divisible by x")
-        for _ in range(int(count)):
-            ballots.append(_ballot({z, d}, m=m))
-        for _ in range(int(count)):
-            ballots.append(_ballot(universe, m=m))
-    ballots.append(_ballot({c, d, z}, m=m))
+        blocks = ({z, d}, universe)
+    for top in blocks:
+        ballots.extend(_ballot(registry, top) for _ in range(int(count)))
+    ballots.append(_ballot(registry, {c, d, z}))
     profile = PartialProfile(registry, tuple(ballots))
     table = (Fraction(0), Fraction(1), 1 + x)
     rule = ScoringFunction.thiele(WeightFunction.table(table))

@@ -20,7 +20,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -353,7 +354,17 @@ def _masks(m: int, k: int) -> Iterator[int]:
 
 
 def _members(mask: int) -> Committee:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(ids)
+
+
+def members_of(mask: int) -> Committee:
+    """The committee a bitmask names; the inverse of mask_of."""
+    return _members(mask)
 
 
 def committees_by_mask(m: int, k: int) -> Iterator[Committee]:
@@ -394,6 +405,12 @@ def check_threshold(t: int | None, k: int) -> None:
         raise BadThresholdError(f"threshold {t} exceeds committee size {k}")
 
 
+def _winners(masks: list[int], scores: list[int]) -> tuple[int, list[int]]:
+    """The best score and the masks reaching it, in the masks' order."""
+    best = max(scores)
+    return best, list(compress(masks, map(best.__eq__, scores)))
+
+
 def best_committees(
     f: ScoringFunction, profile: ApprovalProfile, k: int
 ) -> tuple[Fraction, list[Committee]]:
@@ -402,10 +419,8 @@ def best_committees(
     check_k(k, profile.m)
     scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m, k))
     masks = list(_masks(profile.m, k))
-    scores = [scorer.score(mask) for mask in masks]
-    best = max(scores)
-    winners = [_members(mask) for mask, s in zip(masks, scores) if s == best]
-    return Fraction(best, scorer.scale), winners
+    best, winners = _winners(masks, [scorer.score(mask) for mask in masks])
+    return Fraction(best, scorer.scale), [_members(mask) for mask in winners]
 
 
 def winning_committees(
@@ -461,25 +476,38 @@ def approval_counts(profile: ApprovalProfile) -> list[int]:
     return counts
 
 
-def scored_completions(
+def av_leader(counts: list[int], k: int, holding: int | None = None) -> tuple[int, Committee]:
+    """The AV winner of lowest mask (the k highest counts, the lower id
+    first among equal counts) and its score; with ``holding``, the same
+    among the committees that hold that candidate."""
+    order = sorted(range(len(counts)), key=lambda c: (c != holding, -counts[c], c))
+    chosen = order[:k]
+    return sum(counts[c] for c in chosen), frozenset(chosen)
+
+
+def completion_winners(
     f: ScoringFunction, profile: PartialProfile, k: int, cap: int
 ) -> Iterator[tuple[ApprovalProfile, list[int]]]:
-    """Every completion with the Scorer-scaled score of each committee.
+    """Every completion with its size-k winners as ascending bitmasks.
 
-    Completions stream in enumerate_completions order, which also checks
-    the cap before any work; the scores follow committees_by_mask order.
-    Each distinct approval set's score row is computed once. Consecutive
-    completions share their leading voters' ballot objects, so the
-    running sums over those voters carry over and only the changed
-    suffix is added again.
+    Completions stream in enumerate_completions order, whose cap check
+    runs before any committee is listed. Each distinct approval set's
+    score row is computed once. Consecutive completions share their
+    leading voters' ballot objects, so the running sums over those
+    voters carry over and only the changed suffix is added again. Voters
+    without a middle never change, so they are summed first.
     """
     scorer = Scorer(f, k, profile.m)
-    masks = list(_masks(profile.m, k))
+    order = sorted(range(profile.n), key=lambda v: bool(profile.ballots[v].middle))
+    masks: list[int] = []
     rows: dict[frozenset[int], list[int]] = {}
-    sums = [[0] * len(masks)]  # sums[v]: the first v voters' rows added up
-    last: tuple[ApprovalBallot, ...] = ()
+    sums: list[list[int]] = []  # sums[v]: the rows of order[:v] added up
+    last: list[ApprovalBallot] = []
     for completion in enumerate_completions(profile, cap):
-        ballots = completion.ballots
+        if not sums:
+            masks = list(_masks(profile.m, k))
+            sums.append([0] * len(masks))
+        ballots = [completion.ballots[v] for v in order]
         v = 0
         while v < len(last) and ballots[v] is last[v]:
             v += 1
@@ -488,9 +516,9 @@ def scored_completions(
             row = rows.get(b.approved)
             if row is None:
                 row = rows[b.approved] = scorer.row(b.approved, masks)
-            sums.append([t + r for t, r in zip(sums[-1], row)])
+            sums.append(list(map(add, sums[-1], row)))
         last = ballots
-        yield completion, sums[-1]
+        yield completion, _winners(masks, sums[-1])[1]
 
 
 def parse_rule_spec(spec: str) -> ScoringFunction:

@@ -192,6 +192,61 @@ def test_criterion_1_query_oracle_agreement():
     _report(1, start, failures, budget=60.0)
 
 
+# Routes whose witness committee follows the lowest-mask tie-break; the
+# defeat scans name the committee that defeats, under a rule of their own.
+TIE_BREAK_ROUTES = ("brute-force", "av-linear-prefix", "av-linear-canonical",
+                    "poscom-iteration")
+
+
+def _lowest_mask(committees):
+    return min(committees, key=lambda w: sum(1 << c for c in w), default=None)
+
+
+def test_witness_committees_follow_one_tie_break():
+    """On the criterion-1 pool, each witness committee is the lowest-mask
+    committee among the witness's winners that answers the question, and
+    a brute-force witness is the first completion where one does."""
+    failures = []
+    routes = set()
+    rng = Random(1212)
+
+    def check(got, profile, rule, k, answer, tag):
+        # answer(winners): the committee that answers the question, or None.
+        if got.witness is None or got.method_used not in TIE_BREAK_ROUTES:
+            return
+        routes.add(got.method_used)
+        if got.witness_committee != answer(winning_committees(rule, got.witness, k)):
+            failures.append((tag, got.method_used, "witness committee"))
+        if got.method_used == "brute-force":
+            first = next(
+                c for c in enumerate_completions(profile)
+                if answer(winning_committees(rule, c, k)) is not None
+            )
+            if first != got.witness:
+                failures.append((tag, "brute-force", "not the first completion"))
+
+    for profile, name, rule, k in _build_pool():
+        for cid in range(profile.m):
+            tag = (name, k, cid)
+            check(
+                posmem(profile, cid, rule, k), profile, rule, k,
+                lambda winners: _lowest_mask(w for w in winners if cid in w), tag,
+            )
+            check(
+                necmem(profile, cid, rule, k), profile, rule, k,
+                lambda winners: None if any(cid in w for w in winners)
+                else _lowest_mask(winners), tag,
+            )
+        for committee in _committee_pool(profile.m, k, rng, 2):
+            check(
+                poscom(profile, committee, rule, k), profile, rule, k,
+                lambda winners: committee if committee in winners else None,
+                (name, k, committee),
+            )
+    assert not failures, f"{len(failures)} mismatches, first: {failures[:3]}"
+    assert routes == set(TIE_BREAK_ROUTES)
+
+
 def test_criterion_2_score_difference_decomposition():
     start = time.perf_counter()
     failures = []
@@ -714,3 +769,35 @@ def test_criterion_10_cli_contract(
         failures.append(("internal error stderr", captured.err))
 
     _report(10, start, failures)
+
+
+def test_capped_queries_refuse_before_listing_committees(tmp_path, capsys, monkeypatch):
+    """24 candidates, k = 12, three voters each leaving 12 candidates
+    undecided: 2^36 completions. pav has no direct route on this profile,
+    so every membership and committee query falls back to enumeration,
+    and each must refuse at the cap (exit 3) before it lists any of the
+    C(24, 12) committees."""
+    monkeypatch.delenv("ABCU_CAP", raising=False)
+    names = [f"c{i}" for i in range(24)]
+    doc = {
+        "candidates": names,
+        "k": 12,
+        "voters": [{"middle": names[4 * v: 4 * v + 12]} for v in range(3)],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    queries = [
+        ("poscom", "--committee", ",".join(names[:12])),
+        ("posmem", "--candidate", "c0"),
+        ("necmem", "--candidate", "c0"),
+    ]
+    for query in queries:
+        for method in ([], ["--method", "brute"]):
+            argv = [query[0], "--profile", str(path), "--rule", "pav", *query[1:], *method]
+            t0 = time.perf_counter()
+            code = run_cli(argv)
+            elapsed = time.perf_counter() - t0
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == "", argv
+            assert f"{2 ** 36} completions exceed the cap" in captured.err, argv
+            assert elapsed < 1.0, (argv, elapsed)

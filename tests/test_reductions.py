@@ -116,6 +116,22 @@ def test_cover_gadget_shape():
     assert first.forced_by(6) == T1 | {6}
 
 
+def test_cover_gadget_ballots_are_closed_and_complete():
+    out = build_linear_x3c(X3CInstance(6, (T1, OVERLAPPING)), Fraction(1))
+    c = 6
+    # Each set voter ranks its triple in id order above c, transitively closed.
+    assert out.profile.ballots[0].precedence == {
+        (0, 1), (0, 2), (0, c), (1, 2), (1, c), (2, c),
+    }
+    assert out.profile.ballots[1].precedence == {
+        (2, 3), (2, 4), (2, c), (3, 4), (3, c), (4, c),
+    }
+    everyone = frozenset(range(9))
+    for ballot in out.profile.ballots:
+        assert ballot.top | ballot.middle | ballot.bottom == everyone
+    assert all(not b.precedence for b in out.profile.ballots[2:])
+
+
 def test_cover_gadget_tracks_solvability():
     yes = X3CInstance(6, (T1, T2))
     no = X3CInstance(6, (T1, OVERLAPPING))

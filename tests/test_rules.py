@@ -36,7 +36,7 @@ from abcu import (
     winning_committees,
 )
 from abcu.model import ApprovalBallot
-from abcu.rules import Scorer, approval_counts, check_committee_size, mask_of
+from abcu.rules import Scorer, approval_counts, av_leader, check_committee_size, mask_of
 from conftest import A, B, C, D
 from oracles import SCORERS, committees, table_score, winners
 
@@ -296,7 +296,17 @@ def _check_av_count_judgements(profile, k):
     for committee in committees_by_mask(m, k):
         assert poscom_av_3va(partial, committee).answer == (committee in winners_)
     first = min(winners_, key=mask_of)
+
+    def total(w):
+        return sum(counts[c] for c in w)
+
+    assert av_leader(counts, k) == (total(first), first)
     for cid in range(m):
+        # The first holder in mask order among those with the best total.
+        holders = [w for w in committees_by_mask(m, k) if cid in w]
+        held = max(map(total, holders))
+        lowest = next(w for w in holders if total(w) == held)
+        assert av_leader(counts, k, cid) == (held, lowest)
         defeating = next(
             (
                 w
