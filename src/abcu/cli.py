@@ -31,7 +31,6 @@ from .model import (
     ApprovalProfile,
     PartialProfile,
     completion_by,
-    count_completions,
     enumerate_completions,
 )
 from .necessary import neccom, necmem
@@ -218,7 +217,7 @@ def _handle_enumerate(args) -> tuple[dict, int]:
         "query": "enumerate",
         "answer": True,
         "method": "enumeration",
-        "count": count_completions(profile),
+        "count": len(completions),
         "completions": completions,
     }
     return doc, 0

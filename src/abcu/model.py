@@ -366,8 +366,15 @@ def completions_of_ballot(ballot: PartialBallot) -> list[ApprovalBallot]:
         masks = _upward_closed_masks(_order_masks(ballot)[0])
     else:
         masks = range(1 << len(mids))
+    return _ballots(ballot.top, mids, masks)
+
+
+def _ballots(
+    top: frozenset[int], mids: list[int], masks: Iterable[int]
+) -> list[ApprovalBallot]:
+    """The top plus each mask's middle part, bit i for mids[i]."""
     return [
-        ApprovalBallot(ballot.top | {c for i, c in enumerate(mids) if mask >> i & 1})
+        ApprovalBallot(top | {c for i, c in enumerate(mids) if mask >> i & 1})
         for mask in masks
     ]
 
@@ -408,6 +415,86 @@ def count_completions(profile: PartialProfile) -> int:
     return total
 
 
+def _check_cap(profile: PartialProfile, cap: int) -> None:
+    """Raise CapExceededError when the joint completion count exceeds ``cap``."""
+    total = count_completions(profile)
+    if total > cap:
+        raise CapExceededError(f"{total} completions exceed the cap of {cap}")
+
+
+def _overlap_options(
+    ballot: PartialBallot, committee: frozenset[int], widest: bool
+) -> list[ApprovalBallot]:
+    """One completion of the ballot per overlap R = A ∩ W, in the order in
+    which completions_of_ballot first reaches each R.
+
+    The completions with a given R are the upward-closed middle parts S
+    with S ∩ W = R. Their intersection is R's upward closure, which is
+    one of them exactly when it adds no other member of W. It has the
+    lowest mask of the group, so sorting by it gives the order of first
+    appearance. Their union adds every middle candidate whose forced set
+    meets W only inside R. The narrowest completion is kept, or with
+    ``widest`` the widest one: at most 2^|middle ∩ W| options.
+    """
+    mids = sorted(ballot.middle)
+    up = _order_masks(ballot)[0]
+    inside = sum(1 << i for i, c in enumerate(mids) if c in committee)
+    kept = []
+    r = inside
+    while True:
+        closure = 0
+        rest = r
+        while rest:
+            low = rest & -rest
+            closure |= up[low.bit_length() - 1]
+            rest ^= low
+        if closure & inside == r:
+            keep = closure
+            if widest:
+                keep = sum(1 << i for i, forced in enumerate(up) if not forced & inside & ~r)
+            kept.append((closure, keep))
+        if not r:
+            break
+        r = (r - 1) & inside
+    kept.sort()
+    return _ballots(ballot.top, mids, [mask for _, mask in kept])
+
+
+def completion_options(
+    profile: PartialProfile,
+    cap: int,
+    committee: frozenset[int] | None = None,
+    widest: bool = False,
+) -> list[list[ApprovalBallot]]:
+    """Each voter's ballot options for completions_from.
+
+    Raises CapExceededError, before any option is built, when the full
+    joint completion count exceeds ``cap``, whatever the options. Without
+    a committee each voter's options are all its completions. With a
+    committee W they are one completion per overlap with W, the
+    narrowest one or, with ``widest``, the widest one; each list is then
+    a subsequence of the voter's completions.
+    """
+    _check_cap(profile, cap)
+    if committee is None:
+        return [completions_of_ballot(b) for b in profile.ballots]
+    return [_overlap_options(b, committee, widest) for b in profile.ballots]
+
+
+def completions_from(
+    profile: PartialProfile, options: Sequence[Sequence[ApprovalBallot]]
+) -> Iterator[ApprovalProfile]:
+    """Every joint completion of per-voter ballot options, voter-major
+    lexicographic: the first voter's option varies slowest.
+
+    Consecutive completions share the ballot objects of the voters whose
+    option did not change.
+    """
+    registry = profile.registry
+    for choice in itertools.product(*options):
+        yield ApprovalProfile(registry, choice)
+
+
 def enumerate_completions(
     profile: PartialProfile, cap: int = DEFAULT_CAP
 ) -> Iterator[ApprovalProfile]:
@@ -417,13 +504,8 @@ def enumerate_completions(
     is that of completions_of_ballot. Raises CapExceededError before any
     enumeration work if the joint count exceeds ``cap``.
     """
-    total = count_completions(profile)
-    if total > cap:
-        raise CapExceededError(f"{total} completions exceed the cap of {cap}")
-    per_voter = [completions_of_ballot(b) for b in profile.ballots]
-    registry = profile.registry
-    for choice in itertools.product(*per_voter):
-        yield ApprovalProfile(registry, tuple(choice))
+    _check_cap(profile, cap)
+    yield from completions_from(profile, [completions_of_ballot(b) for b in profile.ballots])
 
 
 def is_completion(approvals: ApprovalProfile, profile: PartialProfile) -> bool:

@@ -22,6 +22,7 @@ from .model import (
     PartialProfile,
     committee_completion_av,
     completion_by,
+    completion_options,
     is_linearly_ordered,
     is_three_valued,
     threshold_completion,
@@ -78,14 +79,35 @@ def poscom_brute(
     k: int,
     cap: int = DEFAULT_CAP,
 ) -> Decision:
-    """Possible winner by enumerating every completion, capped.
+    """Possible winner by enumerating completions, capped.
 
     Completions stream voter-major; the first one where W is a co-winner
-    becomes the witness. The cap is checked before any enumeration work.
+    becomes the witness. The cap is checked on the full completion count
+    before any enumeration work.
+
+    Under a Thiele rule whose weights are defined up to k, each voter's
+    options shrink to one completion per overlap R = A ∩ W: the narrowest
+    one, A_min(R) = top ∪ closure(R), the intersection of every
+    completion with that R. W's score reads A ∩ W only and a rival's
+    score never drops as A grows, so replacing each ballot of a
+    completion where W wins by its A_min keeps W a co-winner. A_min(R)
+    lies inside every completion with that R, so it has the lowest mask
+    among them and comes first in ballot order, and the reduced
+    completions are a subsequence of enumerate_completions order. The
+    first witness F there reduces to a witness F' that is no later than
+    F voter by voter, hence F' = F: the first reduced witness is the
+    first witness of the full scan. sav and table2d rules read the
+    ballot size, which a larger ballot can raise or lower, and a short
+    weight table raises where the full scan reaches a missing entry, so
+    those keep every completion.
     """
     check_committee_size(committee, k, profile.m)
     target = mask_of(committee)
-    for completion, winners in completion_winners(f, profile, k, cap):
+    if f.is_thiele and (f.weight.kind != "table" or len(f.weight.values) > k):
+        options = completion_options(profile, cap, committee)
+    else:
+        options = completion_options(profile, cap)
+    for completion, winners in completion_winners(f, profile, k, options):
         if target in winners:
             return Decision(True, completion, committee, "brute-force")
     return Decision(False, None, None, "brute-force")
@@ -195,7 +217,8 @@ def posmem(
                 f"no polynomial route for rule {f.label!r} on this profile"
             )
     bit = 1 << candidate
-    for completion, winners in completion_winners(f, profile, k, cap):
+    options = completion_options(profile, cap)
+    for completion, winners in completion_winners(f, profile, k, options):
         holder = next((w for w in winners if w & bit), None)
         if holder is not None:
             return Decision(True, completion, members_of(holder), "brute-force")

@@ -21,6 +21,7 @@ for small electorates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -32,6 +33,9 @@ from .model import (
     Decision,
     PartialProfile,
     completion_by,
+    completion_options,
+    completions_from,
+    count_completions,
     enumerate_completions,
 )
 from .rules import Committee, check_candidate, check_committee_size, mask_of
@@ -316,17 +320,42 @@ def _axiom_scan(
     """Scan completions until the axiom's verdict equals ``stop_on``.
 
     That completion is the witness and ``stop_on`` the answer; a scan
-    that never stops answers the opposite.
+    that never stops answers the opposite. The cap is checked on the
+    full completion count before any enumeration work.
+
+    Each voter's options shrink to one completion per overlap R = A ∩ W.
+    A violating group stays violating when its ballots grow at a fixed
+    A ∩ W: the candidates it jointly approves only grow, and what it
+    approves of W stays the same. So shrinking a ballot at a fixed
+    A ∩ W never creates a violation and growing it never removes one.
+    The possible direction keeps the narrowest completion per R, the
+    necessary direction the widest, and the answer on these options is
+    the answer on all completions.
+
+    The narrowest completion per R lies inside every completion with
+    that R, so it comes first in ballot order and the reduced
+    completions are a subsequence of enumerate_completions order. The
+    first satisfying completion F reduces to a satisfying F' that is no
+    later than F voter by voter, hence F' = F, and the possible witness
+    is the one of the full scan. The widest completions come later, so a
+    necessary answer with a witness takes it from the full scan, unless
+    the options were every completion already.
     """
     check_committee_size(committee, k, profile.m)
     if axiom not in _AXIOM_CHECKS:
         raise ValueError(f"unknown axiom {axiom!r}")
     check = _AXIOM_CHECKS[axiom]
-    for completion in enumerate_completions(profile, cap):
-        satisfied, _ = check(completion, committee, k)
-        if satisfied == stop_on:
-            return Decision(stop_on, completion, committee, "experimental-completion-scan")
-    return Decision(not stop_on, None, None, "experimental-completion-scan")
+
+    def first(completions):
+        return next((c for c in completions if check(c, committee, k)[0] == stop_on), None)
+
+    options = completion_options(profile, cap, committee, widest=not stop_on)
+    witness = first(completions_from(profile, options))
+    if witness is None:
+        return Decision(not stop_on, None, None, "experimental-completion-scan")
+    if not stop_on and math.prod(map(len, options)) < count_completions(profile):
+        witness = first(enumerate_completions(profile, cap))
+    return Decision(stop_on, witness, committee, "experimental-completion-scan")
 
 
 def possible_axiom_by_scan(

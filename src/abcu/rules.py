@@ -31,7 +31,7 @@ from .errors import (
     TableOutOfRangeError,
     UnknownCandidateError,
 )
-from .model import ApprovalBallot, ApprovalProfile, PartialProfile, enumerate_completions
+from .model import ApprovalBallot, ApprovalProfile, PartialProfile, completions_from
 
 Committee = frozenset[int]
 
@@ -486,27 +486,30 @@ def av_leader(counts: list[int], k: int, holding: int | None = None) -> tuple[in
 
 
 def completion_winners(
-    f: ScoringFunction, profile: PartialProfile, k: int, cap: int
+    f: ScoringFunction,
+    profile: PartialProfile,
+    k: int,
+    options: list[list[ApprovalBallot]],
 ) -> Iterator[tuple[ApprovalProfile, list[int]]]:
-    """Every completion with its size-k winners as ascending bitmasks.
+    """Every completion the per-voter options allow, with its size-k
+    winners as ascending bitmasks.
 
-    Completions stream in enumerate_completions order, whose cap check
-    runs before any committee is listed. Each distinct approval set's
-    score row is computed once. Consecutive completions share their
-    leading voters' ballot objects, so the running sums over those
-    voters carry over and only the changed suffix is added again. Voters
-    without a middle never change, so they are summed first.
+    Completions stream in completions_from order. The options come from
+    completion_options, whose cap check has run before any of them was
+    built, so committees are listed only for a space within the cap.
+    Each distinct approval set's score row is computed once. Consecutive
+    completions share their leading voters' ballot objects, so the
+    running sums over those voters carry over and only the changed
+    suffix is added again. Voters with one option never change, so they
+    are summed first.
     """
     scorer = Scorer(f, k, profile.m)
-    order = sorted(range(profile.n), key=lambda v: bool(profile.ballots[v].middle))
-    masks: list[int] = []
+    order = sorted(range(profile.n), key=lambda v: len(options[v]) > 1)
+    masks = list(_masks(profile.m, k))
     rows: dict[frozenset[int], list[int]] = {}
-    sums: list[list[int]] = []  # sums[v]: the rows of order[:v] added up
+    sums = [[0] * len(masks)]  # sums[v]: the rows of order[:v] added up
     last: list[ApprovalBallot] = []
-    for completion in enumerate_completions(profile, cap):
-        if not sums:
-            masks = list(_masks(profile.m, k))
-            sums.append([0] * len(masks))
+    for completion in completions_from(profile, options):
         ballots = [completion.ballots[v] for v in order]
         v = 0
         while v < len(last) and ballots[v] is last[v]:

@@ -20,11 +20,14 @@ from abcu import (
     SAV,
     ApprovalBallot,
     ApprovalProfile,
+    CandidateRegistry,
     CapExceededError,
+    Decision,
     ModelClass,
     NoPolyAlgorithmError,
     UnknownCandidateError,
     WeightFunction,
+    X3CInstance,
     as_partial,
     binary_rule,
     build_cc_3va,
@@ -47,6 +50,7 @@ from abcu import (
     necjr,
     necmem,
     necmem_av_linear,
+    necessary_axiom_by_scan,
     pad_profile,
     poscom,
     poscom_av_3va,
@@ -57,6 +61,7 @@ from abcu import (
     profile_score,
     solve_one_in_three_brute,
     solve_x3c_brute,
+    validate_partial_profile,
     verify_weight_relation,
     winning_committees,
 )
@@ -776,7 +781,8 @@ def test_capped_queries_refuse_before_listing_committees(tmp_path, capsys, monke
     undecided: 2^36 completions. pav has no direct route on this profile,
     so every membership and committee query falls back to enumeration,
     and each must refuse at the cap (exit 3) before it lists any of the
-    C(24, 12) committees."""
+    C(24, 12) committees. The PJR and EJR scans refuse on the same full
+    count, before they build any voter's options."""
     monkeypatch.delenv("ABCU_CAP", raising=False)
     names = [f"c{i}" for i in range(24)]
     doc = {
@@ -786,18 +792,61 @@ def test_capped_queries_refuse_before_listing_committees(tmp_path, capsys, monke
     }
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc))
+    committee = ",".join(names[:12])
     queries = [
-        ("poscom", "--committee", ",".join(names[:12])),
-        ("posmem", "--candidate", "c0"),
-        ("necmem", "--candidate", "c0"),
+        [query, "--rule", "pav", *target, *method]
+        for query, *target in (
+            ("poscom", "--committee", committee),
+            ("posmem", "--candidate", "c0"),
+            ("necmem", "--candidate", "c0"),
+        )
+        for method in ([], ["--method", "brute"])
+    ] + [
+        [query, "--committee", committee, "--axiom", axiom]
+        for query in ("posjr", "necjr")
+        for axiom in ("pjr", "ejr")
     ]
     for query in queries:
-        for method in ([], ["--method", "brute"]):
-            argv = [query[0], "--profile", str(path), "--rule", "pav", *query[1:], *method]
-            t0 = time.perf_counter()
-            code = run_cli(argv)
-            elapsed = time.perf_counter() - t0
-            captured = capsys.readouterr()
-            assert code == 3 and captured.out == "", argv
-            assert f"{2 ** 36} completions exceed the cap" in captured.err, argv
-            assert elapsed < 1.0, (argv, elapsed)
+        argv = [query[0], "--profile", str(path), *query[1:]]
+        t0 = time.perf_counter()
+        code = run_cli(argv)
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", argv
+        assert f"{2 ** 36} completions exceed the cap" in captured.err, argv
+        assert elapsed < 1.0, (argv, elapsed)
+
+
+def test_fixed_committee_scans_scale():
+    """Scans about one fixed committee W over large completion spaces.
+
+    Each voter keeps one completion per overlap with W, so a space of
+    16^4 = 65,536 completions shrinks to 2^4 and the x3c gadget's
+    5^6 = 15,625 to 2^6. Necessary PJR and EJR hold on the first; the
+    second is a gadget from an x3c instance without an exact cover."""
+    budget = 1.0
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(10)))
+    records = []
+    for v in range(4):
+        top, middle = [v % 3], [3 + v, 4 + v, 5 + v, (v + 1) % 3]
+        records.append((top, middle, [c for c in range(10) if c not in top + middle]))
+    profile = validate_partial_profile(records, registry)
+    assert count_completions(profile) == 65_536
+    committee = frozenset({0, 1, 2})
+    for axiom in ("pjr", "ejr"):
+        t0 = time.perf_counter()
+        decision = necessary_axiom_by_scan(profile, committee, 3, axiom)
+        elapsed = time.perf_counter() - t0
+        assert decision == Decision(True, None, None, "experimental-completion-scan"), axiom
+        assert elapsed < budget, (axiom, elapsed)
+
+    triples = ((0, 1, 2), (0, 3, 4), (0, 1, 5), (0, 2, 3), (0, 4, 5), (0, 1, 3))
+    instance = X3CInstance(6, tuple(frozenset(t) for t in triples))
+    assert not solve_x3c_brute(instance)
+    out = build_linear_x3c(instance, Fraction(1))
+    assert count_completions(out.profile) == 15_625
+    t0 = time.perf_counter()
+    decision = poscom_brute(out.profile, out.target, out.rule, out.k)
+    elapsed = time.perf_counter() - t0
+    assert decision == Decision(False, None, None, "brute-force")
+    assert elapsed < budget, elapsed
