@@ -353,6 +353,15 @@ def _upward_closed_masks(up: list[int]) -> list[int]:
             return masks
 
 
+def _completion_masks(ballot: PartialBallot) -> tuple[list[int], Iterable[int]]:
+    """The sorted middle and the bitmask of each completion's middle part,
+    bit i for its i-th entry, ascending; only upward-closed subsets."""
+    mids = sorted(ballot.middle)
+    if ballot.precedence:
+        return mids, _upward_closed_masks(_order_masks(ballot)[0])
+    return mids, range(1 << len(mids))
+
+
 def completions_of_ballot(ballot: PartialBallot) -> list[ApprovalBallot]:
     """All completions of one ballot, in a deterministic order.
 
@@ -361,12 +370,32 @@ def completions_of_ballot(ballot: PartialBallot) -> list[ApprovalBallot]:
     middle this yields exactly the q+1 prefixes of the ranking. Only
     upward-closed subsets are generated.
     """
-    mids = sorted(ballot.middle)
-    if ballot.precedence:
-        masks = _upward_closed_masks(_order_masks(ballot)[0])
-    else:
-        masks = range(1 << len(mids))
+    mids, masks = _completion_masks(ballot)
     return _ballots(ballot.top, mids, masks)
+
+
+def _overlap_options(
+    ballot: PartialBallot, committee: frozenset[int], widest: bool
+) -> list[ApprovalBallot]:
+    """One completion of the ballot per overlap R = A ∩ W, in the order in
+    which completions_of_ballot first reaches each R.
+
+    The completions with a given R are closed under intersection and
+    union, so the group holds a narrowest member, inside all the others,
+    and a widest one. The masks ascend, so the narrowest is the first of
+    its group; the widest is the union of the group. The work follows the
+    ballot's completions, as completions_of_ballot's does.
+    """
+    mids, masks = _completion_masks(ballot)
+    inside = sum(1 << i for i, c in enumerate(mids) if c in committee)
+    kept: dict[int, int] = {}
+    for mask in masks:
+        r = mask & inside
+        if r not in kept:
+            kept[r] = mask
+        elif widest:
+            kept[r] |= mask
+    return _ballots(ballot.top, mids, kept.values())
 
 
 def _ballots(
@@ -415,97 +444,36 @@ def count_completions(profile: PartialProfile) -> int:
     return total
 
 
-def _check_cap(profile: PartialProfile, cap: int) -> None:
-    """Raise CapExceededError when the joint completion count exceeds ``cap``."""
-    total = count_completions(profile)
-    if total > cap:
-        raise CapExceededError(f"{total} completions exceed the cap of {cap}")
-
-
-def _overlap_options(
-    ballot: PartialBallot, committee: frozenset[int], widest: bool
-) -> list[ApprovalBallot]:
-    """One completion of the ballot per overlap R = A ∩ W, in the order in
-    which completions_of_ballot first reaches each R.
-
-    The completions with a given R are the upward-closed middle parts S
-    with S ∩ W = R. Their intersection is R's upward closure, which is
-    one of them exactly when it adds no other member of W. It has the
-    lowest mask of the group, so sorting by it gives the order of first
-    appearance. Their union adds every middle candidate whose forced set
-    meets W only inside R. The narrowest completion is kept, or with
-    ``widest`` the widest one: at most 2^|middle ∩ W| options.
-    """
-    mids = sorted(ballot.middle)
-    up = _order_masks(ballot)[0]
-    inside = sum(1 << i for i, c in enumerate(mids) if c in committee)
-    kept = []
-    r = inside
-    while True:
-        closure = 0
-        rest = r
-        while rest:
-            low = rest & -rest
-            closure |= up[low.bit_length() - 1]
-            rest ^= low
-        if closure & inside == r:
-            keep = closure
-            if widest:
-                keep = sum(1 << i for i, forced in enumerate(up) if not forced & inside & ~r)
-            kept.append((closure, keep))
-        if not r:
-            break
-        r = (r - 1) & inside
-    kept.sort()
-    return _ballots(ballot.top, mids, [mask for _, mask in kept])
-
-
-def completion_options(
+def enumerate_completions(
     profile: PartialProfile,
-    cap: int,
+    cap: int = DEFAULT_CAP,
     committee: frozenset[int] | None = None,
     widest: bool = False,
-) -> list[list[ApprovalBallot]]:
-    """Each voter's ballot options for completions_from.
-
-    Raises CapExceededError, before any option is built, when the full
-    joint completion count exceeds ``cap``, whatever the options. Without
-    a committee each voter's options are all its completions. With a
-    committee W they are one completion per overlap with W, the
-    narrowest one or, with ``widest``, the widest one; each list is then
-    a subsequence of the voter's completions.
-    """
-    _check_cap(profile, cap)
-    if committee is None:
-        return [completions_of_ballot(b) for b in profile.ballots]
-    return [_overlap_options(b, committee, widest) for b in profile.ballots]
-
-
-def completions_from(
-    profile: PartialProfile, options: Sequence[Sequence[ApprovalBallot]]
 ) -> Iterator[ApprovalProfile]:
-    """Every joint completion of per-voter ballot options, voter-major
-    lexicographic: the first voter's option varies slowest.
-
-    Consecutive completions share the ballot objects of the voters whose
-    option did not change.
-    """
-    registry = profile.registry
-    for choice in itertools.product(*options):
-        yield ApprovalProfile(registry, choice)
-
-
-def enumerate_completions(
-    profile: PartialProfile, cap: int = DEFAULT_CAP
-) -> Iterator[ApprovalProfile]:
-    """Stream every joint completion, voter-major lexicographic.
+    """Stream joint completions, voter-major lexicographic.
 
     The first voter's completion varies slowest; within a voter the order
     is that of completions_of_ballot. Raises CapExceededError before any
-    enumeration work if the joint count exceeds ``cap``.
+    enumeration work if the joint count of every completion exceeds
+    ``cap``. Consecutive completions share the ballot objects of the
+    voters whose completion did not change.
+
+    Without a committee every completion is streamed. With a committee W
+    each voter keeps one completion per overlap A ∩ W, the narrowest or,
+    with ``widest``, the widest one, so the stream is a subsequence of
+    the full one when narrowest; the number of options per voter is at
+    most its completion count and at most 2^|middle ∩ W|.
     """
-    _check_cap(profile, cap)
-    yield from completions_from(profile, [completions_of_ballot(b) for b in profile.ballots])
+    total = count_completions(profile)
+    if total > cap:
+        raise CapExceededError(f"{total} completions exceed the cap of {cap}")
+    if committee is None:
+        options = [completions_of_ballot(b) for b in profile.ballots]
+    else:
+        options = [_overlap_options(b, committee, widest) for b in profile.ballots]
+    registry = profile.registry
+    for choice in itertools.product(*options):
+        yield ApprovalProfile(registry, choice)
 
 
 def is_completion(approvals: ApprovalProfile, profile: PartialProfile) -> bool:

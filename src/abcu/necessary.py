@@ -30,7 +30,6 @@ from .model import (
     PartialProfile,
     committee_completion_av,
     completion_by,
-    completion_options,
     is_linearly_ordered,
     is_three_valued,
     threshold_completion,
@@ -321,8 +320,7 @@ def necmem(
                 f"no polynomial route for rule {f.label!r} on this profile"
             )
     bit = 1 << candidate
-    options = completion_options(profile, cap)
-    for completion, winners in completion_winners(f, profile, k, options):
+    for completion, winners in completion_winners(f, profile, k, cap):
         if not any(w & bit for w in winners):
             return Decision(False, completion, members_of(winners[0]), "brute-force")
     return Decision(True, None, None, "brute-force")

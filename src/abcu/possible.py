@@ -22,7 +22,6 @@ from .model import (
     PartialProfile,
     committee_completion_av,
     completion_by,
-    completion_options,
     is_linearly_ordered,
     is_three_valued,
     threshold_completion,
@@ -103,11 +102,9 @@ def poscom_brute(
     """
     check_committee_size(committee, k, profile.m)
     target = mask_of(committee)
-    if f.is_thiele and (f.weight.kind != "table" or len(f.weight.values) > k):
-        options = completion_options(profile, cap, committee)
-    else:
-        options = completion_options(profile, cap)
-    for completion, winners in completion_winners(f, profile, k, options):
+    by_overlap = f.is_thiele and (f.weight.kind != "table" or len(f.weight.values) > k)
+    scan = completion_winners(f, profile, k, cap, committee if by_overlap else None)
+    for completion, winners in scan:
         if target in winners:
             return Decision(True, completion, committee, "brute-force")
     return Decision(False, None, None, "brute-force")
@@ -217,8 +214,7 @@ def posmem(
                 f"no polynomial route for rule {f.label!r} on this profile"
             )
     bit = 1 << candidate
-    options = completion_options(profile, cap)
-    for completion, winners in completion_winners(f, profile, k, options):
+    for completion, winners in completion_winners(f, profile, k, cap):
         holder = next((w for w in winners if w & bit), None)
         if holder is not None:
             return Decision(True, completion, members_of(holder), "brute-force")

@@ -21,7 +21,6 @@ for small electorates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,9 +32,6 @@ from .model import (
     Decision,
     PartialProfile,
     completion_by,
-    completion_options,
-    completions_from,
-    count_completions,
     enumerate_completions,
 )
 from .rules import Committee, check_candidate, check_committee_size, mask_of
@@ -339,7 +335,10 @@ def _axiom_scan(
     later than F voter by voter, hence F' = F, and the possible witness
     is the one of the full scan. The widest completions come later, so a
     necessary answer with a witness takes it from the full scan, unless
-    the options were every completion already.
+    the options were every completion already. That holds exactly when
+    every middle lies inside W: a middle candidate c outside W has two
+    completions with the same overlap, c with everything ranked above
+    it, and those candidates without c.
     """
     check_committee_size(committee, k, profile.m)
     if axiom not in _AXIOM_CHECKS:
@@ -349,11 +348,10 @@ def _axiom_scan(
     def first(completions):
         return next((c for c in completions if check(c, committee, k)[0] == stop_on), None)
 
-    options = completion_options(profile, cap, committee, widest=not stop_on)
-    witness = first(completions_from(profile, options))
+    witness = first(enumerate_completions(profile, cap, committee, widest=not stop_on))
     if witness is None:
         return Decision(not stop_on, None, None, "experimental-completion-scan")
-    if not stop_on and math.prod(map(len, options)) < count_completions(profile):
+    if not stop_on and any(b.middle - committee for b in profile.ballots):
         witness = first(enumerate_completions(profile, cap))
     return Decision(stop_on, witness, committee, "experimental-completion-scan")
 

@@ -31,7 +31,7 @@ from .errors import (
     TableOutOfRangeError,
     UnknownCandidateError,
 )
-from .model import ApprovalBallot, ApprovalProfile, PartialProfile, completions_from
+from .model import ApprovalBallot, ApprovalProfile, PartialProfile, enumerate_completions
 
 Committee = frozenset[int]
 
@@ -489,27 +489,34 @@ def completion_winners(
     f: ScoringFunction,
     profile: PartialProfile,
     k: int,
-    options: list[list[ApprovalBallot]],
+    cap: int,
+    committee: Committee | None = None,
 ) -> Iterator[tuple[ApprovalProfile, list[int]]]:
-    """Every completion the per-voter options allow, with its size-k
-    winners as ascending bitmasks.
+    """Every completion with its size-k winners as ascending bitmasks.
 
-    Completions stream in completions_from order. The options come from
-    completion_options, whose cap check has run before any of them was
-    built, so committees are listed only for a space within the cap.
-    Each distinct approval set's score row is computed once. Consecutive
-    completions share their leading voters' ballot objects, so the
-    running sums over those voters carry over and only the changed
-    suffix is added again. Voters with one option never change, so they
-    are summed first.
+    Completions stream from enumerate_completions, with one option per
+    voter and overlap with ``committee`` when one is given; its cap check
+    runs before any committee is listed. Each distinct approval set's
+    score row is computed once. Consecutive completions share their
+    leading voters' ballot objects, so the running sums over those
+    voters carry over and only the changed suffix is added again. Voters
+    with one option never change, so they are summed first.
     """
     scorer = Scorer(f, k, profile.m)
-    order = sorted(range(profile.n), key=lambda v: len(options[v]) > 1)
-    masks = list(_masks(profile.m, k))
+
+    def varies(v: int) -> bool:
+        middle = profile.ballots[v].middle
+        return bool(middle if committee is None else middle & committee)
+
+    order = sorted(range(profile.n), key=varies)
+    masks: list[int] = []
     rows: dict[frozenset[int], list[int]] = {}
-    sums = [[0] * len(masks)]  # sums[v]: the rows of order[:v] added up
+    sums: list[list[int]] = []  # sums[v]: the rows of order[:v] added up
     last: list[ApprovalBallot] = []
-    for completion in completions_from(profile, options):
+    for completion in enumerate_completions(profile, cap, committee):
+        if not sums:
+            masks = list(_masks(profile.m, k))
+            sums.append([0] * len(masks))
         ballots = [completion.ballots[v] for v in order]
         v = 0
         while v < len(last) and ballots[v] is last[v]:

@@ -58,6 +58,7 @@ from abcu import (
     posjr,
     posmem,
     posmem_av_linear,
+    possible_axiom_by_scan,
     profile_score,
     solve_one_in_three_brute,
     solve_x3c_brute,
@@ -823,8 +824,32 @@ def test_fixed_committee_scans_scale():
     Each voter keeps one completion per overlap with W, so a space of
     16^4 = 65,536 completions shrinks to 2^4 and the x3c gadget's
     5^6 = 15,625 to 2^6. Necessary PJR and EJR hold on the first; the
-    second is a gadget from an x3c instance without an exact cover."""
+    second is a gadget from an x3c instance without an exact cover.
+    On ranked middles inside W the options are the completions
+    themselves: q + 1 per chain of q, not 2^q overlaps. There the
+    voters approving all of W keep each check at levels 1 and 2."""
     budget = 1.0
+    for q, voters, extra in ((40, 1, 1), (20, 2, 2)):
+        m = q + extra
+        registry = CandidateRegistry(tuple(f"c{i}" for i in range(m)))
+        chain = [(i, i + 1) for i in range(q - 1)]
+        records = [([], range(q), range(q, m), chain)] * voters
+        records += [(range(q), [], range(q, m))] * (q - voters)
+        profile = validate_partial_profile(records, registry)
+        committee = frozenset(range(q))
+        scans = [
+            (poscom_brute, (profile, committee, PAV, q)),
+            *((scan, (profile, committee, q, axiom))
+              for scan in (possible_axiom_by_scan, necessary_axiom_by_scan)
+              for axiom in ("pjr", "ejr")),
+        ]
+        for scan, args in scans:
+            t0 = time.perf_counter()
+            decision = scan(*args)
+            elapsed = time.perf_counter() - t0
+            assert decision.answer is True, (q, scan.__name__)
+            assert elapsed < budget, (q, scan.__name__, elapsed)
+
     registry = CandidateRegistry(tuple(f"c{i}" for i in range(10)))
     records = []
     for v in range(4):

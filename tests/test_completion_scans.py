@@ -7,6 +7,7 @@ scan in reference_scans.py, and an error must be the same error.
 """
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -27,7 +28,7 @@ from abcu import (
     possible_axiom_by_scan,
     validate_partial_profile,
 )
-from abcu.model import completion_options, completions_of_ballot
+from abcu.model import completions_of_ballot, enumerate_completions
 from profilegen import random_committee, random_partial_profile
 from reference_scans import axiom_scan, poscom_scan
 
@@ -97,14 +98,23 @@ def test_options_keep_one_completion_per_overlap():
     for trial in range(300):
         profile, k, committee = _instance(rng, trial)
         for widest in (False, True):
-            options = completion_options(profile, 1 << 20, committee, widest)
-            for ballot, kept in zip(profile.ballots, options):
-                full = [c.approved for c in completions_of_ballot(ballot)]
+            pick = frozenset.union if widest else frozenset.intersection
+            kept = []
+            for ballot in profile.ballots:
                 groups = {}
-                for approved in full:
-                    groups.setdefault(approved & committee, []).append(approved)
-                pick = frozenset.union if widest else frozenset.intersection
-                assert [b.approved for b in kept] == [pick(*g) for g in groups.values()]
+                for c in completions_of_ballot(ballot):
+                    groups.setdefault(c.approved & committee, []).append(c.approved)
+                kept.append([pick(*g) for g in groups.values()])
+            want = [list(choice) for choice in product(*kept)]
+            got = [
+                [b.approved for b in c.ballots]
+                for c in enumerate_completions(profile, 1 << 20, committee, widest)
+            ]
+            assert got == want
+        # The narrowest options are a subsequence of the full stream.
+        full = iter(enumerate_completions(profile, 1 << 20))
+        for c in enumerate_completions(profile, 1 << 20, committee):
+            assert any(c == d for d in full)
 
 
 def test_the_cap_counts_every_completion():
