@@ -209,8 +209,9 @@ def _handle_check(args) -> tuple[dict, int]:
 
 def _handle_enumerate(args) -> tuple[dict, int]:
     profile, _k = _load_profile(args)
+    rows: dict = {}
     completions = [
-        completion_rows(completion)
+        completion_rows(completion, rows)
         for completion in enumerate_completions(profile, args.cap)
     ]
     doc = {

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
 from .errors import ProfileSyntaxError
@@ -172,9 +173,22 @@ def serialize_profile(profile: PartialProfile, k: int | None = None) -> str:
     return json.dumps(profile_document(profile, k), indent=2, sort_keys=True)
 
 
-def completion_rows(profile: ApprovalProfile) -> list[list[str]]:
-    """A complete profile as per-voter approval name arrays."""
-    return [_names(profile.registry, b.approved) for b in profile.ballots]
+def completion_rows(profile: ApprovalProfile, rows: dict | None = None) -> list[list[str]]:
+    """A complete profile as per-voter approval name arrays.
+
+    ``rows`` maps approval sets to their name arrays; pass one dict to
+    every completion of a listing so each distinct set is named once and
+    its array shared.
+    """
+    if rows is None:
+        rows = {}
+    out = []
+    for b in profile.ballots:
+        row = rows.get(b.approved)
+        if row is None:
+            row = rows[b.approved] = _names(profile.registry, b.approved)
+        out.append(row)
+    return out
 
 
 def decision_document(
@@ -215,6 +229,78 @@ def _render_rational(value: Any) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+_STR_ONLY = {str}
+
+
+def _render(value: Any, pad: str, out: list[str], rows: dict) -> None:
+    """Append to ``out`` the text ``json.dumps(doc, indent=2)`` gives
+    ``value`` at nesting ``pad``.
+
+    A non-empty list of strings is rendered once per distinct
+    ``(pad, strings)`` and kept in ``rows``, so a completion listing
+    renders each approval row once. ``rows`` also maps ``(pad, id(list))``
+    to that text, so a row object met again skips the type check and the
+    tuple; the document keeps every list alive for the whole call, so an
+    id names one list throughout. Object keys must be strings. Any leaf
+    other than a string, None, bool, int or Fraction (a float, or an
+    object json cannot render) goes to json.dumps itself.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        same = (pad, id(value))
+        text = rows.get(same)
+        if text is not None:
+            out.append(text)
+            return
+        if set(map(type, value)) == _STR_ONLY:
+            key = (pad, tuple(value))
+            text = rows.get(key)
+            if text is None:
+                sep = ",\n" + inner
+                text = rows[key] = "[\n" + inner + sep.join(map(_quote, value)) + "\n" + pad + "]"
+            rows[same] = text
+            out.append(text)
+            return
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _render(item, inner, out, rows)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep + _quote(key) + ": ")
+            _render(item, inner, out, rows)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, Fraction):
+        out.append(_quote(str(value)))
+    else:
+        out.append(json.dumps(value, default=_render_rational))
+
+
 def serialize_result(doc: dict) -> str:
-    """Render a result document; key order is insertion order, rationals p/q."""
-    return json.dumps(doc, indent=2, default=_render_rational)
+    """Render a result document exactly as ``json.dumps(doc, indent=2)``
+    would, key order kept and rationals as p/q strings, in time linear in
+    the output."""
+    out: list[str] = []
+    _render(doc, "", out, {})
+    return "".join(out)

@@ -525,6 +525,93 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path):
         assert _captured(argv) == result, argv
 
 
+# Names json escapes: a non-ASCII letter, a quote, a backslash, a symbol
+# outside Latin-1.
+ODD = ["\u00e9", 'q"t', "b\\s", "\u2603"]
+ODD_OPEN_DOC = {
+    "candidates": ODD,
+    "k": 2,
+    "voters": [
+        {"top": [ODD[0]], "middle": [ODD[1], ODD[3]], "order": [[ODD[1], ODD[3]]]},
+        {"top": [ODD[2]], "middle": [ODD[0], ODD[3]]},
+        {"top": [ODD[1]]},
+    ],
+}
+ODD_COMPLETE_DOC = {"candidates": ODD, "k": 2, "voters": [{"top": ODD[:2]}] * 3 + [{"top": [ODD[3]]}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["winners", "complete", "--rule", "pav"],
+    ["check", "complete", "--committee", f"{ODD[2]},{ODD[3]}", "--axiom", "pjr"],
+    ["enumerate", "open"],
+    ["gen", "--gadget", "linearx3c", "--x", "1/2"],
+    ["gen", "--gadget", "cc3va"],
+    ["poscom", "open", "--rule", "pav", "--committee", f"{ODD[0]},{ODD[3]}", "--witness"],
+    ["neccom", "open", "--rule", "av", "--committee", f"{ODD[0]},{ODD[3]}", "--witness"],
+    ["posmem", "open", "--rule", "cc", "--candidate", ODD[3], "--witness"],
+    ["necmem", "open", "--rule", "sav", "--candidate", ODD[3], "--witness"],
+    ["posjr", "open", "--committee", f"{ODD[2]},{ODD[3]}", "--axiom", "ejr", "--witness"],
+    ["necjr", "open", "--committee", f"{ODD[2]},{ODD[3]}", "--axiom", "pjr", "--witness"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_stdout_is_json_dumps_byte_for_byte(tmp_path, argv):
+    """Every subcommand prints exactly json.dumps(doc, indent=2) and a
+    newline: escapes, indentation and separators, not only the parsed
+    document, match the standard encoder."""
+    command, source, *rest = argv
+    if command == "gen":
+        instance = tmp_path / "instance.txt"
+        instance.write_text("6\n1 2 3\n4 5 6\n" if "linearx3c" in rest else "3\n1 2 3\n")
+        tail = [source, *rest, "--instance", str(instance)]
+    else:
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(ODD_OPEN_DOC if source == "open" else ODD_COMPLETE_DOC))
+        tail = ["--profile", str(path), *rest]
+    code, out, err = _captured([command, *tail])
+    assert code in (0, 1) and err == "", err
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    if command == "check":
+        assert "group_witness" in doc
+    elif "--witness" in rest:
+        assert "witness" in doc, doc
+
+
+def test_large_listings_fit_a_memory_limit(profile_file, tmp_path):
+    """Listing 65,536 completions of 24 voters (about 99 MB of output)
+    fits in a 512 MB address space.
+
+    Each distinct approval row is named once and rendered once. Built as
+    one name list per voter per completion and rendered by json's
+    pure-Python encoder, the same listing needed 750-800 MB.
+    """
+    resource = pytest.importorskip("resource")
+    names = [f"cand{i}" for i in range(24)]
+    voters = [
+        {"top": [names[(i + 16) % 24], names[(i + 17) % 24]], "middle": [names[i]]}
+        for i in range(16)
+    ]
+    voters += [{"top": [names[i], names[i - 16], names[i - 8]]} for i in range(16, 24)]
+    path = profile_file({"candidates": names, "k": 3, "voters": voters})
+    limit = 512 << 20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    listing = tmp_path / "listing.json"
+    with open(listing, "wb") as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "abcu", "enumerate", "--profile", path],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+            env=_source_env(), preexec_fn=limit_address_space,
+        )
+    assert result.returncode == 0, result.stderr
+    with open(listing, "rb") as handle:
+        assert b'  "count": 65536,\n' in handle.read(200)
+        handle.seek(-7, os.SEEK_END)
+        assert handle.read() == b"\n  ]\n}\n"
+    listing.unlink()
+
+
 _NAMES = ("a", "b", "c", "d")
 _FAULTS = ("unknown", "overlap", "incomplete", "bad-k", "cycle")
 

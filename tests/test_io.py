@@ -215,6 +215,38 @@ def test_result_rendering_matches_the_reference(doc):
     assert serialize_result(doc) == _reference_serialize(doc)
 
 
+def test_shared_rows_render_at_every_depth():
+    row = ["a", "b"]
+    doc = {
+        "completions": [[row, row, ["b"]], [row, []]],
+        "row": row,
+        "deep": {"rows": [row, [row, [row]]]},
+        "tuple": ("a", "b"),
+    }
+    assert serialize_result(doc) == _reference_serialize(doc)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "caf\u00e9", "\u2603 \U0001f600",
+     "lone \ud800 surrogate", "", "/"],
+)
+def test_names_escape_as_json_dumps_escapes_them(name):
+    doc = {name: [name, name], "row": [name], "rows": [[name, "x"], [name]], "leaf": name}
+    assert serialize_result(doc) == _reference_serialize(doc)
+
+
+def test_empty_containers_and_mixed_leaves_at_depth():
+    doc = {
+        "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]], [{}]]},
+        "flags": [True, 1, False, 0, None, -7, 10**30],
+        "rationals": [Fraction(1, 3), [Fraction(-5, 2), Fraction(4)], {"x": Fraction(0)}],
+        "floats": [1.5, -0.0, 1e300, 3.0, float("inf"), float("nan")],
+        "float": 0.1,
+    }
+    assert serialize_result(doc) == _reference_serialize(doc)
+
+
 def test_result_rendering_rejects_other_objects():
     for doc in ({"bad": frozenset({1})}, {"nested": [{"bad": frozenset()}]}):
         with pytest.raises(TypeError):
