@@ -223,12 +223,6 @@ def group_witness_document(witness: GroupWitness, registry: CandidateRegistry) -
     return doc
 
 
-def _render_rational(value: Any) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 _STR_ONLY = {str}
 
 
@@ -294,7 +288,7 @@ def _render(value: Any, pad: str, out: list[str], rows: dict) -> None:
     elif isinstance(value, Fraction):
         out.append(_quote(str(value)))
     else:
-        out.append(json.dumps(value, default=_render_rational))
+        out.append(json.dumps(value))
 
 
 def serialize_result(doc: dict) -> str:

@@ -287,9 +287,9 @@ def validate_partial_profile(
 
 def classify(profile: PartialProfile) -> ModelClass:
     """Structural class of the profile; ties resolve to THREE_VALUED."""
-    if all(b.is_three_valued() for b in profile.ballots):
+    if is_three_valued(profile):
         return ModelClass.THREE_VALUED
-    if all(b.is_totally_ordered() for b in profile.ballots):
+    if is_linearly_ordered(profile):
         return ModelClass.LINEAR
     return ModelClass.POSET
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import BadKError, ModelMismatchError, NoPolyAlgorithmError
 from .model import (
@@ -28,13 +27,13 @@ from .model import (
     Decision,
     PartialBallot,
     PartialProfile,
-    committee_completion_av,
     completion_by,
     is_linearly_ordered,
     is_three_valued,
-    threshold_completion,
 )
+from .possible import canonical_route
 from .rules import (
+    AV,
     Committee,
     ScoringFunction,
     Scorer,
@@ -194,24 +193,20 @@ def neccom(
 
 
 def _defeat_scan(
-    profile: PartialProfile,
-    candidate: int,
-    k: int,
-    method: str,
-    completion_for: Callable[[Committee], ApprovalProfile],
-    defeats_every_holder: Callable[[ApprovalProfile, Committee], bool],
+    route: tuple, f: ScoringFunction, profile: PartialProfile, candidate: int, k: int
 ) -> Decision:
     """The candidate fails exactly when some committee W avoiding it, in
-    its own canonical completion, defeats every committee holding it.
+    W's completion on a canonical route, defeats every committee holding it.
 
     Committees are scanned ascending by candidate-id bitmask; the first W
     that does so is the witness committee.
     """
+    canonical_for, _, method = route
     for committee in committees_by_mask(profile.m, k):
         if candidate in committee:
             continue
-        completion = completion_for(committee)
-        if defeats_every_holder(completion, committee):
+        completion = canonical_for(committee)
+        if defeats(f, completion, committee, candidate):
             return Decision(False, completion, committee, method)
     return Decision(True, None, None, method)
 
@@ -228,16 +223,7 @@ def necmem_av_3va(profile: PartialProfile, candidate: int, k: int) -> Decision:
         raise ModelMismatchError("profile carries order constraints")
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
-
-    def outscores_best_holder(completion, committee):
-        counts = approval_counts(completion)
-        return sum(counts[c] for c in committee) > av_leader(counts, k, candidate)[0]
-
-    return _defeat_scan(
-        profile, candidate, k, "av-3va-defeat-scan",
-        lambda committee: committee_completion_av(profile, committee),
-        outscores_best_holder,
-    )
+    return _defeat_scan(canonical_route(profile, AV), AV, profile, candidate, k)
 
 
 def necmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decision:
@@ -285,11 +271,7 @@ def necmem_binary_linear(
     check_k(k, profile.m)
     check_threshold(t, k)
     rule = binary_rule(t)
-    return _defeat_scan(
-        profile, candidate, k, "binary-linear-defeat-scan",
-        lambda committee: threshold_completion(profile, committee, t),
-        lambda completion, committee: defeats(rule, completion, committee, candidate),
-    )
+    return _defeat_scan(canonical_route(profile, rule), rule, profile, candidate, k)
 
 
 def necmem(
@@ -307,14 +289,13 @@ def necmem(
     check_k(k, profile.m)
     check_threshold(f.binary_threshold, k)
     if method != "brute":
-        # Singleton middles make a profile both order-free and totally
-        # ordered; the order-free route wins the tie, like classify.
-        if f.is_av and is_three_valued(profile):
-            return necmem_av_3va(profile, candidate, k)
+        # canonical_route takes AV's order-free route first, so singleton
+        # middles reach av-3va before av-linear, like classify.
+        route = canonical_route(profile, f)
+        if route is not None:
+            return _defeat_scan(route, f, profile, candidate, k)
         if f.is_av and is_linearly_ordered(profile):
             return necmem_av_linear(profile, candidate, k)
-        if f.binary_threshold is not None and is_linearly_ordered(profile):
-            return necmem_binary_linear(profile, candidate, k, f.binary_threshold)
         if method == "poly":
             raise NoPolyAlgorithmError(
                 f"no polynomial route for rule {f.label!r} on this profile"

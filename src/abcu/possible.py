@@ -13,11 +13,13 @@ back to capped brute-force enumeration otherwise.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from .errors import ModelMismatchError, NoPolyAlgorithmError
 from .model import (
     DEFAULT_CAP,
+    ApprovalProfile,
     Decision,
     PartialProfile,
     committee_completion_av,
@@ -27,6 +29,7 @@ from .model import (
     threshold_completion,
 )
 from .rules import (
+    AV,
     Committee,
     ScoringFunction,
     approval_counts,
@@ -44,16 +47,40 @@ from .rules import (
 )
 
 
+def canonical_route(
+    profile: PartialProfile, f: ScoringFunction
+) -> tuple[Callable[[Committee], ApprovalProfile], str, str] | None:
+    """The one list of canonical-completion cells: None when this rule
+    and ballot structure have none, else W -> the completion maximizing
+    W's margin over every rival at once, with the poscom and necmem
+    method names. Singleton middles are both order-free and totally
+    ordered; AV is listed first, so its order-free route wins there.
+    """
+    if f.is_av and is_three_valued(profile):
+        canonical_for = partial(committee_completion_av, profile)
+        return canonical_for, "av-3va-canonical", "av-3va-defeat-scan"
+    t = f.binary_threshold
+    if t is not None and is_linearly_ordered(profile):
+        canonical_for = partial(threshold_completion, profile, t=t)
+        return canonical_for, "binary-linear-prefix", "binary-linear-defeat-scan"
+    return None
+
+
+def _canonical_poscom(route: tuple, f: ScoringFunction, committee: Committee) -> Decision:
+    """Possible winner judged in W's completion on a canonical route."""
+    canonical_for, method, _ = route
+    canonical = canonical_for(committee)
+    if is_winning_committee(f, canonical, committee):
+        return Decision(True, canonical, committee, method)
+    return Decision(False, None, None, method)
+
+
 def poscom_av_3va(profile: PartialProfile, committee: Committee) -> Decision:
     """Possible winner under the linear-weight rule, order-free middles."""
     if not is_three_valued(profile):
         raise ModelMismatchError("profile carries order constraints")
     check_committee_size(committee, len(committee), profile.m)
-    canonical = committee_completion_av(profile, committee)
-    counts = approval_counts(canonical)
-    if sum(counts[c] for c in committee) == av_leader(counts, len(committee))[0]:
-        return Decision(True, canonical, committee, "av-3va-canonical")
-    return Decision(False, None, None, "av-3va-canonical")
+    return _canonical_poscom(canonical_route(profile, AV), AV, committee)
 
 
 def poscom_binary_linear(
@@ -65,10 +92,8 @@ def poscom_binary_linear(
     k = len(committee)
     check_committee_size(committee, k, profile.m)
     check_threshold(t, k)
-    canonical = threshold_completion(profile, committee, t)
-    if is_winning_committee(binary_rule(t), canonical, committee):
-        return Decision(True, canonical, committee, "binary-linear-prefix")
-    return Decision(False, None, None, "binary-linear-prefix")
+    rule = binary_rule(t)
+    return _canonical_poscom(canonical_route(profile, rule), rule, committee)
 
 
 def poscom_brute(
@@ -110,17 +135,6 @@ def poscom_brute(
     return Decision(False, None, None, "brute-force")
 
 
-def _poly_poscom_route(
-    profile: PartialProfile, f: ScoringFunction
-) -> Callable[[PartialProfile, Committee], Decision] | None:
-    """The canonical-completion route for this cell, if any."""
-    if f.is_av and is_three_valued(profile):
-        return poscom_av_3va
-    if f.binary_threshold is not None and is_linearly_ordered(profile):
-        return lambda p, w: poscom_binary_linear(p, w, f.binary_threshold)
-    return None
-
-
 def poscom(
     profile: PartialProfile,
     committee: Committee,
@@ -140,9 +154,9 @@ def poscom(
     check_committee_size(committee, k, profile.m)
     check_threshold(f.binary_threshold, k)
     if method != "brute":
-        route = _poly_poscom_route(profile, f)
+        route = canonical_route(profile, f)
         if route is not None:
-            return route(profile, committee)
+            return _canonical_poscom(route, f, committee)
         if method == "poly":
             raise NoPolyAlgorithmError(
                 f"no polynomial route for rule {f.label!r} on this profile"
@@ -201,11 +215,11 @@ def posmem(
     if method != "brute":
         if f.is_av and is_linearly_ordered(profile):
             return posmem_av_linear(profile, candidate, k)
-        route = _poly_poscom_route(profile, f)
+        route = canonical_route(profile, f)
         if route is not None:
             holding = (w for w in committees_by_mask(profile.m, k) if candidate in w)
             for committee in holding:
-                inner = route(profile, committee)
+                inner = _canonical_poscom(route, f, committee)
                 if inner.answer:
                     return Decision(True, inner.witness, committee, "poscom-iteration")
             return Decision(False, None, None, "poscom-iteration")

@@ -415,11 +415,23 @@ def best_committees(
     f: ScoringFunction, profile: ApprovalProfile, k: int
 ) -> tuple[Fraction, list[Committee]]:
     """The maximum score of a size-k committee, exact, with every
-    committee reaching it, ascending by bitmask; by exhaustive scan."""
+    committee reaching it, ascending by bitmask; by exhaustive scan.
+
+    The scan keeps only the running best and its ties, so its memory
+    grows with the number of winners, not with C(m, k).
+    """
     check_k(k, profile.m)
     scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m, k))
-    masks = list(_masks(profile.m, k))
-    best, winners = _winners(masks, [scorer.score(mask) for mask in masks])
+    score_of = scorer.score
+    masks = _masks(profile.m, k)
+    first = next(masks)
+    best, winners = score_of(first), [first]
+    for mask in masks:
+        score = score_of(mask)
+        if score > best:
+            best, winners = score, [mask]
+        elif score == best:
+            winners.append(mask)
     return Fraction(best, scorer.scale), [_members(mask) for mask in winners]
 
 
@@ -433,8 +445,15 @@ def winning_committees(
 def is_winning_committee(
     f: ScoringFunction, profile: ApprovalProfile, committee: Committee
 ) -> bool:
-    """Whether no same-size committee scores strictly higher."""
+    """Whether no same-size committee scores strictly higher.
+
+    Under AV a committee scores the sum of its members' approval counts,
+    so W wins exactly when its total reaches the leader's.
+    """
     k = len(committee)
+    if f.is_av:
+        counts = approval_counts(profile)
+        return _count_total(counts, committee) == av_leader(counts, k)[0]
     scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m, k))
     own = scorer.score(mask_of(committee))
     return all(scorer.score(mask) <= own for mask in _masks(profile.m, k))
@@ -446,7 +465,11 @@ def defeats(
     committee: Committee,
     candidate: int,
 ) -> bool:
-    """Whether W strictly beats every same-size committee containing c."""
+    """Whether W strictly beats every same-size committee containing c.
+
+    Under AV that holds exactly when W's approval-count total exceeds
+    that of the best committee holding c.
+    """
     check_candidate(candidate, profile.m)
     if candidate in committee:
         raise CandidateInCommitteeError(
@@ -454,6 +477,9 @@ def defeats(
         )
     k = len(committee)
     check_k(k, profile.m)
+    if f.is_av:
+        counts = approval_counts(profile)
+        return _count_total(counts, committee) > av_leader(counts, k, candidate)[0]
     scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m - 1, k - 1))
     own = scorer.score(mask_of(committee))
     bit = 1 << candidate
@@ -483,6 +509,13 @@ def av_leader(counts: list[int], k: int, holding: int | None = None) -> tuple[in
     order = sorted(range(len(counts)), key=lambda c: (c != holding, -counts[c], c))
     chosen = order[:k]
     return sum(counts[c] for c in chosen), frozenset(chosen)
+
+
+def _count_total(counts: list[int], committee: Committee) -> int:
+    """W's AV score from the approval counts; each member must be a candidate."""
+    for cid in committee:
+        check_candidate(cid, len(counts))
+    return sum(counts[c] for c in committee)
 
 
 def completion_winners(

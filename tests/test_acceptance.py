@@ -606,7 +606,8 @@ def test_criterion_9_polynomial_routes_scale(capsys):
 
 
 def test_av_canonical_routes_scale_in_k():
-    """AV canonical routes at n = 200, m = 100, k = 10, each answering false.
+    """AV canonical routes at n = 200, m = 100, k = 10, each answering false,
+    then is_winning_committee and defeats under AV on one completion.
 
     An exhaustive scan would visit C(100, 10), about 1.7e13, committees.
     Each query below is false in every completion: at least one outsider
@@ -652,6 +653,24 @@ def test_av_canonical_routes_scale_in_k():
     assert min(counts[c] for c in winner) >= max(
         counts[c] for c in range(m) if c not in winner
     )
+
+    # The public AV judgements on that completion read approval counts;
+    # each answers in under a second, true and false.
+    completion = decision.witness
+    ranked = sorted(range(m), key=lambda c: -counts[c])
+    leaders, trailers = frozenset(ranked[:k]), frozenset(ranked[-k:])
+    assert counts[ranked[-1]] < counts[ranked[k - 1]]
+    assert sum(counts[c] for c in trailers) < sum(counts[c] for c in leaders)
+    judgements = [
+        (lambda: is_winning_committee(AV, completion, leaders), True),
+        (lambda: is_winning_committee(AV, completion, trailers), False),
+        (lambda: defeats(AV, completion, leaders, ranked[-1]), True),
+        (lambda: defeats(AV, completion, trailers, ranked[0]), False),
+    ]
+    for judge, expected in judgements:
+        t0 = time.perf_counter()
+        assert judge() is expected
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_winner_scans_scale():

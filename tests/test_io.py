@@ -255,6 +255,19 @@ def test_result_rendering_rejects_other_objects():
             serialize_result(doc)
 
 
+class _Opaque:
+    pass
+
+
+@pytest.mark.parametrize("leaf", [_Opaque(), {1, 2}, object()])
+def test_unrenderable_leaf_raises_json_dumps_own_error(leaf):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(leaf)
+    with pytest.raises(TypeError) as got:
+        serialize_result({"nested": [{"bad": leaf}]})
+    assert str(got.value) == str(expected.value)
+
+
 def test_completion_rows(quad_profile):
     assert completion_rows(quad_profile) == [["c"], ["c"], ["a"], ["b"]]
 

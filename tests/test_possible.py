@@ -17,7 +17,10 @@ from abcu import (
     UnknownCandidateError,
     binary_rule,
     is_completion,
+    is_linearly_ordered,
+    is_three_valued,
     is_winning_committee,
+    necmem,
     poscom,
     poscom_av_3va,
     poscom_binary_linear,
@@ -62,6 +65,24 @@ def test_ordered_profile_routes_binary_rules(trio_profile):
     decision = poscom(trio_profile, frozenset({A}), CC, 1)
     assert decision.answer
     assert decision.method_used == "binary-linear-prefix"
+
+
+def test_singleton_middles_take_the_documented_routes(pair_profile):
+    # Middles of at most one candidate are both order-free and totally
+    # ordered: poscom and necmem take the order-free AV route, posmem
+    # its direct AV prefix route, and cc the totally ordered ones.
+    assert is_three_valued(pair_profile) and is_linearly_ordered(pair_profile)
+    expected = {
+        AV: ("av-3va-canonical", "av-linear-prefix", "av-3va-defeat-scan"),
+        CC: ("binary-linear-prefix", "poscom-iteration", "binary-linear-defeat-scan"),
+    }
+    for rule, methods in expected.items():
+        got = (
+            poscom(pair_profile, frozenset({A}), rule, 1).method_used,
+            posmem(pair_profile, A, rule, 1).method_used,
+            necmem(pair_profile, A, rule, 1).method_used,
+        )
+        assert got == methods
 
 
 def test_ordered_profile_falls_back_to_enumeration(trio_profile):

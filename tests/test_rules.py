@@ -1,8 +1,10 @@
 """Weight functions, committee scores, winner scans, rule parsing."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,14 @@ from abcu import (
     winning_committees,
 )
 from abcu.model import ApprovalBallot
-from abcu.rules import Scorer, approval_counts, av_leader, check_committee_size, mask_of
+from abcu.rules import (
+    Scorer,
+    approval_counts,
+    av_leader,
+    best_committees,
+    check_committee_size,
+    mask_of,
+)
 from conftest import A, B, C, D
 from oracles import SCORERS, committees, table_score, winners
 
@@ -161,6 +170,13 @@ def test_defeats_argument_checks(quad_profile):
         defeats(AV, quad_profile, frozenset({A, C}), A)
     with pytest.raises(UnknownCandidateError):
         defeats(AV, quad_profile, frozenset({A, C}), 9)
+    # The AV count judgements read each member's count, so every member
+    # must be a candidate: a stray id is refused, not read as a zero count.
+    for stray in (9, -1):
+        with pytest.raises(UnknownCandidateError):
+            defeats(AV, quad_profile, frozenset({A, stray}), C)
+        with pytest.raises(UnknownCandidateError):
+            is_winning_committee(AV, quad_profile, frozenset({A, stray}))
 
 
 def test_committee_size_checks():
@@ -283,18 +299,28 @@ def test_missing_table_entry_raises_only_where_a_scan_reaches_it():
 
 
 def _check_av_count_judgements(profile, k):
-    """The count judgements of the AV routes against the committee scans.
+    """The AV count judgements, in rules and in the routes, against the
+    committee scans.
 
     On a complete profile every AV canonical completion is the profile
     itself, so each route's answer is its count judgement alone.
     """
     m = profile.m
     partial = as_partial(profile)
+    # Scores like AV, but the untagged table takes the committee scan.
+    scanned_av = ScoringFunction.thiele(WeightFunction.table(range(k + 1)))
     counts = approval_counts(profile)
     assert counts == [profile_score(AV, profile, frozenset({c})) for c in range(m)]
     winners_ = winning_committees(AV, profile, k)
     for committee in committees_by_mask(m, k):
         assert poscom_av_3va(partial, committee).answer == (committee in winners_)
+        assert is_winning_committee(AV, profile, committee) == is_winning_committee(
+            scanned_av, profile, committee
+        )
+        for cid in set(range(m)) - committee:
+            assert defeats(AV, profile, committee, cid) == defeats(
+                scanned_av, profile, committee, cid
+            )
     first = min(winners_, key=mask_of)
 
     def total(w):
@@ -311,7 +337,7 @@ def _check_av_count_judgements(profile, k):
             (
                 w
                 for w in committees_by_mask(m, k)
-                if cid not in w and defeats(AV, profile, w, cid)
+                if cid not in w and defeats(scanned_av, profile, w, cid)
             ),
             None,
         )
@@ -343,6 +369,23 @@ def test_av_count_judgements_without_voters_and_at_k_equal_m(m):
         _check_av_count_judgements(complete_profile(registry, []), k)
     tied = complete_profile(registry, [range(m), range(m), [0]])
     _check_av_count_judgements(tied, m)
+
+
+def test_winner_scan_memory_grows_with_ties_not_committees():
+    # C(18, 9) = 48,620 committees: a list of every mask and every score
+    # would hold megabytes, the streamed scan only the running ties.
+    rng = Random(18)
+    rows = [rng.sample(range(18), 6) for _ in range(8)]
+    profile = complete_profile(CandidateRegistry(tuple("abcdefghijklmnopqr")), rows)
+    tracemalloc.start()
+    try:
+        best, winners = best_committees(PAV, profile, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert winners and all(profile_score(PAV, profile, w) == best for w in winners)
+    assert [mask_of(w) for w in winners] == sorted(map(mask_of, winners))
 
 
 def test_mask_order_small_case():
