@@ -46,38 +46,41 @@ def _name_list(value: Any, context: str) -> list[str]:
     return value
 
 
-def _id_set(names: Any, id_of: Callable[[str], int]) -> frozenset[int]:
-    """The ids of a name array; LookupError, TypeError or ValueError if it
-    is no array, names a non-name or an unknown name, or repeats one.
-
-    ``id_of`` is the registry's name -> id lookup, which holds names only.
-    """
-    if type(names) is not list:
-        raise TypeError("not an array")
-    ids = frozenset(map(id_of, names))
-    if len(ids) != len(names):
-        raise ValueError("repeated name")
-    return ids
-
-
 def _voter_record(voter: Any, id_of: Callable[[str], int], everyone: frozenset[int]) -> tuple:
     """One voter's id sets and order edges, for a well-formed record only.
 
-    Any fault raises LookupError, TypeError or ValueError; _checked_record
-    then names it.
+    Each name array maps straight to an id set; an absent or empty order
+    yields no edges. Any fault raises LookupError, TypeError or
+    ValueError (``id_of``, the registry's name -> id lookup, holds names
+    only); _checked_record then names it.
     """
     if type(voter) is not dict or not voter.keys() <= _VOTER_KEYS:
         raise TypeError("not a voter record")
-    top = _id_set(voter.get("top", _NO_NAMES), id_of)
-    middle = _id_set(voter.get("middle", _NO_NAMES), id_of)
+    top = voter.get("top", _NO_NAMES)
+    middle = voter.get("middle", _NO_NAMES)
+    if type(top) is not list or type(middle) is not list:
+        raise TypeError("not an array")
+    top_ids = frozenset(map(id_of, top))
+    middle_ids = frozenset(map(id_of, middle))
+    if len(top_ids) != len(top) or len(middle_ids) != len(middle):
+        raise ValueError("repeated name")
     if "bottom" in voter:
-        bottom = _id_set(voter["bottom"], id_of)
+        bottom = voter["bottom"]
+        if type(bottom) is not list:
+            raise TypeError("not an array")
+        bottom_ids = frozenset(map(id_of, bottom))
+        if len(bottom_ids) != len(bottom):
+            raise ValueError("repeated name")
     else:
-        bottom = everyone.difference(top, middle)
+        bottom_ids = everyone.difference(top_ids, middle_ids)
     order = voter.get("order", _NO_NAMES)
-    if type(order) is not list or not set(map(type, order)) <= _ARRAY:
+    if type(order) is not list:
+        raise TypeError("not an array")
+    if not order:
+        return top_ids, middle_ids, bottom_ids, ()
+    if not set(map(type, order)) <= _ARRAY:
         raise TypeError("not an array of arrays")
-    return top, middle, bottom, [(id_of(x), id_of(y)) for x, y in order]
+    return top_ids, middle_ids, bottom_ids, [(id_of(x), id_of(y)) for x, y in order]
 
 
 def _checked_record(i: int, voter: Any, registry: CandidateRegistry) -> tuple:

@@ -180,40 +180,13 @@ def _bit_index(middle: frozenset[int]) -> dict[int, int]:
     return {c: i for i, c in enumerate(sorted(middle))}
 
 
-def _closed_rows(index: dict[int, int], edges: frozenset[tuple[int, int]]) -> list[int]:
-    """Transitively closed order rows: bit j of row i says i is above j.
-
-    One bitmask Warshall pass, O(q^2) mask operations over q middle
-    candidates. A row holding its own bit marks a cycle. Raises KeyError
-    when an edge leaves the middle.
-    """
-    rows = [0] * len(index)
-    for x, y in edges:
-        rows[index[x]] |= 1 << index[y]
-    for k in range(len(rows)):
-        through = rows[k]
-        if not through:
-            continue
-        for i, row in enumerate(rows):
-            if row >> k & 1:
-                rows[i] = row | through
-    return rows
+def _where(voter: int | None) -> str:
+    return f" (voter {voter})" if voter is not None else ""
 
 
-def _pairs(index: dict[int, int], rows: list[int]) -> frozenset[tuple[int, int]]:
-    """The (above, below) id pairs the rows hold, one step per pair."""
-    ids = list(index)
-    pairs = []
-    for x, row in zip(ids, rows):
-        while row:
-            low = row & -row
-            pairs.append((x, ids[low.bit_length() - 1]))
-            row ^= low
-    return frozenset(pairs)
-
-
-def _partition_fault(tset, mset, bset, registry: CandidateRegistry, where: str) -> None:
+def _partition_fault(tset, mset, bset, registry: CandidateRegistry, voter: int | None) -> None:
     """Raise the first fault of a top/middle/bottom split that is no partition."""
+    where = _where(voter)
     m = len(registry)
     for cid in itertools.chain(tset, mset, bset):
         if not 0 <= cid < m:
@@ -225,6 +198,61 @@ def _partition_fault(tset, mset, bset, registry: CandidateRegistry, where: str) 
     missing = registry.ids - tset - mset - bset
     names = ", ".join(sorted(registry.name_of(c) for c in missing))
     raise PartitionIncompleteError(f"candidates in no part{where}: {names}")
+
+
+def _closed_order(
+    edges: frozenset[tuple[int, int]], middle: frozenset[int], voter: int | None
+) -> frozenset[tuple[int, int]]:
+    """The transitive closure of order edges over the middle.
+
+    Rows are keyed by candidate id, bit y of row x saying x is above y,
+    and closed by one bitmask Warshall pass over the ids that head an
+    edge: O(q^2) mask operations over q middle candidates. An order that
+    is already closed is returned as given.
+    """
+    rows: dict[int, int] = {}
+    for x, y in edges:
+        if x not in middle or y not in middle:
+            raise EdgeOutsideMiddleError(
+                f"order edge ({x}, {y}) leaves the middle{_where(voter)}"
+            )
+        rows[x] = rows.get(x, 0) | 1 << y
+    for k in rows:
+        through = rows[k]
+        for i, row in rows.items():
+            if row >> k & 1:
+                rows[i] = row | through
+    closed = 0
+    for x, row in rows.items():
+        if row >> x & 1:
+            raise CycleDetectedError(f"order constraints are cyclic{_where(voter)}")
+        closed += row.bit_count()
+    if closed == len(edges):
+        return edges
+    pairs = []
+    for x, row in rows.items():
+        while row:
+            low = row & -row
+            pairs.append((x, low.bit_length() - 1))
+            row ^= low
+    return frozenset(pairs)
+
+
+def _partial_ballot(top, middle, bottom, precedence) -> PartialBallot:
+    """A PartialBallot from checked parts.
+
+    It fills the instance dict directly: the frozen dataclass's __init__
+    makes one object.__setattr__ call per field and checks the
+    precedence default, about as much work as checking an unordered
+    ballot.
+    """
+    ballot = object.__new__(PartialBallot)
+    fields = ballot.__dict__
+    fields["top"] = top
+    fields["middle"] = middle
+    fields["bottom"] = bottom
+    fields["precedence"] = precedence
+    return ballot
 
 
 def make_partial_ballot(
@@ -241,35 +269,20 @@ def make_partial_ballot(
     the parts jointly covering the registry, order edges confined to the
     middle, and acyclicity after transitive closure. A valid record costs
     one size sum and one set comparison for its partition; the ordered
-    checks run only to name the fault of an invalid one.
+    checks run only to name the fault of an invalid one. Frozensets are
+    taken as they are, so a caller holding id sets copies nothing.
     """
-    where = f" (voter {voter})" if voter is not None else ""
     tset, mset, bset = frozenset(top), frozenset(middle), frozenset(bottom)
     # The parts partition the registry iff their sizes add up to m and
     # their union is every id.
     everyone = registry.ids
     if (len(tset) + len(mset) + len(bset) != len(everyone)
-            or tset | mset | bset != everyone):
-        _partition_fault(tset, mset, bset, registry, where)
+            or tset.union(mset, bset) != everyone):
+        _partition_fault(tset, mset, bset, registry, voter)
     edges = frozenset(precedence)
-    if not edges:
-        return PartialBallot(tset, mset, bset)
-    index = _bit_index(mset)
-    try:
-        rows = _closed_rows(index, edges)
-    except KeyError:
-        for x, y in edges:
-            if x not in mset or y not in mset:
-                raise EdgeOutsideMiddleError(
-                    f"order edge ({x}, {y}) leaves the middle{where}"
-                ) from None
-        raise
-    if any(row >> i & 1 for i, row in enumerate(rows)):
-        raise CycleDetectedError(f"order constraints are cyclic{where}")
-    # An order that is already closed is kept as given.
-    if sum(row.bit_count() for row in rows) > len(edges):
-        edges = _pairs(index, rows)
-    return PartialBallot(tset, mset, bset, edges)
+    if edges:
+        edges = _closed_order(edges, mset, voter)
+    return _partial_ballot(tset, mset, bset, edges)
 
 
 def validate_partial_profile(

@@ -386,12 +386,18 @@ def check_candidate(cid: int, m: int) -> None:
         raise UnknownCandidateError(f"candidate id {cid} out of range")
 
 
+def _check_members(committee: Committee, m: int) -> None:
+    """Refuse a committee holding an id that names no candidate, which a
+    scan would otherwise score as a candidate no voter approves."""
+    for cid in committee:
+        check_candidate(cid, m)
+
+
 def check_committee_size(committee: Committee, k: int, m: int) -> None:
     check_k(k, m)
     if len(committee) != k:
         raise BadKError(f"committee has {len(committee)} members, expected {k}")
-    for cid in committee:
-        check_candidate(cid, m)
+    _check_members(committee, m)
 
 
 def check_threshold(t: int | None, k: int) -> None:
@@ -451,9 +457,10 @@ def is_winning_committee(
     so W wins exactly when its total reaches the leader's.
     """
     k = len(committee)
+    _check_members(committee, profile.m)
     if f.is_av:
         counts = approval_counts(profile)
-        return _count_total(counts, committee) == av_leader(counts, k)[0]
+        return sum(counts[c] for c in committee) == av_leader(counts, k)[0]
     scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m, k))
     own = scorer.score(mask_of(committee))
     return all(scorer.score(mask) <= own for mask in _masks(profile.m, k))
@@ -477,9 +484,10 @@ def defeats(
         )
     k = len(committee)
     check_k(k, profile.m)
+    _check_members(committee, profile.m)
     if f.is_av:
         counts = approval_counts(profile)
-        return _count_total(counts, committee) > av_leader(counts, k, candidate)[0]
+        return sum(counts[c] for c in committee) > av_leader(counts, k, candidate)[0]
     scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m - 1, k - 1))
     own = scorer.score(mask_of(committee))
     bit = 1 << candidate
@@ -509,13 +517,6 @@ def av_leader(counts: list[int], k: int, holding: int | None = None) -> tuple[in
     order = sorted(range(len(counts)), key=lambda c: (c != holding, -counts[c], c))
     chosen = order[:k]
     return sum(counts[c] for c in chosen), frozenset(chosen)
-
-
-def _count_total(counts: list[int], committee: Committee) -> int:
-    """W's AV score from the approval counts; each member must be a candidate."""
-    for cid in committee:
-        check_candidate(cid, len(counts))
-    return sum(counts[c] for c in committee)
 
 
 def completion_winners(

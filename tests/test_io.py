@@ -1,7 +1,9 @@
 """Profile document parsing and result rendering."""
 
 import json
+import time
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -395,3 +397,64 @@ def test_malformed_documents_fail_as_the_reference_fails(doc):
     # validation faults; the first fault found names the error.
     text = json.dumps(doc)
     assert _outcome(parse_profile, text) == _outcome(reference_loader.parse_profile, text)
+
+
+# The records a one-pass loader most easily accepts by mistake: a null or
+# empty-object order, a null part, a string where an array belongs, a
+# voter that is no object, and the order shapes the closure must tell
+# apart. Ids follow the candidate list (c=0, a=1, b=2, d=3).
+@pytest.mark.parametrize(
+    "voter, outcome",
+    [
+        ({"top": [], "order": None}, ProfileSyntaxError),
+        ({"top": ["a"], "order": {}}, ProfileSyntaxError),
+        ({"top": ["a"], "bottom": None}, ProfileSyntaxError),
+        ({"top": "a"}, ProfileSyntaxError),
+        (["top", "a"], ProfileSyntaxError),
+        ({"middle": ["d", "b", "a"], "order": [["d", "b"], ["b", "a"]]},
+         {(3, 2), (2, 1), (3, 1)}),
+        ({"middle": ["a", "b", "d"], "order": [["a", "b"], ["b", "d"], ["a", "d"]]},
+         {(1, 2), (2, 3), (1, 3)}),
+        ({"top": ["c"], "middle": ["a", "b"], "order": [["c", "a"], ["b", "d"]]},
+         EdgeOutsideMiddleError),
+        ({"middle": ["a", "b", "d"], "order": [["a", "b"], ["b", "d"], ["d", "a"]]},
+         CycleDetectedError),
+    ],
+)
+def test_tricky_records_load_as_the_reference_loads_them(voter, outcome):
+    doc = {"candidates": ["c", "a", "b", "d"], "voters": [{"top": ["a"]}, voter]}
+    text = json.dumps(doc)
+    got = _outcome(parse_profile, text)
+    assert got == _outcome(reference_loader.parse_profile, text)
+    if isinstance(outcome, set):
+        assert got[0].ballots[1].precedence == outcome
+    else:
+        assert got[0] is outcome
+
+
+def test_large_documents_load_in_linear_time():
+    # 20,000 voters over 14 candidates, half of them with a chain of two
+    # to four middle candidates whose order the loader has to close. A
+    # loader that does quadratic work in the voters fails the budget.
+    rng = Random(20000)
+    names = [f"c{i}" for i in range(14)]
+    voters = []
+    for v in range(20_000):
+        ids = rng.sample(range(14), 14)
+        q = 2 + rng.randrange(3)
+        middle, rest = ids[:q], ids[q:]
+        record = {
+            "top": [names[c] for c in rest if rng.random() < 0.25],
+            "middle": [names[c] for c in middle],
+        }
+        if v % 2:
+            record["order"] = [[names[x], names[y]] for x, y in zip(middle, middle[1:])]
+        voters.append(record)
+    text = json.dumps({"candidates": names, "k": 3, "voters": voters})
+    start = time.perf_counter()
+    profile, k = parse_profile(text)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, elapsed
+    assert (profile.n, profile.m, k) == (20_000, 14, 3)
+    assert sum(b.is_totally_ordered() and len(b.middle) > 1 for b in profile.ballots) == 10_000
+    assert profile.ballots[1].middle_sequence() == [int(c[1:]) for c in voters[1]["middle"]]

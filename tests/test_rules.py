@@ -170,13 +170,20 @@ def test_defeats_argument_checks(quad_profile):
         defeats(AV, quad_profile, frozenset({A, C}), A)
     with pytest.raises(UnknownCandidateError):
         defeats(AV, quad_profile, frozenset({A, C}), 9)
-    # The AV count judgements read each member's count, so every member
-    # must be a candidate: a stray id is refused, not read as a zero count.
-    for stray in (9, -1):
+    # Every member must be a candidate under every rule: a stray id is
+    # refused, not scored as a candidate no voter approves.
+    rules = (AV, PAV, CC, SAV, parse_rule_spec("table:0,2,3"))
+    for f in rules:
+        for stray in (9, -1):
+            with pytest.raises(UnknownCandidateError):
+                defeats(f, quad_profile, frozenset({A, stray}), C)
+            with pytest.raises(UnknownCandidateError):
+                is_winning_committee(f, quad_profile, frozenset({A, stray}))
+    # A stray id can make W larger than the candidate list, with no rival.
+    pair = complete_profile(R2, [{A}, {B}])
+    for f in rules:
         with pytest.raises(UnknownCandidateError):
-            defeats(AV, quad_profile, frozenset({A, stray}), C)
-        with pytest.raises(UnknownCandidateError):
-            is_winning_committee(AV, quad_profile, frozenset({A, stray}))
+            is_winning_committee(f, pair, frozenset({A, B, 5}))
 
 
 def test_committee_size_checks():
