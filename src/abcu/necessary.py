@@ -16,10 +16,12 @@ and ballot structure admit them, and capped enumeration elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import BadKError, ModelMismatchError, NoPolyAlgorithmError
+from .errors import BadKError, ModelMismatchError, NoPolyAlgorithmError, TableOutOfRangeError
 from .model import (
     DEFAULT_CAP,
     ApprovalBallot,
@@ -47,6 +49,7 @@ from .rules import (
     committees_by_mask,
     completion_winners,
     defeats,
+    mask_of,
     members_of,
 )
 
@@ -67,62 +70,119 @@ class ScoreDiffReport:
     witness: ApprovalProfile
 
 
-def _scan(f: ScoringFunction, scorer: Scorer, ballot: PartialBallot,
-          committee: Committee, rival: Committee) -> tuple:
-    """One voter's first best (scaled difference, closure, free, j).
+class _Slot(NamedTuple):
+    """One distinct ballot as bitmasks, with the number of voters casting it.
+
+    up maps the bit of each middle candidate ranked below another to that
+    bit and the bits of everything ranked above it; down maps the bit of
+    each one ranked above another to that bit and the bits of everything
+    ranked below it. A middle bit absent from either stands for itself.
+    """
+
+    ballot: PartialBallot
+    count: int
+    top: int
+    size: int
+    middle: int
+    up: dict[int, int]
+    down: dict[int, int]
+
+
+def _slots(ballots) -> tuple[list[_Slot], list[int]]:
+    """The distinct ballots' slots in first-appearance order, and the
+    slot of each voter."""
+    index_of: dict[PartialBallot, int] = {}
+    index = [index_of.setdefault(b, len(index_of)) for b in ballots]
+    counts = [0] * len(index_of)
+    for i in index:
+        counts[i] += 1
+    slots = []
+    for b, count in zip(index_of, counts):
+        up: dict[int, int] = {}
+        down: dict[int, int] = {}
+        for x, y in b.precedence:
+            above, below = 1 << x, 1 << y
+            up[below] = up.get(below, below) | above
+            down[above] = down.get(above, above) | below
+        slots.append(_Slot(b, count, mask_of(b.top), len(b.top), mask_of(b.middle), up, down))
+    return slots, index
+
+
+def _scan(scorer: Scorer, thiele: bool, slot: _Slot, committee: int, rival: int) -> tuple:
+    """One ballot's first best (scaled difference, closure, free, j).
 
     This is max_diff_ballot's scan over Scorer entries, which read only
-    the overlaps with W and W' and the ballot size: closure is R's upward
-    closure and free lists the candidates free to pad.
+    the overlaps with W and W' and the ballot size. The submasks R of the
+    contested bits come in ascending order; closure is R's upward closure
+    (the OR of its members' up masks), and free holds the bits free to pad.
     """
-    contested = sorted(ballot.middle & (committee | rival))
+    _, _, top, size, middle, up, down = slot
+    contested = middle & (committee | rival)
+    top_w = (top & committee).bit_count()
+    top_r = (top & rival).bit_count()
+    if thiele and not contested:
+        return scorer[top_r, size] - scorer[top_w, size], 0, 0, 0
     best = None
-    for r_mask in range(1 << len(contested)):
-        approved = {c for i, c in enumerate(contested) if r_mask >> i & 1}
-        excluded = set(contested) - approved
-        closure = approved.union(*(ballot.forced_by(c) for c in approved))
-        if closure & excluded:
-            continue
-        free = [] if f.is_thiele else [
-            c for c in ballot.middle
-            if c not in closure and not ballot.forced_by(c) & excluded
-        ]
-        in_w = len((ballot.top | approved) & committee)
-        in_r = len((ballot.top | approved) & rival)
-        size = len(ballot.top) + len(closure)
-        for j in range(len(free) + 1):
-            diff = scorer[in_r, size + j] - scorer[in_w, size + j]
-            if best is None or diff > best[0]:
-                best = (diff, closure, free, j)
-    if best is None:
-        raise RuntimeError("approving no contested candidate must be consistent")
-    return best
+    sub = 0
+    while True:
+        closure, bits = 0, sub
+        while bits:
+            low = bits & -bits
+            closure |= up.get(low, low)
+            bits ^= low
+        excluded = contested ^ sub
+        if not closure & excluded:
+            in_w = top_w + (sub & committee).bit_count()
+            in_r = top_r + (sub & rival).bit_count()
+            base = size + closure.bit_count()
+            free = 0
+            if not thiele:
+                blocked, bits = closure, excluded
+                while bits:
+                    low = bits & -bits
+                    blocked |= down.get(low, low)
+                    bits ^= low
+                free = middle & ~blocked
+            for j in range(free.bit_count() + 1):
+                diff = scorer[in_r, base + j] - scorer[in_w, base + j]
+                if best is None or diff > best[0]:
+                    best = (diff, closure, free, j)
+        sub = (sub - contested) & contested
+        if not sub:
+            return best
 
 
-def _witness_ballot(ballot: PartialBallot, pick: tuple) -> ApprovalBallot:
-    """Top, the closure, then j free candidates in an above-first order,
-    the lowest id first among those ready."""
-    _diff, closure, free, j = pick
-    chosen, remaining = set(closure), set(free)
+def _chosen(slot: _Slot, pick: tuple) -> int:
+    """The middle part of a pick's completion: the closure, then j free
+    candidates in an above-first order, the lowest id first among those
+    ready."""
+    _diff, chosen, free, j = pick
     for _ in range(j):
-        c = min(x for x in remaining if not (ballot.forced_by(x) & remaining) - {x})
-        chosen.add(c)
-        remaining.remove(c)
-    return ApprovalBallot(ballot.top | chosen)
+        bits = free
+        while True:
+            low = bits & -bits
+            if slot.up.get(low, low) & free == low:
+                break
+            bits ^= low
+        chosen |= low
+        free ^= low
+    return chosen
 
 
-def _assemble(scorer: Scorer, profile: PartialProfile, committee: Committee,
-              rival: Committee, picks: dict) -> ApprovalProfile:
-    """The completion of each voter's pick, checked against their sum."""
-    built = {b: _witness_ballot(b, pick) for b, pick in picks.items()}
-    witness = ApprovalProfile(profile.registry, tuple(built[b] for b in profile.ballots))
-    margin = sum(
-        scorer[len(a & rival), len(a)] - scorer[len(a & committee), len(a)]
-        for a in (b.approved for b in witness.ballots)
-    )
-    if margin != sum(picks[b][0] for b in profile.ballots):
+def _assemble(scorer: Scorer, profile: PartialProfile, slots: list[_Slot], index: list[int],
+              committee: int, rival: int, picks: list[tuple]) -> ApprovalProfile:
+    """The completion of each slot's pick, checked against their sum."""
+    chosen = [_chosen(s, p) for s, p in zip(slots, picks)]
+    margin = 0
+    for slot, part in zip(slots, chosen):
+        a = slot.top | part
+        size = a.bit_count()
+        margin += slot.count * (scorer[(a & rival).bit_count(), size]
+                                - scorer[(a & committee).bit_count(), size])
+    if margin != sum(s.count * p[0] for s, p in zip(slots, picks)):
         raise RuntimeError("per-voter maxima must assemble exactly")
-    return witness
+    built = [ApprovalBallot(s.ballot.top | members_of(part)) for s, part in zip(slots, chosen)]
+    return ApprovalProfile(profile.registry, tuple(built[i] for i in index))
 
 
 def max_diff_ballot(
@@ -145,8 +205,10 @@ def max_diff_ballot(
     """
     m = len(ballot.top) + len(ballot.middle) + len(ballot.bottom)
     scorer = Scorer(f, max(len(committee), len(rival)), m)
-    pick = _scan(f, scorer, ballot, committee, rival)
-    return Fraction(pick[0], scorer.scale), _witness_ballot(ballot, pick)
+    (slot,), _ = _slots((ballot,))
+    pick = _scan(scorer, f.is_thiele, slot, mask_of(committee), mask_of(rival))
+    return (Fraction(pick[0], scorer.scale),
+            ApprovalBallot(ballot.top | members_of(_chosen(slot, pick))))
 
 
 def max_diff_profile(
@@ -159,10 +221,28 @@ def max_diff_profile(
     if len(committee) != len(rival):
         raise BadKError("committees being compared must have equal size")
     scorer = Scorer(f, len(committee), profile.m)
-    picks = {b: _scan(f, scorer, b, committee, rival) for b in dict.fromkeys(profile.ballots)}
-    witness = _assemble(scorer, profile, committee, rival, picks)
-    diffs = [Fraction(picks[b][0], scorer.scale) for b in profile.ballots]
+    slots, index = _slots(profile.ballots)
+    wmask, rmask = mask_of(committee), mask_of(rival)
+    picks = [_scan(scorer, f.is_thiele, s, wmask, rmask) for s in slots]
+    witness = _assemble(scorer, profile, slots, index, wmask, rmask, picks)
+    diffs = [Fraction(picks[i][0], scorer.scale) for i in index]
     return ScoreDiffReport(committee, rival, tuple(diffs), sum(diffs, Fraction(0)), witness)
+
+
+def _bound(f: ScoringFunction, profile: PartialProfile, committee: int, k: int):
+    """rival mask -> an upper bound on its largest score difference.
+
+    Under a Thiele rule a committee's score never drops as a ballot
+    grows, so score(W') is at most its score when every middle is
+    approved and score(W) at least its score when none is.
+    """
+    widest = Scorer(
+        f, k, profile.m, [ApprovalBallot(b.top | b.middle) for b in profile.ballots],
+        math.comb(profile.m, k),
+    )
+    narrowest = Scorer(f, k, profile.m, [ApprovalBallot(b.top) for b in profile.ballots])
+    floor = narrowest.score(committee)
+    return lambda rival: widest.score(rival) - floor
 
 
 def neccom(
@@ -177,18 +257,35 @@ def neccom(
     difference; rivals are scanned ascending by candidate-id bitmask and
     the first positive one supplies the counterexample completion. Each
     distinct ballot is scanned once per rival, in scaled integers.
+
+    Under a Thiele rule, once one exact scan comes out non-positive, a
+    rival whose upper bound (see _bound) is non-positive is skipped: it
+    cannot be the first positive one. A rival whose bound reads a
+    missing table entry is scanned, and the scan raises there.
     """
     check_committee_size(committee, k, profile.m)
     check_threshold(f.binary_threshold, k)
     scorer = Scorer(f, k, profile.m)
-    distinct = dict.fromkeys(profile.ballots)
+    slots, index = _slots(profile.ballots)
+    thiele = f.is_thiele
+    wmask = mask_of(committee)
+    bound = None
     for rival in committees_by_mask(profile.m, k):
-        if rival == committee:
+        rmask = mask_of(rival)
+        if rmask == wmask:
             continue
-        picks = {b: _scan(f, scorer, b, committee, rival) for b in distinct}
-        if sum(picks[b][0] for b in profile.ballots) > 0:
-            witness = _assemble(scorer, profile, committee, rival, picks)
+        if bound is not None:
+            try:
+                if bound(rmask) <= 0:
+                    continue
+            except TableOutOfRangeError:
+                pass
+        picks = [_scan(scorer, thiele, s, wmask, rmask) for s in slots]
+        if sum(s.count * p[0] for s, p in zip(slots, picks)) > 0:
+            witness = _assemble(scorer, profile, slots, index, wmask, rmask, picks)
             return Decision(False, witness, rival, "max-score-difference")
+        if bound is None and thiele:
+            bound = _bound(f, profile, wmask, k)
     return Decision(True, None, None, "max-score-difference")
 
 

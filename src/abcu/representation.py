@@ -252,9 +252,12 @@ def necjr(profile: PartialProfile, committee: Committee, k: int) -> Decision:
     holds in this one.
     """
     check_committee_size(committee, k, profile.m)
-    adversarial = completion_by(
-        profile, lambda b: [c for c in b.middle if not (b.forced_by(c) & committee)]
-    )
+
+    def pick(b):
+        banned = {y for x, y in b.precedence if x in committee}
+        return b.middle - committee - banned
+
+    adversarial = completion_by(profile, pick)
     satisfied, _ = check_jr(adversarial, committee, k)
     if satisfied:
         return Decision(True, None, None, "canonical-completion")

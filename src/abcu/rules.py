@@ -204,7 +204,7 @@ def profile_score(f: ScoringFunction, profile: ApprovalProfile, committee: Commi
 
 def mask_of(cids: Iterable[int]) -> int:
     """The bitmask with one bit per candidate id."""
-    return sum(1 << c for c in cids)
+    return sum(map((1).__lshift__, cids))
 
 
 def _scale(f: ScoringFunction, k: int, m: int) -> int:

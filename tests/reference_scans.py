@@ -1,12 +1,16 @@
-"""The plain completion scans, kept as a reference for the reduced ones.
+"""The plain scans, kept as a reference for the reduced ones.
 
-Each walks every joint completion, in enumerate_completions order, and
-stops at the first witness: the first completion where the committee
-wins, or where the axiom's verdict is the one looked for. No option is
-dropped and no score is carried from one completion to the next. The
-cap check counts every completion first, as the library does. Only the
-data classes, the completion counts, the per-ballot completion lists and
-the single-profile checks are shared with the library.
+Each completion scan walks every joint completion, in
+enumerate_completions order, and stops at the first witness: the first
+completion where the committee wins, or where the axiom's verdict is the
+one looked for. No option is dropped and no score is carried from one
+completion to the next. The cap check counts every completion first, as
+the library does. Only the data classes, the completion counts, the
+per-ballot completion lists and the single-profile checks are shared
+with the library.
+
+neccom_scan is neccom on candidate sets: every rival, every distinct
+ballot's scan over the subsets of its contested middle, no bound.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from itertools import product
 
 from abcu import (
     DEFAULT_CAP,
+    ApprovalBallot,
     ApprovalProfile,
     CapExceededError,
     Decision,
@@ -23,7 +28,7 @@ from abcu import (
     count_completions,
     is_winning_committee,
 )
-from abcu.rules import check_committee_size
+from abcu.rules import Scorer, check_committee_size, check_threshold, committees_by_mask
 
 
 def all_completions(profile, cap: int = DEFAULT_CAP):
@@ -53,3 +58,55 @@ def axiom_scan(profile, committee, k, axiom, stop_on: bool, cap: int = DEFAULT_C
         if satisfied == stop_on:
             return Decision(stop_on, completion, committee, "experimental-completion-scan")
     return Decision(not stop_on, None, None, "experimental-completion-scan")
+
+
+def _scan(f, scorer, ballot, committee, rival):
+    """One voter's first best (scaled difference, closure, free, j)."""
+    contested = sorted(ballot.middle & (committee | rival))
+    best = None
+    for r_mask in range(1 << len(contested)):
+        approved = {c for i, c in enumerate(contested) if r_mask >> i & 1}
+        excluded = set(contested) - approved
+        closure = approved.union(*(ballot.forced_by(c) for c in approved))
+        if closure & excluded:
+            continue
+        free = [] if f.is_thiele else [
+            c for c in ballot.middle
+            if c not in closure and not ballot.forced_by(c) & excluded
+        ]
+        in_w = len((ballot.top | approved) & committee)
+        in_r = len((ballot.top | approved) & rival)
+        size = len(ballot.top) + len(closure)
+        for j in range(len(free) + 1):
+            diff = scorer[in_r, size + j] - scorer[in_w, size + j]
+            if best is None or diff > best[0]:
+                best = (diff, closure, free, j)
+    return best
+
+
+def _witness_ballot(ballot, pick):
+    _diff, closure, free, j = pick
+    chosen, remaining = set(closure), set(free)
+    for _ in range(j):
+        c = min(x for x in remaining if not (ballot.forced_by(x) & remaining) - {x})
+        chosen.add(c)
+        remaining.remove(c)
+    return ApprovalBallot(ballot.top | chosen)
+
+
+def neccom_scan(f, profile, committee, k) -> Decision:
+    """neccom: the first rival in mask order with a positive total, and
+    the completion of each voter's first best pick."""
+    check_committee_size(committee, k, profile.m)
+    check_threshold(f.binary_threshold, k)
+    scorer = Scorer(f, k, profile.m)
+    distinct = dict.fromkeys(profile.ballots)
+    for rival in committees_by_mask(profile.m, k):
+        if rival == committee:
+            continue
+        picks = {b: _scan(f, scorer, b, committee, rival) for b in distinct}
+        if sum(picks[b][0] for b in profile.ballots) > 0:
+            built = {b: _witness_ballot(b, pick) for b, pick in picks.items()}
+            witness = ApprovalProfile(profile.registry, tuple(built[b] for b in profile.ballots))
+            return Decision(False, witness, rival, "max-score-difference")
+    return Decision(True, None, None, "max-score-difference")

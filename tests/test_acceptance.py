@@ -93,6 +93,8 @@ from profilegen import (
     random_partial_profile,
     random_x3c,
 )
+from reference_scans import neccom_scan
+from test_necessary import near_tie
 
 RULES = [
     ("av", AV),
@@ -603,6 +605,41 @@ def test_criterion_9_polynomial_routes_scale(capsys):
     if ejr_elapsed >= 10.0:
         failures.append(("check_ejr", ejr_elapsed))
     _report(9, start, failures)
+
+
+def test_neccom_true_answers_scale():
+    """True neccom answers at n = 100, m = 22, k = 5: av on order-free
+    ballots and pav on ranked ones, each voter's top = W plus 3 middles.
+
+    A true answer has no positive rival, so each of the C(22, 5) - 1 =
+    26,333 rivals must be ruled out; here the Thiele bound rules out all
+    of them after the first exact scan. On the near-tie profile the bound
+    rules out none, and the answer and witness must be the set-based
+    reference's.
+    """
+    n, m, k, budget = 100, 22, 5, 3.0
+    rng = Random(2215)
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(m)))
+    committee = frozenset(rng.sample(range(m), k))
+    others = [c for c in range(m) if c not in committee]
+    for kind, rule in (("3va", AV), ("linear", PAV)):
+        records = []
+        for _ in range(n):
+            middle = rng.sample(others, 3)
+            edges = list(zip(middle, middle[1:])) if kind == "linear" else []
+            records.append((committee, middle, set(others) - set(middle), edges))
+        profile = validate_partial_profile(records, registry)
+        assert classify(profile).value == kind
+        t0 = time.perf_counter()
+        decision = neccom(rule, profile, committee, k)
+        elapsed = time.perf_counter() - t0
+        assert decision == Decision(True, None, None, "max-score-difference"), kind
+        assert elapsed < budget, (kind, elapsed)
+
+    for extra in ((), ((12, 13),) * 2):
+        profile, committee = near_tie(14, 4, extra)
+        for rule in (AV, PAV):
+            assert neccom(rule, profile, committee, 4) == neccom_scan(rule, profile, committee, 4)
 
 
 def test_av_canonical_routes_scale_in_k():

@@ -1,5 +1,6 @@
 """Largest score differences and necessary-winner queries."""
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from abcu import (
     AV,
     ApprovalBallot,
+    ApprovalProfile,
     BadKError,
     CandidateRegistry,
     CC,
@@ -17,8 +19,10 @@ from abcu import (
     PAV,
     SAV,
     ScoringFunction,
+    TableOutOfRangeError,
     ballot_score,
     binary_rule,
+    committees_by_mask,
     is_completion,
     make_partial_ballot,
     max_diff_ballot,
@@ -33,6 +37,7 @@ from abcu import (
 from conftest import A, B, C
 from oracles import SCORERS, decide_all, max_diff, sav_score
 from profilegen import random_committee, random_partial_profile
+from reference_scans import neccom_scan
 from test_possible import RULES
 
 R3 = CandidateRegistry(("a", "b", "c"))
@@ -295,3 +300,117 @@ def test_integer_scan_matches_the_fraction_reference(case):
     for f in REFERENCE_RULES:
         expected = _reference_max_diff_ballot(f, ballot, committee, rival)
         assert max_diff_ballot(f, ballot, committee, rival) == expected, f
+
+
+NECCOM_RULES = [
+    AV, PAV, CC, SAV, binary_rule(2),
+    # entries for x = 0..2 only, so k >= 3 can reach a missing one
+    parse_rule_spec("table:0,1,3/2"),
+    # entries for ballots of at most 4 candidates only, peaking at size 2,
+    # so the best padding can stop short of the whole free part
+    ScoringFunction.table2d(
+        {(x, y): Fraction(x * (3 if y == 2 else 1), y + 1) for y in range(5) for x in range(y + 1)}
+    ),
+]
+
+
+def _outcome(query, *args):
+    """A query's Decision, or the type and message of what it raised."""
+    try:
+        return query(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+@st.composite
+def neccom_cases(draw):
+    """A profile of 1-6 voters drawn from 1-3 ballots of one structure
+    (so ballots repeat), a committee size and a committee."""
+    m = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["3va", "linear", "poset"]))
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(m)))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        ids = draw(st.permutations(range(m)))
+        q = draw(st.integers(0, m))
+        ranked, rest = ids[:q], ids[q:]
+        cut = draw(st.integers(0, len(rest)))
+        pairs = [(ranked[i], ranked[j]) for i in range(q) for j in range(i + 1, q)]
+        if kind == "3va" or not pairs:
+            edges = []
+        elif kind == "linear":
+            edges = list(zip(ranked, ranked[1:]))
+        else:
+            edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+        pool.append((rest[:cut], ranked, rest[cut:], edges))
+    voters = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    profile = validate_partial_profile(voters, registry)
+    k = draw(st.integers(1, m))
+    committee = draw(st.frozensets(st.integers(0, m - 1), min_size=k, max_size=k))
+    return profile, committee, k
+
+
+@given(neccom_cases())
+@settings(max_examples=300, deadline=None)
+def test_neccom_matches_the_set_reference(case):
+    profile, committee, k = case
+    for f in NECCOM_RULES:
+        expected = _outcome(neccom_scan, f, profile, committee, k)
+        assert _outcome(neccom, f, profile, committee, k) == expected, f
+
+
+def test_a_bound_reading_a_missing_entry_leaves_the_error_to_the_scan():
+    # The first rival {0, 1, 2} scans exactly and loses; the bound of the
+    # next one, {0, 1, 3}, would read w(3), which the table lacks.
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(7)))
+    everyone = set(range(7))
+    records = [([0, 1], [], everyone - {0, 1}), ([0, 3], [1], everyone - {0, 1, 3})]
+    records += [(list(pair), [], everyone - set(pair)) for pair in ((4, 5), (5, 6), (4, 6))]
+    profile = validate_partial_profile(records, registry)
+    rule = parse_rule_spec("table:0,1,3/2")
+    committee = frozenset({4, 5, 6})
+    expected = _outcome(neccom_scan, rule, profile, committee, 3)
+    assert expected == (TableOutOfRangeError, "weight table has no entry for x = 3")
+    assert _outcome(neccom, rule, profile, committee, 3) == expected
+
+
+def near_tie(m, k, extra=()):
+    """W = {0..k-1} against chains "w above o" for every member w and
+    outsider o, plus k - 1 voters approving each member alone, plus the
+    ``extra`` tops. Every rival's bound is positive, since the widest
+    completion approves every chain; without ``extra`` every rival's
+    exact maximum is at most 0, since approving o brings its w along."""
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(m)))
+    everyone = set(range(m))
+    records = [
+        ([], [w, o], everyone - {w, o}, [(w, o)]) for w in range(k) for o in range(k, m)
+    ]
+    records += [([w], [], everyone - {w}) for w in range(k) for _ in range(k - 1)]
+    records += [(list(top), [], everyone - set(top)) for top in extra]
+    return validate_partial_profile(records, registry), frozenset(range(k))
+
+
+def _bounded_rivals(f, profile, committee, k):
+    """The rivals whose bound (widest completion against narrowest) is positive."""
+    def completion(part):
+        return ApprovalProfile(
+            profile.registry, tuple(ApprovalBallot(b.top | part(b)) for b in profile.ballots)
+        )
+    floor = profile_score(f, completion(lambda b: frozenset()), committee)
+    widest = completion(lambda b: b.middle)
+    return [
+        r for r in committees_by_mask(profile.m, k)
+        if r != committee and profile_score(f, widest, r) > floor
+    ]
+
+
+@pytest.mark.parametrize("f", [AV, PAV])
+def test_near_ties_scan_every_rival_the_bound_keeps(f):
+    m, k = 9, 3
+    rivals = math.comb(m, k) - 1
+    for extra, answer in (((), True), (((m - 2, m - 1),) * 2, False)):
+        profile, committee = near_tie(m, k, extra)
+        assert len(_bounded_rivals(f, profile, committee, k)) == rivals
+        decision = neccom(f, profile, committee, k)
+        assert decision == neccom_scan(f, profile, committee, k)
+        assert decision.answer is answer
