@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -33,6 +34,32 @@ from .errors import (
 )
 
 DEFAULT_CAP = 1 << 20
+
+
+def mask_of(cids: Iterable[int]) -> int:
+    """The bitmask with one bit per candidate id."""
+    return sum(map((1).__lshift__, cids))
+
+
+def members_of(mask: int) -> frozenset[int]:
+    """The candidate ids a bitmask names; the inverse of mask_of."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(ids)
+
+
+class _cached(cached_property):
+    """cached_property without the lock that, before Python 3.12, triples
+    the cost of a first read; most mask reads are first reads."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -79,9 +106,14 @@ class CandidateRegistry:
 
 @dataclass(frozen=True)
 class ApprovalBallot:
-    """A complete ballot: the set of approved candidate ids."""
+    """A complete ballot: the set of approved candidate ids, and as
+    ``mask`` the same set in candidate-id bits, built on first read."""
 
     approved: frozenset[int]
+
+    @_cached
+    def mask(self) -> int:
+        return mask_of(self.approved)
 
 
 @dataclass(frozen=True)
@@ -107,6 +139,14 @@ class PartialBallot:
     ``precedence`` is stored transitively closed; a pair (x, y) says x is
     ranked above y, so a completion containing y must contain x. Both
     endpoints always lie in ``middle``.
+
+    The masks below hold the same ballot in candidate-id bits, built on
+    first read and kept outside eq, hash and repr. ``up`` maps the bit of
+    each middle candidate ranked below another to that bit and the bits
+    of everything ranked above it, ``down`` the bit of each one ranked
+    above another to that bit and those of everything ranked below it; a
+    middle bit absent from either stands for itself. Rows are collected
+    by id, whose hash is cheaper than that of a bit on a long order.
     """
 
     top: frozenset[int]
@@ -127,14 +167,38 @@ class PartialBallot:
         Only meaningful for totally ordered middles; each candidate's rank
         is the number of middle candidates below it.
         """
-        below = {c: 0 for c in self.middle}
-        for x, _y in self.precedence:
-            below[x] += 1
-        return sorted(self.middle, key=lambda c: (-below[c], c))
+        down = self.down
+        return sorted(self.middle, key=lambda c: (-down.get(1 << c, 1 << c).bit_count(), c))
 
     def forced_by(self, cid: int) -> frozenset[int]:
         """Candidates every completion containing ``cid`` must contain."""
         return frozenset({cid} | {x for x, y in self.precedence if y == cid})
+
+    @_cached
+    def top_mask(self) -> int:
+        return mask_of(self.top)
+
+    @_cached
+    def middle_mask(self) -> int:
+        return mask_of(self.middle)
+
+    @_cached
+    def up(self) -> dict[int, int]:
+        if not self.precedence:
+            return {}
+        above: dict[int, int] = {}
+        for x, y in self.precedence:
+            above[y] = above.get(y, 0) | 1 << x
+        return {1 << y: row | 1 << y for y, row in above.items()}
+
+    @_cached
+    def down(self) -> dict[int, int]:
+        if not self.precedence:
+            return {}
+        below: dict[int, int] = {}
+        for x, y in self.precedence:
+            below[x] = below.get(x, 0) | 1 << y
+        return {1 << x: row | 1 << x for x, row in below.items()}
 
 
 @dataclass(frozen=True)
@@ -173,11 +237,6 @@ class ModelClass(Enum):
     THREE_VALUED = "3va"
     LINEAR = "linear"
     POSET = "poset"
-
-
-def _bit_index(middle: frozenset[int]) -> dict[int, int]:
-    """Bit i for the i-th lowest middle id, the layout of every order mask."""
-    return {c: i for i, c in enumerate(sorted(middle))}
 
 
 def _where(voter: int | None) -> str:
@@ -321,70 +380,53 @@ def is_linearly_ordered(profile: PartialProfile) -> bool:
     return all(b.is_totally_ordered() for b in profile.ballots)
 
 
-def _upward_closed(ballot: PartialBallot, chosen: frozenset[int]) -> bool:
-    return all(x in chosen for x, y in ballot.precedence if y in chosen)
+def _upward_closed_masks(middle: int, up: dict[int, int]) -> list[int]:
+    """Every upward-closed submask of the middle, ascending.
 
-
-def _order_masks(ballot: PartialBallot) -> tuple[list[int], list[int]]:
-    """Order bitmasks over the middle, bit i for its i-th lowest id.
-
-    up[i] holds bit i and the bits of everything ranked above that
-    candidate; down[i] holds bit i and those of everything ranked below.
-    """
-    index = _bit_index(ballot.middle)
-    up = [1 << i for i in range(len(index))]
-    down = list(up)
-    for x, y in ballot.precedence:
-        up[index[y]] |= 1 << index[x]
-        down[index[x]] |= 1 << index[y]
-    return up, down
-
-
-def _upward_closed_masks(up: list[int]) -> list[int]:
-    """Every upward-closed bitmask over len(up) bits, ascending.
-
-    up[i] holds bit i and the bits of everything ranked above it. The
-    next mask after S sets the lowest clear bit p whose superiors on
-    higher bits S all holds, keeps S's bits above p, and clears the bits
-    below p except those the kept ones force. So the work follows the
-    number of such masks, not 2^len(up).
+    The next mask after S sets the lowest middle bit p outside S whose
+    superiors on higher bits S all holds, keeps S's bits above p, and
+    clears the bits below p except those the kept ones force. So the work
+    follows the number of such masks, not 2^|middle|.
     """
     masks = [0]
     mask = 0
     while True:
-        for p, forced in enumerate(up):
-            if mask >> p & 1 or forced >> p + 1 & ~mask >> p + 1:
-                continue
-            kept = mask >> p << p | 1 << p
-            mask = kept
-            for i in range(p, len(up)):
-                if kept >> i & 1:
-                    mask |= up[i]
-            masks.append(mask)
-            break
+        bits = middle & ~mask
+        while bits:
+            p = bits & -bits
+            if not up.get(p, p) & ~mask & -(p << 1):
+                break
+            bits ^= p
         else:
             return masks
+        mask = kept = mask & -p | p
+        while kept:
+            low = kept & -kept
+            mask |= up.get(low, low)
+            kept ^= low
+        masks.append(mask)
 
 
-def _completion_masks(ballot: PartialBallot) -> tuple[list[int], Iterable[int]]:
-    """The sorted middle and the bitmask of each completion's middle part,
-    bit i for its i-th entry, ascending; only upward-closed subsets."""
-    mids = sorted(ballot.middle)
+def _completion_masks(ballot: PartialBallot) -> list[int]:
+    """Each completion's middle part as a candidate-id bitmask, ascending;
+    only upward-closed subsets."""
+    middle = ballot.middle_mask
     if ballot.precedence:
-        return mids, _upward_closed_masks(_order_masks(ballot)[0])
-    return mids, range(1 << len(mids))
+        return _upward_closed_masks(middle, ballot.up)
+    masks = [0]
+    while masks[-1] != middle:
+        masks.append((masks[-1] - middle) & middle)
+    return masks
 
 
 def completions_of_ballot(ballot: PartialBallot) -> list[ApprovalBallot]:
     """All completions of one ballot, in a deterministic order.
 
-    The order is by the bitmask of the chosen middle subset, bits assigned
-    to middle candidates in ascending id order. For a totally ordered
-    middle this yields exactly the q+1 prefixes of the ranking. Only
-    upward-closed subsets are generated.
+    The order is ascending by the candidate-id bitmask of the chosen
+    middle subset. For a totally ordered middle this yields exactly the
+    q+1 prefixes of the ranking. Only upward-closed subsets are generated.
     """
-    mids, masks = _completion_masks(ballot)
-    return _ballots(ballot.top, mids, masks)
+    return _ballots(ballot, _completion_masks(ballot))
 
 
 def _overlap_options(
@@ -399,26 +441,21 @@ def _overlap_options(
     its group; the widest is the union of the group. The work follows the
     ballot's completions, as completions_of_ballot's does.
     """
-    mids, masks = _completion_masks(ballot)
-    inside = sum(1 << i for i, c in enumerate(mids) if c in committee)
+    inside = ballot.middle_mask & mask_of(committee)
     kept: dict[int, int] = {}
-    for mask in masks:
+    for mask in _completion_masks(ballot):
         r = mask & inside
         if r not in kept:
             kept[r] = mask
         elif widest:
             kept[r] |= mask
-    return _ballots(ballot.top, mids, kept.values())
+    return _ballots(ballot, kept.values())
 
 
-def _ballots(
-    top: frozenset[int], mids: list[int], masks: Iterable[int]
-) -> list[ApprovalBallot]:
-    """The top plus each mask's middle part, bit i for mids[i]."""
-    return [
-        ApprovalBallot(top | {c for i, c in enumerate(mids) if mask >> i & 1})
-        for mask in masks
-    ]
+def _ballots(ballot: PartialBallot, masks: Iterable[int]) -> list[ApprovalBallot]:
+    """The top plus each mask's middle part."""
+    top, middle = ballot.top, ballot.middle
+    return [ApprovalBallot(top | {c for c in middle if mask >> c & 1}) for mask in masks]
 
 
 def count_ballot_completions(ballot: PartialBallot) -> int:
@@ -432,21 +469,20 @@ def count_ballot_completions(ballot: PartialBallot) -> int:
     """
     if not ballot.precedence:
         return 1 << len(ballot.middle)
-    up, down = _order_masks(ballot)
-    full = (1 << len(up)) - 1
+    up, down = ballot.up, ballot.down
     counts = {0: 1}
-    stack = [full]
+    stack = [ballot.middle_mask]
     while stack:
         elems = stack[-1]
-        x = (elems & -elems).bit_length() - 1
-        parts = elems & ~up[x], elems & ~down[x]
+        x = elems & -elems
+        parts = elems & ~up.get(x, x), elems & ~down.get(x, x)
         todo = [part for part in parts if part not in counts]
         if todo:
             stack += todo
         else:
             counts[elems] = counts[parts[0]] + counts[parts[1]]
             stack.pop()
-    return counts[full]
+    return counts[ballot.middle_mask]
 
 
 def count_completions(profile: PartialProfile) -> int:
@@ -494,12 +530,10 @@ def is_completion(approvals: ApprovalProfile, profile: PartialProfile) -> bool:
     if approvals.n != profile.n or approvals.registry != profile.registry:
         raise ShapeMismatchError("profiles differ in voters or registry")
     for complete, partial in zip(approvals.ballots, profile.ballots):
-        chosen = complete.approved - partial.top
-        if not partial.top <= complete.approved:
-            return False
-        if chosen - partial.middle:
-            return False
-        if not _upward_closed(partial, frozenset(chosen)):
+        top = partial.top_mask
+        chosen = complete.mask & ~top
+        if (complete.mask & top != top or chosen & ~partial.middle_mask
+                or any(bit & chosen and up & ~chosen for bit, up in partial.up.items())):
             return False
     return True
 

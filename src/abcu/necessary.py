@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import BadKError, ModelMismatchError, NoPolyAlgorithmError, TableOutOfRangeError
 from .model import (
@@ -32,6 +31,8 @@ from .model import (
     completion_by,
     is_linearly_ordered,
     is_three_valued,
+    mask_of,
+    members_of,
 )
 from .possible import canonical_route
 from .rules import (
@@ -49,8 +50,6 @@ from .rules import (
     committees_by_mask,
     completion_winners,
     defeats,
-    mask_of,
-    members_of,
 )
 
 
@@ -70,45 +69,17 @@ class ScoreDiffReport:
     witness: ApprovalProfile
 
 
-class _Slot(NamedTuple):
-    """One distinct ballot as bitmasks, with the number of voters casting it.
-
-    up maps the bit of each middle candidate ranked below another to that
-    bit and the bits of everything ranked above it; down maps the bit of
-    each one ranked above another to that bit and the bits of everything
-    ranked below it. A middle bit absent from either stands for itself.
-    """
-
-    ballot: PartialBallot
-    count: int
-    top: int
-    size: int
-    middle: int
-    up: dict[int, int]
-    down: dict[int, int]
-
-
-def _slots(ballots) -> tuple[list[_Slot], list[int]]:
-    """The distinct ballots' slots in first-appearance order, and the
-    slot of each voter."""
+def _slots(ballots) -> tuple[list[PartialBallot], list[int], list[int]]:
+    """The distinct ballots in first-appearance order, their voter counts, each voter's index."""
     index_of: dict[PartialBallot, int] = {}
     index = [index_of.setdefault(b, len(index_of)) for b in ballots]
     counts = [0] * len(index_of)
     for i in index:
         counts[i] += 1
-    slots = []
-    for b, count in zip(index_of, counts):
-        up: dict[int, int] = {}
-        down: dict[int, int] = {}
-        for x, y in b.precedence:
-            above, below = 1 << x, 1 << y
-            up[below] = up.get(below, below) | above
-            down[above] = down.get(above, above) | below
-        slots.append(_Slot(b, count, mask_of(b.top), len(b.top), mask_of(b.middle), up, down))
-    return slots, index
+    return list(index_of), counts, index
 
 
-def _scan(scorer: Scorer, thiele: bool, slot: _Slot, committee: int, rival: int) -> tuple:
+def _scan(scorer: Scorer, thiele: bool, ballot: PartialBallot, committee: int, rival: int) -> tuple:
     """One ballot's first best (scaled difference, closure, free, j).
 
     This is max_diff_ballot's scan over Scorer entries, which read only
@@ -116,12 +87,13 @@ def _scan(scorer: Scorer, thiele: bool, slot: _Slot, committee: int, rival: int)
     contested bits come in ascending order; closure is R's upward closure
     (the OR of its members' up masks), and free holds the bits free to pad.
     """
-    _, _, top, size, middle, up, down = slot
+    top, size, middle = ballot.top_mask, len(ballot.top), ballot.middle_mask
     contested = middle & (committee | rival)
     top_w = (top & committee).bit_count()
     top_r = (top & rival).bit_count()
     if thiele and not contested:
         return scorer[top_r, size] - scorer[top_w, size], 0, 0, 0
+    up, down = ballot.up, None if thiele else ballot.down
     best = None
     sub = 0
     while True:
@@ -152,16 +124,17 @@ def _scan(scorer: Scorer, thiele: bool, slot: _Slot, committee: int, rival: int)
             return best
 
 
-def _chosen(slot: _Slot, pick: tuple) -> int:
+def _chosen(ballot: PartialBallot, pick: tuple) -> int:
     """The middle part of a pick's completion: the closure, then j free
     candidates in an above-first order, the lowest id first among those
     ready."""
     _diff, chosen, free, j = pick
+    up = ballot.up
     for _ in range(j):
         bits = free
         while True:
             low = bits & -bits
-            if slot.up.get(low, low) & free == low:
+            if up.get(low, low) & free == low:
                 break
             bits ^= low
         chosen |= low
@@ -169,19 +142,20 @@ def _chosen(slot: _Slot, pick: tuple) -> int:
     return chosen
 
 
-def _assemble(scorer: Scorer, profile: PartialProfile, slots: list[_Slot], index: list[int],
-              committee: int, rival: int, picks: list[tuple]) -> ApprovalProfile:
-    """The completion of each slot's pick, checked against their sum."""
-    chosen = [_chosen(s, p) for s, p in zip(slots, picks)]
+def _assemble(scorer: Scorer, profile: PartialProfile, slots: tuple, committee: int,
+              rival: int, picks: list[tuple]) -> ApprovalProfile:
+    """The completion of each distinct ballot's pick, checked against their sum."""
+    distinct, counts, index = slots
+    chosen = [_chosen(b, p) for b, p in zip(distinct, picks)]
     margin = 0
-    for slot, part in zip(slots, chosen):
-        a = slot.top | part
+    for b, n, part in zip(distinct, counts, chosen):
+        a = b.top_mask | part
         size = a.bit_count()
-        margin += slot.count * (scorer[(a & rival).bit_count(), size]
-                                - scorer[(a & committee).bit_count(), size])
-    if margin != sum(s.count * p[0] for s, p in zip(slots, picks)):
+        margin += n * (scorer[(a & rival).bit_count(), size]
+                       - scorer[(a & committee).bit_count(), size])
+    if margin != sum(n * p[0] for n, p in zip(counts, picks)):
         raise RuntimeError("per-voter maxima must assemble exactly")
-    built = [ApprovalBallot(s.ballot.top | members_of(part)) for s, part in zip(slots, chosen)]
+    built = [ApprovalBallot(b.top | members_of(part)) for b, part in zip(distinct, chosen)]
     return ApprovalProfile(profile.registry, tuple(built[i] for i in index))
 
 
@@ -205,10 +179,9 @@ def max_diff_ballot(
     """
     m = len(ballot.top) + len(ballot.middle) + len(ballot.bottom)
     scorer = Scorer(f, max(len(committee), len(rival)), m)
-    (slot,), _ = _slots((ballot,))
-    pick = _scan(scorer, f.is_thiele, slot, mask_of(committee), mask_of(rival))
+    pick = _scan(scorer, f.is_thiele, ballot, mask_of(committee), mask_of(rival))
     return (Fraction(pick[0], scorer.scale),
-            ApprovalBallot(ballot.top | members_of(_chosen(slot, pick))))
+            ApprovalBallot(ballot.top | members_of(_chosen(ballot, pick))))
 
 
 def max_diff_profile(
@@ -221,10 +194,11 @@ def max_diff_profile(
     if len(committee) != len(rival):
         raise BadKError("committees being compared must have equal size")
     scorer = Scorer(f, len(committee), profile.m)
-    slots, index = _slots(profile.ballots)
+    slots = _slots(profile.ballots)
+    distinct, _, index = slots
     wmask, rmask = mask_of(committee), mask_of(rival)
-    picks = [_scan(scorer, f.is_thiele, s, wmask, rmask) for s in slots]
-    witness = _assemble(scorer, profile, slots, index, wmask, rmask, picks)
+    picks = [_scan(scorer, f.is_thiele, b, wmask, rmask) for b in distinct]
+    witness = _assemble(scorer, profile, slots, wmask, rmask, picks)
     diffs = [Fraction(picks[i][0], scorer.scale) for i in index]
     return ScoreDiffReport(committee, rival, tuple(diffs), sum(diffs, Fraction(0)), witness)
 
@@ -266,7 +240,8 @@ def neccom(
     check_committee_size(committee, k, profile.m)
     check_threshold(f.binary_threshold, k)
     scorer = Scorer(f, k, profile.m)
-    slots, index = _slots(profile.ballots)
+    slots = _slots(profile.ballots)
+    distinct, counts, _ = slots
     thiele = f.is_thiele
     wmask = mask_of(committee)
     bound = None
@@ -280,9 +255,9 @@ def neccom(
                     continue
             except TableOutOfRangeError:
                 pass
-        picks = [_scan(scorer, thiele, s, wmask, rmask) for s in slots]
-        if sum(s.count * p[0] for s, p in zip(slots, picks)) > 0:
-            witness = _assemble(scorer, profile, slots, index, wmask, rmask, picks)
+        picks = [_scan(scorer, thiele, b, wmask, rmask) for b in distinct]
+        if sum(n * p[0] for n, p in zip(counts, picks)) > 0:
+            witness = _assemble(scorer, profile, slots, wmask, rmask, picks)
             return Decision(False, witness, rival, "max-score-difference")
         if bound is None and thiele:
             bound = _bound(f, profile, wmask, k)
@@ -339,10 +314,8 @@ def necmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
     check_k(k, profile.m)
 
     def pick(b):
-        if candidate not in b.middle:
-            return b.middle
-        sequence = b.middle_sequence()
-        return sequence[: sequence.index(candidate)]
+        bit = 1 << candidate
+        return members_of(b.up.get(bit, bit) ^ bit) if candidate in b.middle else b.middle
 
     adversarial = completion_by(profile, pick)
     counts = approval_counts(adversarial)

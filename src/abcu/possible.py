@@ -26,6 +26,8 @@ from .model import (
     completion_by,
     is_linearly_ordered,
     is_three_valued,
+    mask_of,
+    members_of,
     threshold_completion,
 )
 from .rules import (
@@ -42,8 +44,6 @@ from .rules import (
     committees_by_mask,
     completion_winners,
     is_winning_committee,
-    mask_of,
-    members_of,
 )
 
 
@@ -179,10 +179,8 @@ def posmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
     check_k(k, profile.m)
 
     def pick(b):
-        if candidate not in b.middle:
-            return ()
-        sequence = b.middle_sequence()
-        return sequence[: sequence.index(candidate) + 1]
+        bit = 1 << candidate
+        return members_of(b.up.get(bit, bit)) if candidate in b.middle else ()
 
     canonical = completion_by(profile, pick)
     counts = approval_counts(canonical)

@@ -105,7 +105,7 @@ def solve_one_in_three_brute(instance: OneInThreeInstance) -> bool:
         raise TooLargeError(f"more than {SOLVER_LIMIT} elements")
     clause_masks = [sum(1 << e for e in clause) for clause in instance.clauses]
     for chosen in range(1 << instance.num_elements):
-        if all(bin(chosen & cmask).count("1") == 1 for cmask in clause_masks):
+        if all((chosen & cmask).bit_count() == 1 for cmask in clause_masks):
             return True
     return False
 

@@ -33,8 +33,10 @@ from .model import (
     PartialProfile,
     completion_by,
     enumerate_completions,
+    mask_of,
+    members_of,
 )
-from .rules import Committee, check_candidate, check_committee_size, mask_of
+from .rules import Committee, check_candidate, check_committee_size
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,9 @@ def _large_groups(profile: ApprovalProfile, committee: Committee, k: int, levels
     n = profile.n
     if n == 0:
         return
-    masks = [mask_of(b.approved) for b in profile.ballots]
+    masks = [b.mask for b in profile.ballots]
     wmask = mask_of(committee)
-    overlap = [bin(mask & wmask).count("1") for mask in masks]
+    overlap = [(mask & wmask).bit_count() for mask in masks]
     for level in levels:
         short = [v for v in range(n) if overlap[v] < level]
         if k * len(short) < level * n:
@@ -102,7 +104,8 @@ def _pjr_violation(
     l members, so the group for (S, X) is the part of S's large group that
     fits in X, in the same order; a small group has no large part."""
     n = profile.n
-    served = [mask_of(b.approved & committee) for b in profile.ballots]
+    wmask = mask_of(committee)
+    served = [b.mask & wmask for b in profile.ballots]
     members = sorted(committee)
     for level, shared, group in _large_groups(profile, committee, k, levels):
         for x_size in range(level):
@@ -176,48 +179,38 @@ def check_axiom_brute(
         raise TooManyVotersError(f"group scan limited to 15 voters, got {n}")
     if n == 0:
         return True, None
-    masks = [mask_of(b.approved) for b in profile.ballots]
+    masks = [b.mask for b in profile.ballots]
     wmask = mask_of(committee)
     full = (1 << profile.m) - 1
     size = 1 << n
     common = [full] * size
     union = [0] * size
     best_overlap = [0] * size
-    lowbit_index = {1 << v: v for v in range(n)}
     for g in range(1, size):
         low = g & -g
         rest = g ^ low
-        v = lowbit_index[low]
+        v = low.bit_length() - 1
         common[g] = common[rest] & masks[v]
         union[g] = union[rest] | masks[v]
-        own = bin(masks[v] & wmask).count("1")
+        own = (masks[v] & wmask).bit_count()
         best_overlap[g] = max(best_overlap[rest], own) if rest else own
     for level in range(1, k + 1):
         for g in range(1, size):
-            voters = bin(g).count("1")
+            voters = g.bit_count()
             if k * voters < level * n:
                 continue
-            if bin(common[g]).count("1") < level:
+            if common[g].bit_count() < level:
                 continue
             if axiom == "jr":
                 failed = union[g] & wmask == 0
             elif axiom == "pjr":
-                failed = bin(union[g] & wmask).count("1") < level
+                failed = (union[g] & wmask).bit_count() < level
             else:
                 failed = best_overlap[g] < level
             if failed:
-                shared = [c for c in range(profile.m) if common[g] >> c & 1]
-                allowed = None
-                if axiom == "pjr":
-                    allowed = frozenset(
-                        c for c in range(profile.m) if (union[g] & wmask) >> c & 1
-                    )
-                return False, GroupWitness(
-                    frozenset(v for v in range(n) if g >> v & 1),
-                    frozenset(shared[:level]),
-                    level,
-                    allowed,
-                )
+                shared = sorted(members_of(common[g]))[:level]
+                allowed = members_of(union[g] & wmask) if axiom == "pjr" else None
+                return False, GroupWitness(members_of(g), frozenset(shared), level, allowed)
         if axiom == "jr":
             break
     return True, None

@@ -17,7 +17,6 @@ fixed by the rule, the committee size and the candidate count.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
@@ -31,7 +30,14 @@ from .errors import (
     TableOutOfRangeError,
     UnknownCandidateError,
 )
-from .model import ApprovalBallot, ApprovalProfile, PartialProfile, enumerate_completions
+from .model import (
+    ApprovalBallot,
+    ApprovalProfile,
+    PartialProfile,
+    enumerate_completions,
+    mask_of,
+    members_of,
+)
 
 Committee = frozenset[int]
 
@@ -202,11 +208,6 @@ def profile_score(f: ScoringFunction, profile: ApprovalProfile, committee: Commi
     return sum((ballot_score(f, b, committee) for b in profile.ballots), Fraction(0))
 
 
-def mask_of(cids: Iterable[int]) -> int:
-    """The bitmask with one bit per candidate id."""
-    return sum(map((1).__lshift__, cids))
-
-
 def _scale(f: ScoringFunction, k: int, m: int) -> int:
     """A common denominator of every entry a size-k scan over m can read.
 
@@ -228,20 +229,23 @@ class Scorer(dict):
     """Integer committee scores for one rule and committee size.
 
     The mapping itself is the table of scaled entries, keyed by (overlap,
-    ballot size) and filled on first use. Every entry is multiplied by
-    the same ``scale`` = _scale(f, k, m), so integer scores compare as
-    the exact ones do, and Fraction(entry, scale) is the exact value.
-    Committees are passed as bitmasks of at most k members.
+    ballot size) and filled on first use; a Thiele entry ignores the
+    size, so every size copies the size-0 entry of its overlap, computed
+    once. Every entry is multiplied by the same ``scale`` = _scale(f, k,
+    m), so integer scores compare as the exact ones do, and
+    Fraction(entry, scale) is the exact value. Committees are passed as
+    bitmasks of at most k members.
 
     A score is read in one of two ways. The grouped scan reads one entry
-    per distinct approval set (ballots grouped with a multiplicity). The
-    co-approval table takes, for each ballot size s, the Möbius
-    coefficients mu_s(t) = sum over j <= t of (-1)^(t-j) C(t, j)
-    entry(j, s), so that entry(x, s) = sum over t <= x of C(x, t) mu_s(t),
-    and folds each group into w[T] += n mu_s(|T|) for every T inside its
-    approval set A with |T| <= d_s, the last t <= min(k, s) with
-    mu_s(t) != 0. Then score(W) = sum of w[T] over the subsets T of W:
-    k reads per committee when every d_s <= 1 (AV, SAV), 2^k otherwise.
+    per distinct approval set: ballots are grouped as [mask, size,
+    multiplicity], the mask read from the ballot. The co-approval table
+    takes, for each ballot size s, the Möbius coefficients mu_s(t) = sum
+    over j <= t of (-1)^(t-j) C(t, j) entry(j, s), so that entry(x, s) =
+    sum over t <= x of C(x, t) mu_s(t), and folds each group into w[T] +=
+    n mu_s(|T|) for every T inside its approval set A with |T| <= d_s,
+    the last t <= min(k, s) with mu_s(t) != 0. Then score(W) = sum of
+    w[T] over the subsets T of W: k reads per committee when every
+    d_s <= 1 (AV, SAV), 2^k otherwise.
 
     A caller that will score ``committees`` committees passes that count.
     The table is built only when its build (one step per subset folded)
@@ -262,13 +266,19 @@ class Scorer(dict):
         super().__init__()
         self._f = f
         self._scale = _scale(f, k, m)
-        counts = Counter(b.approved for b in ballots)
-        self._groups = [(mask_of(a), len(a), n) for a, n in counts.items()]
+        groups: dict[frozenset[int], list[int]] = {}
+        for b in ballots:
+            group = groups.get(b.approved)
+            if group is None:
+                groups[b.approved] = [b.mask, len(b.approved), 1]
+            else:
+                group[2] += 1
+        self._groups = list(groups.values())
         self._weights: dict[int, int] | None = None
         self._additive = False
-        if committees and len(counts) > k:
+        if committees and len(groups) > k:
             try:
-                self._fold(counts, k, committees)
+                self._fold(groups, k, committees)
             except TableOutOfRangeError:
                 pass
 
@@ -277,7 +287,12 @@ class Scorer(dict):
         return self._scale
 
     def __missing__(self, key: tuple[int, int]) -> int:
-        self[key] = value = int(_entry(self._f, *key) * self._scale)
+        overlap, size = key
+        if size and self._f.is_thiele:
+            value = self[overlap, 0]
+        else:
+            value = int(_entry(self._f, overlap, size) * self._scale)
+        self[key] = value
         return value
 
     def _mobius(self, size: int, k: int) -> list[int]:
@@ -291,20 +306,20 @@ class Scorer(dict):
             mu.pop()
         return mu
 
-    def _fold(self, counts: Counter, k: int, committees: int) -> None:
+    def _fold(self, groups: dict[frozenset[int], list[int]], k: int, committees: int) -> None:
         """Build the co-approval table when it beats the grouped scan."""
-        mobius = {s: self._mobius(s, k) for s in {len(a) for a in counts}}
+        mobius = {s: self._mobius(s, k) for s in {len(a) for a in groups}}
         additive = all(len(mu) <= 2 for mu in mobius.values())
         reads = k if additive else 1 << k
         build = sum(
             math.comb(len(a), t)
-            for a in counts
+            for a in groups
             for t, coeff in enumerate(mobius[len(a)]) if coeff
         )
-        if build + committees * reads >= committees * len(counts):
+        if build + committees * reads >= committees * len(groups):
             return
         weights = {0: 0}
-        for a, n in counts.items():
+        for a, (_, _, n) in groups.items():
             bits = [1 << c for c in a]
             for t, coeff in enumerate(mobius[len(a)]):
                 if coeff:
@@ -333,9 +348,9 @@ class Scorer(dict):
             sub = (sub - 1) & mask
         return total
 
-    def row(self, approved: frozenset[int], masks: list[int]) -> list[int]:
+    def row(self, ballot: ApprovalBallot, masks: list[int]) -> list[int]:
         """One ballot's scaled score against each committee mask."""
-        a, size = mask_of(approved), len(approved)
+        a, size = ballot.mask, len(ballot.approved)
         return [self[(a & mask).bit_count(), size] for mask in masks]
 
 
@@ -353,27 +368,13 @@ def _masks(m: int, k: int) -> Iterator[int]:
         mask = ripple | (((mask ^ ripple) // low) >> 2)
 
 
-def _members(mask: int) -> Committee:
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(ids)
-
-
-def members_of(mask: int) -> Committee:
-    """The committee a bitmask names; the inverse of mask_of."""
-    return _members(mask)
-
-
 def committees_by_mask(m: int, k: int) -> Iterator[Committee]:
     """All size-k subsets of range(m), ascending by candidate-id bitmask.
 
     This is the tie-break order every witness-producing scan uses.
     """
     for mask in _masks(m, k):
-        yield _members(mask)
+        yield members_of(mask)
 
 
 def check_k(k: int, m: int) -> None:
@@ -438,7 +439,7 @@ def best_committees(
             best, winners = score, [mask]
         elif score == best:
             winners.append(mask)
-    return Fraction(best, scorer.scale), [_members(mask) for mask in winners]
+    return Fraction(best, scorer.scale), [members_of(mask) for mask in winners]
 
 
 def winning_committees(
@@ -559,7 +560,7 @@ def completion_winners(
         for b in ballots[v:]:
             row = rows.get(b.approved)
             if row is None:
-                row = rows[b.approved] = scorer.row(b.approved, masks)
+                row = rows[b.approved] = scorer.row(b, masks)
             sums.append(list(map(add, sums[-1], row)))
         last = ballots
         yield completion, _winners(masks, sums[-1])[1]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from abcu import (
     ApprovalBallot,
     CandidateRegistry,
+    PartialBallot,
     CapExceededError,
     CycleDetectedError,
     EdgeOutsideMiddleError,
@@ -31,6 +32,7 @@ from abcu import (
     make_partial_ballot,
     validate_partial_profile,
 )
+from abcu.model import mask_of
 from conftest import A, B, C
 from oracles import ballot_options
 import reference_loader
@@ -352,3 +354,43 @@ def test_order_closure_matches_the_reference_closure(drawn):
         assert got == (CycleDetectedError, "order constraints are cyclic")
     else:
         assert got.precedence == closed
+
+
+def _check_cached_masks(ballot):
+    """The masks a ballot carries equal those built from its sets, and
+    reading them leaves eq, hash and repr as they were."""
+    shown, hashed = repr(ballot), hash(ballot)
+    if isinstance(ballot, ApprovalBallot):
+        assert ballot.mask == mask_of(ballot.approved)
+        twin = ApprovalBallot(ballot.approved)
+    else:
+        assert ballot.top_mask == mask_of(ballot.top)
+        assert ballot.middle_mask == mask_of(ballot.middle)
+        for c in ballot.middle:
+            bit = 1 << c
+            assert ballot.up.get(bit, bit) == mask_of(ballot.forced_by(c))
+            below = {c} | {y for x, y in ballot.precedence if x == c}
+            assert ballot.down.get(bit, bit) == mask_of(below)
+        bits = {1 << c for c in ballot.middle}
+        assert set(ballot.up) <= bits and set(ballot.down) <= bits
+        twin = PartialBallot(ballot.top, ballot.middle, ballot.bottom, ballot.precedence)
+    assert (repr(ballot), hash(ballot)) == (shown, hashed)
+    assert ballot == twin and twin == ballot and hash(twin) == hashed
+    assert repr(twin) == shown
+
+
+@given(st.one_of(partial_ballots().map(lambda drawn: drawn[1]), wide_posets()))
+@settings(max_examples=200, deadline=None)
+def test_cached_masks_agree_with_the_sets(ballot):
+    # Built by make_partial_ballot, then by the dataclass constructor (as
+    # reductions.pad_profile builds them), then as_partial's views of its
+    # completions.
+    _check_cached_masks(ballot)
+    plain = PartialBallot(ballot.top, ballot.middle, ballot.bottom, ballot.precedence)
+    _check_cached_masks(plain)
+    completions = completions_of_ballot(plain)
+    m = len(ballot.top | ballot.middle | ballot.bottom)
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(m)))
+    complete = complete_profile(registry, [b.approved for b in completions])
+    for b in completions + list(complete.ballots) + list(as_partial(complete).ballots):
+        _check_cached_masks(b)

@@ -67,3 +67,31 @@ def test_modules_use_no_private_names_of_other_modules():
                 if not (isinstance(owner, ast.Name) and owner.id in ("self", "cls")):
                     faults.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
     assert faults == []
+
+
+BALLOT_PARTS = {"top", "middle", "bottom", "approved"}
+
+
+def test_only_model_builds_masks_from_ballot_parts():
+    # Ballots carry their candidate-id masks (top_mask, middle_mask, up,
+    # down, mask), built in model; any other module reads those instead
+    # of passing a ballot's part to mask_of.
+    src = Path(abcu.__file__).parent
+    faults = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name != "mask_of":
+                continue
+            faults += [
+                f"{path.name}:{node.lineno} {ast.unparse(node)}"
+                for arg in node.args for part in ast.walk(arg)
+                if isinstance(part, ast.Attribute) and part.attr in BALLOT_PARTS
+            ]
+    assert faults == []

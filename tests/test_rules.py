@@ -289,6 +289,20 @@ def test_scorer_reads_the_table_only_when_it_pays(rule, score, k):
             assert Fraction(scorer.score(mask_of(committee)), scorer.scale) == total
 
 
+def test_thiele_entries_are_shared_across_ballot_sizes():
+    # A Thiele entry reads the overlap only; a short table still raises at
+    # every read past its end, at any ballot size, and stores nothing there.
+    scorer = Scorer(parse_rule_spec("table:0,1,3/2"), 3, 6)
+    assert scorer.scale == 2
+    assert [scorer[x, size] for x in range(3) for size in (2, 5)] == [0, 0, 2, 2, 3, 3]
+    for size in (3, 4, 3):
+        with pytest.raises(TableOutOfRangeError, match="^weight table has no entry for x = 3$"):
+            scorer[3, size]
+    assert (3, 0) not in scorer and (3, 3) not in scorer
+    pav = Scorer(PAV, 3, 6)
+    assert {pav[2, size] for size in range(2, 7)} == {pav.scale * 3 // 2}
+
+
 def test_missing_table_entry_raises_only_where_a_scan_reaches_it():
     a, b, c, d, e, f = range(6)
     rows = [{a, b}, {a}, {b}, {d}, {e}, {d, e}, {e, f}]
