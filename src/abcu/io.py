@@ -122,7 +122,8 @@ def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # Nesting deeper than the decoder's stack is malformed input too.
         raise ProfileSyntaxError(f"not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "profile document must be an object")
     unknown = set(doc) - {"candidates", "voters", "k"}

@@ -51,6 +51,18 @@ def members_of(mask: int) -> frozenset[int]:
     return frozenset(ids)
 
 
+def check_candidate(cid: int, m: int) -> None:
+    if not 0 <= cid < m:
+        raise UnknownCandidateError(f"candidate id {cid} out of range")
+
+
+def check_members(committee: Iterable[int], m: int) -> None:
+    """Refuse a committee holding an id that names no candidate, which a
+    scan would otherwise score as a candidate no voter approves."""
+    for cid in committee:
+        check_candidate(cid, m)
+
+
 class _cached(cached_property):
     """cached_property without the lock that, before Python 3.12, triples
     the cost of a first read; most mask reads are first reads."""
@@ -429,11 +441,10 @@ def completions_of_ballot(ballot: PartialBallot) -> list[ApprovalBallot]:
     return _ballots(ballot, _completion_masks(ballot))
 
 
-def _overlap_options(
-    ballot: PartialBallot, committee: frozenset[int], widest: bool
-) -> list[ApprovalBallot]:
-    """One completion of the ballot per overlap R = A ∩ W, in the order in
-    which completions_of_ballot first reaches each R.
+def _overlap_options(ballot: PartialBallot, committee: int, widest: bool) -> list[ApprovalBallot]:
+    """One completion of the ballot per overlap R = A ∩ W, W given as its
+    bitmask, in the order in which completions_of_ballot first reaches
+    each R.
 
     The completions with a given R are closed under intersection and
     union, so the group holds a narrowest member, inside all the others,
@@ -441,7 +452,7 @@ def _overlap_options(
     its group; the widest is the union of the group. The work follows the
     ballot's completions, as completions_of_ballot's does.
     """
-    inside = ballot.middle_mask & mask_of(committee)
+    inside = ballot.middle_mask & committee
     kept: dict[int, int] = {}
     for mask in _completion_masks(ballot):
         r = mask & inside
@@ -511,15 +522,19 @@ def enumerate_completions(
     each voter keeps one completion per overlap A ∩ W, the narrowest or,
     with ``widest``, the widest one, so the stream is a subsequence of
     the full one when narrowest; the number of options per voter is at
-    most its completion count and at most 2^|middle ∩ W|.
+    most its completion count and at most 2^|middle ∩ W|. An id in W
+    that names no candidate is refused before the cap check.
     """
+    if committee is not None:
+        check_members(committee, profile.m)
     total = count_completions(profile)
     if total > cap:
         raise CapExceededError(f"{total} completions exceed the cap of {cap}")
     if committee is None:
         options = [completions_of_ballot(b) for b in profile.ballots]
     else:
-        options = [_overlap_options(b, committee, widest) for b in profile.ballots]
+        wmask = mask_of(committee)
+        options = [_overlap_options(b, wmask, widest) for b in profile.ballots]
     registry = profile.registry
     for choice in itertools.product(*options):
         yield ApprovalProfile(registry, choice)

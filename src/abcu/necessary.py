@@ -46,8 +46,9 @@ from .rules import (
     check_candidate,
     check_committee_size,
     check_k,
+    check_members,
     check_threshold,
-    committees_by_mask,
+    committee_masks,
     completion_winners,
     defeats,
 )
@@ -178,6 +179,8 @@ def max_diff_ballot(
     committees may differ in size.
     """
     m = len(ballot.top) + len(ballot.middle) + len(ballot.bottom)
+    check_members(committee, m)
+    check_members(rival, m)
     scorer = Scorer(f, max(len(committee), len(rival)), m)
     pick = _scan(scorer, f.is_thiele, ballot, mask_of(committee), mask_of(rival))
     return (Fraction(pick[0], scorer.scale),
@@ -193,6 +196,8 @@ def max_diff_profile(
     """Largest achievable score(rival) - score(committee) over completions."""
     if len(committee) != len(rival):
         raise BadKError("committees being compared must have equal size")
+    check_members(committee, profile.m)
+    check_members(rival, profile.m)
     scorer = Scorer(f, len(committee), profile.m)
     slots = _slots(profile.ballots)
     distinct, _, index = slots
@@ -245,8 +250,7 @@ def neccom(
     thiele = f.is_thiele
     wmask = mask_of(committee)
     bound = None
-    for rival in committees_by_mask(profile.m, k):
-        rmask = mask_of(rival)
+    for rmask in committee_masks(profile.m, k):
         if rmask == wmask:
             continue
         if bound is not None:
@@ -258,29 +262,10 @@ def neccom(
         picks = [_scan(scorer, thiele, b, wmask, rmask) for b in distinct]
         if sum(n * p[0] for n, p in zip(counts, picks)) > 0:
             witness = _assemble(scorer, profile, slots, wmask, rmask, picks)
-            return Decision(False, witness, rival, "max-score-difference")
+            return Decision(False, witness, members_of(rmask), "max-score-difference")
         if bound is None and thiele:
             bound = _bound(f, profile, wmask, k)
     return Decision(True, None, None, "max-score-difference")
-
-
-def _defeat_scan(
-    route: tuple, f: ScoringFunction, profile: PartialProfile, candidate: int, k: int
-) -> Decision:
-    """The candidate fails exactly when some committee W avoiding it, in
-    W's completion on a canonical route, defeats every committee holding it.
-
-    Committees are scanned ascending by candidate-id bitmask; the first W
-    that does so is the witness committee.
-    """
-    canonical_for, _, method = route
-    for committee in committees_by_mask(profile.m, k):
-        if candidate in committee:
-            continue
-        completion = canonical_for(committee)
-        if defeats(f, completion, committee, candidate):
-            return Decision(False, completion, committee, method)
-    return Decision(True, None, None, method)
 
 
 def necmem_av_3va(profile: PartialProfile, candidate: int, k: int) -> Decision:
@@ -293,9 +278,7 @@ def necmem_av_3va(profile: PartialProfile, candidate: int, k: int) -> Decision:
     """
     if not is_three_valued(profile):
         raise ModelMismatchError("profile carries order constraints")
-    check_candidate(candidate, profile.m)
-    check_k(k, profile.m)
-    return _defeat_scan(canonical_route(profile, AV), AV, profile, candidate, k)
+    return necmem(profile, candidate, AV, k, method="poly")
 
 
 def necmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decision:
@@ -340,8 +323,7 @@ def necmem_binary_linear(
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
     check_threshold(t, k)
-    rule = binary_rule(t)
-    return _defeat_scan(canonical_route(profile, rule), rule, profile, candidate, k)
+    return necmem(profile, candidate, binary_rule(t), k, method="poly")
 
 
 def necmem(
@@ -358,19 +340,30 @@ def necmem(
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
     check_threshold(f.binary_threshold, k)
+    bit = 1 << candidate
     if method != "brute":
         # canonical_route takes AV's order-free route first, so singleton
         # middles reach av-3va before av-linear, like classify.
         route = canonical_route(profile, f)
         if route is not None:
-            return _defeat_scan(route, f, profile, candidate, k)
+            # The candidate fails exactly when some committee W avoiding
+            # it, in W's completion on the route, defeats every committee
+            # holding it. Committees are scanned ascending by candidate-id
+            # bitmask; the first W that does so is the witness committee.
+            canonical_for, _, name = route
+            for mask in committee_masks(profile.m, k):
+                if not mask & bit:
+                    committee = members_of(mask)
+                    completion = canonical_for(committee)
+                    if defeats(f, completion, committee, candidate):
+                        return Decision(False, completion, committee, name)
+            return Decision(True, None, None, name)
         if f.is_av and is_linearly_ordered(profile):
             return necmem_av_linear(profile, candidate, k)
         if method == "poly":
             raise NoPolyAlgorithmError(
                 f"no polynomial route for rule {f.label!r} on this profile"
             )
-    bit = 1 << candidate
     for completion, winners in completion_winners(f, profile, k, cap):
         if not any(w & bit for w in winners):
             return Decision(False, completion, members_of(winners[0]), "brute-force")

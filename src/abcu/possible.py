@@ -41,7 +41,7 @@ from .rules import (
     check_committee_size,
     check_k,
     check_threshold,
-    committees_by_mask,
+    committee_masks,
     completion_winners,
     is_winning_committee,
 )
@@ -66,21 +66,11 @@ def canonical_route(
     return None
 
 
-def _canonical_poscom(route: tuple, f: ScoringFunction, committee: Committee) -> Decision:
-    """Possible winner judged in W's completion on a canonical route."""
-    canonical_for, method, _ = route
-    canonical = canonical_for(committee)
-    if is_winning_committee(f, canonical, committee):
-        return Decision(True, canonical, committee, method)
-    return Decision(False, None, None, method)
-
-
 def poscom_av_3va(profile: PartialProfile, committee: Committee) -> Decision:
     """Possible winner under the linear-weight rule, order-free middles."""
     if not is_three_valued(profile):
         raise ModelMismatchError("profile carries order constraints")
-    check_committee_size(committee, len(committee), profile.m)
-    return _canonical_poscom(canonical_route(profile, AV), AV, committee)
+    return poscom(profile, committee, AV, len(committee), method="poly")
 
 
 def poscom_binary_linear(
@@ -92,8 +82,7 @@ def poscom_binary_linear(
     k = len(committee)
     check_committee_size(committee, k, profile.m)
     check_threshold(t, k)
-    rule = binary_rule(t)
-    return _canonical_poscom(canonical_route(profile, rule), rule, committee)
+    return poscom(profile, committee, binary_rule(t), k, method="poly")
 
 
 def poscom_brute(
@@ -156,7 +145,11 @@ def poscom(
     if method != "brute":
         route = canonical_route(profile, f)
         if route is not None:
-            return _canonical_poscom(route, f, committee)
+            canonical_for, name, _ = route
+            canonical = canonical_for(committee)
+            if is_winning_committee(f, canonical, committee):
+                return Decision(True, canonical, committee, name)
+            return Decision(False, None, None, name)
         if method == "poly":
             raise NoPolyAlgorithmError(
                 f"no polynomial route for rule {f.label!r} on this profile"
@@ -210,22 +203,24 @@ def posmem(
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
     check_threshold(f.binary_threshold, k)
+    bit = 1 << candidate
     if method != "brute":
         if f.is_av and is_linearly_ordered(profile):
             return posmem_av_linear(profile, candidate, k)
         route = canonical_route(profile, f)
         if route is not None:
-            holding = (w for w in committees_by_mask(profile.m, k) if candidate in w)
-            for committee in holding:
-                inner = _canonical_poscom(route, f, committee)
-                if inner.answer:
-                    return Decision(True, inner.witness, committee, "poscom-iteration")
+            canonical_for = route[0]
+            for mask in committee_masks(profile.m, k):
+                if mask & bit:
+                    committee = members_of(mask)
+                    canonical = canonical_for(committee)
+                    if is_winning_committee(f, canonical, committee):
+                        return Decision(True, canonical, committee, "poscom-iteration")
             return Decision(False, None, None, "poscom-iteration")
         if method == "poly":
             raise NoPolyAlgorithmError(
                 f"no polynomial route for rule {f.label!r} on this profile"
             )
-    bit = 1 << candidate
     for completion, winners in completion_winners(f, profile, k, cap):
         holder = next((w for w in winners if w & bit), None)
         if holder is not None:

@@ -23,17 +23,13 @@ from itertools import combinations, compress
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
-from .errors import (
-    BadKError,
-    BadThresholdError,
-    CandidateInCommitteeError,
-    TableOutOfRangeError,
-    UnknownCandidateError,
-)
+from .errors import BadKError, BadThresholdError, CandidateInCommitteeError, TableOutOfRangeError
 from .model import (
     ApprovalBallot,
     ApprovalProfile,
     PartialProfile,
+    check_candidate,
+    check_members,
     enumerate_completions,
     mask_of,
     members_of,
@@ -205,6 +201,7 @@ def ballot_score(f: ScoringFunction, ballot: ApprovalBallot, committee: Committe
 
 
 def profile_score(f: ScoringFunction, profile: ApprovalProfile, committee: Committee) -> Fraction:
+    check_members(committee, profile.m)
     return sum((ballot_score(f, b, committee) for b in profile.ballots), Fraction(0))
 
 
@@ -354,8 +351,13 @@ class Scorer(dict):
         return [self[(a & mask).bit_count(), size] for mask in masks]
 
 
-def _masks(m: int, k: int) -> Iterator[int]:
-    """Every size-k bitmask below 1 << m, ascending, by Gosper's hack."""
+def committee_masks(m: int, k: int) -> Iterator[int]:
+    """Every size-k bitmask below 1 << m, ascending, by Gosper's hack.
+
+    This is the one committee iterator: every committee scan walks these
+    masks, in the tie-break order, and builds a frozenset only for a
+    committee it hands on.
+    """
     if k == 0:
         yield 0
         return
@@ -369,12 +371,9 @@ def _masks(m: int, k: int) -> Iterator[int]:
 
 
 def committees_by_mask(m: int, k: int) -> Iterator[Committee]:
-    """All size-k subsets of range(m), ascending by candidate-id bitmask.
-
-    This is the tie-break order every witness-producing scan uses.
-    """
-    for mask in _masks(m, k):
-        yield members_of(mask)
+    """All size-k subsets of range(m), ascending by candidate-id bitmask:
+    committee_masks as frozensets."""
+    return map(members_of, committee_masks(m, k))
 
 
 def check_k(k: int, m: int) -> None:
@@ -382,23 +381,11 @@ def check_k(k: int, m: int) -> None:
         raise BadKError(f"k = {k} out of range for {m} candidates")
 
 
-def check_candidate(cid: int, m: int) -> None:
-    if not 0 <= cid < m:
-        raise UnknownCandidateError(f"candidate id {cid} out of range")
-
-
-def _check_members(committee: Committee, m: int) -> None:
-    """Refuse a committee holding an id that names no candidate, which a
-    scan would otherwise score as a candidate no voter approves."""
-    for cid in committee:
-        check_candidate(cid, m)
-
-
 def check_committee_size(committee: Committee, k: int, m: int) -> None:
     check_k(k, m)
     if len(committee) != k:
         raise BadKError(f"committee has {len(committee)} members, expected {k}")
-    _check_members(committee, m)
+    check_members(committee, m)
 
 
 def check_threshold(t: int | None, k: int) -> None:
@@ -430,7 +417,7 @@ def best_committees(
     check_k(k, profile.m)
     scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m, k))
     score_of = scorer.score
-    masks = _masks(profile.m, k)
+    masks = committee_masks(profile.m, k)
     first = next(masks)
     best, winners = score_of(first), [first]
     for mask in masks:
@@ -458,13 +445,13 @@ def is_winning_committee(
     so W wins exactly when its total reaches the leader's.
     """
     k = len(committee)
-    _check_members(committee, profile.m)
+    check_members(committee, profile.m)
     if f.is_av:
         counts = approval_counts(profile)
         return sum(counts[c] for c in committee) == av_leader(counts, k)[0]
     scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m, k))
     own = scorer.score(mask_of(committee))
-    return all(scorer.score(mask) <= own for mask in _masks(profile.m, k))
+    return all(scorer.score(mask) <= own for mask in committee_masks(profile.m, k))
 
 
 def defeats(
@@ -485,7 +472,7 @@ def defeats(
         )
     k = len(committee)
     check_k(k, profile.m)
-    _check_members(committee, profile.m)
+    check_members(committee, profile.m)
     if f.is_av:
         counts = approval_counts(profile)
         return sum(counts[c] for c in committee) > av_leader(counts, k, candidate)[0]
@@ -493,7 +480,7 @@ def defeats(
     own = scorer.score(mask_of(committee))
     bit = 1 << candidate
     return all(
-        scorer.score(mask) < own for mask in _masks(profile.m, k) if mask & bit
+        scorer.score(mask) < own for mask in committee_masks(profile.m, k) if mask & bit
     )
 
 
@@ -538,19 +525,15 @@ def completion_winners(
     with one option never change, so they are summed first.
     """
     scorer = Scorer(f, k, profile.m)
-
-    def varies(v: int) -> bool:
-        middle = profile.ballots[v].middle
-        return bool(middle if committee is None else middle & committee)
-
-    order = sorted(range(profile.n), key=varies)
+    within = -1 if committee is None else mask_of(committee)  # -1 holds every bit
+    order = sorted(range(profile.n), key=lambda v: bool(profile.ballots[v].middle_mask & within))
     masks: list[int] = []
     rows: dict[frozenset[int], list[int]] = {}
     sums: list[list[int]] = []  # sums[v]: the rows of order[:v] added up
     last: list[ApprovalBallot] = []
     for completion in enumerate_completions(profile, cap, committee):
         if not sums:
-            masks = list(_masks(profile.m, k))
+            masks = list(committee_masks(profile.m, k))
             sums.append([0] * len(masks))
         ballots = [completion.ballots[v] for v in order]
         v = 0

@@ -344,6 +344,15 @@ def test_deep_profiles_do_not_exhaust_the_stack(profile_file, capsys):
     assert is_winning_committee(PAV, completion, committee)
 
 
+def test_deeply_nested_documents_are_malformed_input(tmp_path, capsys):
+    # The JSON decoder runs out of stack long before 100,000 levels.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "winners", "--profile", str(path), "--rule", "av")
+    assert code == 2 and out is None
+    assert err.startswith("abcu: not valid JSON: ") and err.count("\n") == 1
+
+
 def test_internal_errors_exit_four(profile_file, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("invariant broken\nsecond line")

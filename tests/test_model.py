@@ -67,6 +67,13 @@ def test_ballot_rejects_unknown_id():
         make_partial_ballot([0], [7], [1], R2)
 
 
+def test_enumeration_refuses_committee_ids_that_name_no_candidate(pair_profile):
+    # Refused before the cap check, which a cap of 0 would fail.
+    for stray in (pair_profile.m, -1):
+        with pytest.raises(UnknownCandidateError):
+            next(enumerate_completions(pair_profile, 0, frozenset({A, stray})))
+
+
 def test_ballot_rejects_part_overlap():
     with pytest.raises(PartitionOverlapError):
         make_partial_ballot([A], [A], [B], R2)

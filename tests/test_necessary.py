@@ -13,13 +13,16 @@ from abcu import (
     ApprovalBallot,
     ApprovalProfile,
     BadKError,
+    BadThresholdError,
     CandidateRegistry,
     CC,
+    ModelMismatchError,
     NoPolyAlgorithmError,
     PAV,
     SAV,
     ScoringFunction,
     TableOutOfRangeError,
+    UnknownCandidateError,
     ballot_score,
     binary_rule,
     committees_by_mask,
@@ -30,7 +33,10 @@ from abcu import (
     neccom,
     necmem,
     necmem_av_3va,
+    necmem_binary_linear,
     parse_rule_spec,
+    poscom_av_3va,
+    poscom_binary_linear,
     profile_score,
     validate_partial_profile,
 )
@@ -38,7 +44,7 @@ from conftest import A, B, C
 from oracles import SCORERS, decide_all, max_diff, sav_score
 from profilegen import random_committee, random_partial_profile
 from reference_scans import neccom_scan
-from test_possible import RULES
+from test_possible import RULES, outcome
 
 R3 = CandidateRegistry(("a", "b", "c"))
 R4 = CandidateRegistry(("a", "b", "c", "d"))
@@ -55,6 +61,17 @@ def test_single_voter_extremes(pair_profile):
     fixed = pair_profile.ballots[0]
     diff, witness = max_diff_ballot(AV, fixed, frozenset({A}), frozenset({B}))
     assert diff == -1 and witness.approved == {A}
+
+
+def test_score_differences_refuse_ids_that_name_no_candidate(pair_profile):
+    # The ballot's three parts give max_diff_ballot the candidate count.
+    ballot = pair_profile.ballots[1]
+    for stray in (pair_profile.m, -1):
+        for w, rival in ((frozenset({A}), frozenset({stray})), (frozenset({stray}), frozenset({B}))):
+            with pytest.raises(UnknownCandidateError):
+                max_diff_ballot(AV, ballot, w, rival)
+            with pytest.raises(UnknownCandidateError):
+                max_diff_profile(AV, pair_profile, w, rival)
 
 
 def test_profile_maximum_decomposes(pair_profile):
@@ -149,6 +166,64 @@ def test_member_brute_route(trio_profile):
     drops = necmem(trio_profile, A, SAV, 1)
     assert not drops.answer
     assert rows(drops.witness) == [frozenset({A, B}), frozenset({C})]
+
+
+def necmem_cell(t):
+    """necmem's per-cell entry point for threshold t (None for av), and
+    the dispatcher call it stands for."""
+    if t is None:
+        return (lambda p, c, k: necmem_av_3va(p, c, k),
+                lambda p, c, k: necmem(p, c, AV, k, method="poly"))
+    return (lambda p, c, k: necmem_binary_linear(p, c, k, t),
+            lambda p, c, k: necmem(p, c, binary_rule(t), k, method="poly"))
+
+
+@pytest.mark.parametrize("kind", ["3va", "linear"])
+def test_necmem_entry_points_equal_the_dispatcher(kind):
+    # Same Decision on random profiles of the cell, and the same error on
+    # each single fault: a candidate id out of range, k out of range, a
+    # threshold above k.
+    rng = Random(29)
+    answers = set()
+    for _ in range(120):
+        m = rng.randint(2, 6)
+        profile = random_partial_profile(rng, rng.randint(1, 5), m, kind, 4)
+        k = rng.randint(1, m)
+        t = None if kind == "3va" else rng.randint(1, k)
+        entry, dispatch = necmem_cell(t)
+        c = rng.randrange(m)
+        for case in ((c, k), (m, k), (-1, k), (c, 0), (c, m + 1)):
+            got = outcome(lambda: entry(profile, *case))
+            assert got == outcome(lambda: dispatch(profile, *case))
+            if case == (c, k):
+                answers.add(got.answer)
+        if t is not None:
+            entry, dispatch = necmem_cell(k + 1)
+            got = outcome(lambda: entry(profile, c, k))
+            assert got == outcome(lambda: dispatch(profile, c, k))
+            assert got[0] is BadThresholdError
+    assert answers == {True, False}
+
+
+def test_entry_points_refuse_the_wrong_structure_first(trio_profile):
+    # The dispatchers route such a profile elsewhere; the entry points
+    # refuse it ahead of every argument check. The binary ones check
+    # their arguments before building binary:t, so with a stray id and
+    # t = 0 the id fault comes first.
+    loose = validate_partial_profile([([], [A, B], [C])], R3)
+    ordered, unordered = "profile carries order constraints", "profile middles are not totally ordered"
+    faults = [
+        (lambda: poscom_av_3va(trio_profile, frozenset({A, 9})), ordered),
+        (lambda: necmem_av_3va(trio_profile, 9, 0), ordered),
+        (lambda: poscom_binary_linear(loose, frozenset({A, 9}), 0), unordered),
+        (lambda: necmem_binary_linear(loose, 9, 0, 5), unordered),
+    ]
+    for call, message in faults:
+        assert outcome(call) == (ModelMismatchError, message)
+    assert outcome(lambda: poscom_binary_linear(trio_profile, frozenset({A, 9}), 0)) == (
+        UnknownCandidateError, "candidate id 9 out of range")
+    assert outcome(lambda: necmem_binary_linear(trio_profile, B, 9, 0)) == (
+        BadKError, "k = 9 out of range for 3 candidates")
 
 
 def test_member_poly_refusal():

@@ -40,6 +40,12 @@ def test_public_names_are_exactly_the_declared_set():
 
 
 
+def _library_trees():
+    src = Path(abcu.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
 def _private(name):
     return name.startswith("_") and not name.endswith("__")
 
@@ -49,10 +55,8 @@ def test_modules_use_no_private_names_of_other_modules():
     # _-prefixed name from another abcu module, and _-prefixed attributes
     # are read only on self or cls, never on another module or on another
     # class's objects (registry._index, say).
-    src = Path(abcu.__file__).parent
     faults = []
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for path, tree in _library_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 target = node.module or ""
@@ -69,6 +73,28 @@ def test_modules_use_no_private_names_of_other_modules():
     assert faults == []
 
 
+def test_committee_scans_walk_committee_masks():
+    # rules.committee_masks is the one committee iterator; the frozenset
+    # view committees_by_mask is for callers outside the library.
+    faults = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _library_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "committees_by_mask" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert faults == []
+
+
+def test_library_holds_no_assert_statements():
+    # Invariants are explicit checks; python -O strips assert statements.
+    faults = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _library_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert faults == []
+
+
 BALLOT_PARTS = {"top", "middle", "bottom", "approved"}
 
 
@@ -76,12 +102,10 @@ def test_only_model_builds_masks_from_ballot_parts():
     # Ballots carry their candidate-id masks (top_mask, middle_mask, up,
     # down, mask), built in model; any other module reads those instead
     # of passing a ballot's part to mask_of.
-    src = Path(abcu.__file__).parent
     faults = []
-    for path in sorted(src.glob("*.py")):
+    for path, tree in _library_trees():
         if path.name == "model.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue

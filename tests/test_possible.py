@@ -31,7 +31,7 @@ from abcu import (
 )
 from conftest import A, B, C
 from oracles import SCORERS, decide_all
-from profilegen import random_partial_profile
+from profilegen import random_committee, random_partial_profile
 
 RULES = {
     "av": AV,
@@ -110,6 +110,51 @@ def test_direct_routes_reject_wrong_structure(pair_profile, trio_profile):
         poscom_binary_linear(loose, frozenset({A}), 1)
     with pytest.raises(ModelMismatchError):
         posmem_av_linear(loose, A, 1)
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def poscom_cell(t):
+    """poscom's per-cell entry point for threshold t (None for av), and
+    the dispatcher call it stands for."""
+    if t is None:
+        return (lambda p, w: poscom_av_3va(p, w),
+                lambda p, w: poscom(p, w, AV, len(w), method="poly"))
+    return (lambda p, w: poscom_binary_linear(p, w, t),
+            lambda p, w: poscom(p, w, binary_rule(t), len(w), method="poly"))
+
+
+@pytest.mark.parametrize("kind", ["3va", "linear"])
+def test_poscom_entry_points_equal_the_dispatcher(kind):
+    # Same Decision on random profiles of the cell, and the same error on
+    # each single fault: an id that names no candidate, k out of range,
+    # a threshold above k.
+    rng = Random(23)
+    answers = set()
+    for _ in range(120):
+        m = rng.randint(2, 6)
+        profile = random_partial_profile(rng, rng.randint(1, 5), m, kind, 4)
+        k = rng.randint(1, m)
+        t = None if kind == "3va" else rng.randint(1, k)
+        entry, dispatch = poscom_cell(t)
+        w = random_committee(rng, m, k)
+        for case in (w, frozenset({0, m}), frozenset({0, -1}), frozenset()):
+            got = outcome(lambda: entry(profile, case))
+            assert got == outcome(lambda: dispatch(profile, case))
+            if case is w:
+                answers.add(got.answer)
+        if t is not None:
+            entry, dispatch = poscom_cell(k + 1)
+            got = outcome(lambda: entry(profile, w))
+            assert got == outcome(lambda: dispatch(profile, w))
+            assert got[0] is BadThresholdError
+    assert answers == {True, False}
 
 
 def test_threshold_above_committee_size_is_rejected(trio_profile):

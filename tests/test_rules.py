@@ -186,6 +186,12 @@ def test_defeats_argument_checks(quad_profile):
             is_winning_committee(f, pair, frozenset({A, B, 5}))
 
 
+def test_profile_score_refuses_ids_that_name_no_candidate(quad_profile):
+    for stray in (quad_profile.m, -1):
+        with pytest.raises(UnknownCandidateError):
+            profile_score(AV, quad_profile, frozenset({A, stray}))
+
+
 def test_committee_size_checks():
     with pytest.raises(BadKError):
         check_committee_size(frozenset({A}), 2, 4)
