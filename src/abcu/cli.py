@@ -62,11 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, help_text: str, *, rule=False, committee=False,
+    def add(name: str, help_text: str, *, k=True, rule=False, committee=False,
             candidate=False, method=False, axiom=False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--profile", required=True, help="profile document (JSON file)")
-        p.add_argument("--k", type=int, help="committee size (defaults to the document's k)")
+        if k:
+            p.add_argument("--k", type=int, help="committee size (defaults to the document's k)")
         p.add_argument("--cap", type=int, help="completion cap (default 1048576, env ABCU_CAP)")
         p.add_argument("--witness", action="store_true", help="include witness in output")
         if rule:
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("necjr", "does every completion satisfy the axiom", committee=True, axiom=True)
     add("check", "check a representation axiom on a complete profile",
         committee=True, axiom=True)
-    add("enumerate", "list the completions of a profile")
+    add("enumerate", "list the completions of a profile", k=False)
 
     gen = sub.add_parser("gen", help="generate a gadget query from an instance file")
     gen.add_argument("--gadget", required=True, choices=("cc3va", "linearx3c"))
@@ -123,9 +124,12 @@ def _resolve_cap(args) -> int:
     return cap
 
 
-def _load_profile(args) -> tuple[PartialProfile, int]:
+def _load_profile(args) -> tuple[PartialProfile, int | None]:
+    """The profile and k; a command without --k gets the document's k or None."""
     with open(args.profile, encoding="utf-8") as handle:
         profile, doc_k = parse_profile(handle.read())
+    if "k" not in vars(args):
+        return profile, doc_k
     k = args.k if args.k is not None else doc_k
     if k is None:
         raise InputError("committee size missing: pass --k or put k in the document")

@@ -159,6 +159,7 @@ class PartialBallot:
     above another to that bit and those of everything ranked below it; a
     middle bit absent from either stands for itself. Rows are collected
     by id, whose hash is cheaper than that of a bit on a long order.
+    Other modules read the order through ``above`` and ``avoiding``.
     """
 
     top: frozenset[int]
@@ -211,6 +212,29 @@ class PartialBallot:
         for x, y in self.precedence:
             below[x] = below.get(x, 0) | 1 << y
         return {1 << x: row | 1 << x for x, row in below.items()}
+
+    def above(self, bits: int) -> int:
+        """``bits`` and every middle candidate ranked above one of them:
+        the middle part of the narrowest completion approving ``bits``."""
+        up = self.up
+        closure = bits
+        while bits:
+            low = bits & -bits
+            closure |= up.get(low, low)
+            bits ^= low
+        return closure
+
+    def avoiding(self, bits: int) -> int:
+        """The middle without ``bits`` and every candidate ranked below
+        one of them: the middle part of the widest completion approving
+        none of ``bits``."""
+        down = self.down
+        blocked = bits
+        while bits:
+            low = bits & -bits
+            blocked |= down.get(low, low)
+            bits ^= low
+        return self.middle_mask & ~blocked
 
 
 @dataclass(frozen=True)
@@ -392,14 +416,15 @@ def is_linearly_ordered(profile: PartialProfile) -> bool:
     return all(b.is_totally_ordered() for b in profile.ballots)
 
 
-def _upward_closed_masks(middle: int, up: dict[int, int]) -> list[int]:
-    """Every upward-closed submask of the middle, ascending.
+def _upward_closed_masks(ballot: PartialBallot) -> list[int]:
+    """Every upward-closed submask of the ballot's middle, ascending.
 
     The next mask after S sets the lowest middle bit p outside S whose
     superiors on higher bits S all holds, keeps S's bits above p, and
     clears the bits below p except those the kept ones force. So the work
     follows the number of such masks, not 2^|middle|.
     """
+    middle, up = ballot.middle_mask, ballot.up
     masks = [0]
     mask = 0
     while True:
@@ -411,11 +436,7 @@ def _upward_closed_masks(middle: int, up: dict[int, int]) -> list[int]:
             bits ^= p
         else:
             return masks
-        mask = kept = mask & -p | p
-        while kept:
-            low = kept & -kept
-            mask |= up.get(low, low)
-            kept ^= low
+        mask = ballot.above(mask & -p | p)
         masks.append(mask)
 
 
@@ -424,7 +445,7 @@ def _completion_masks(ballot: PartialBallot) -> list[int]:
     only upward-closed subsets."""
     middle = ballot.middle_mask
     if ballot.precedence:
-        return _upward_closed_masks(middle, ballot.up)
+        return _upward_closed_masks(ballot)
     masks = [0]
     while masks[-1] != middle:
         masks.append((masks[-1] - middle) & middle)
@@ -480,13 +501,13 @@ def count_ballot_completions(ballot: PartialBallot) -> int:
     """
     if not ballot.precedence:
         return 1 << len(ballot.middle)
-    up, down = ballot.up, ballot.down
+    above, avoiding = ballot.above, ballot.avoiding
     counts = {0: 1}
     stack = [ballot.middle_mask]
     while stack:
         elems = stack[-1]
         x = elems & -elems
-        parts = elems & ~up.get(x, x), elems & ~down.get(x, x)
+        parts = elems & ~above(x), elems & avoiding(x)
         todo = [part for part in parts if part not in counts]
         if todo:
             stack += todo
@@ -548,7 +569,7 @@ def is_completion(approvals: ApprovalProfile, profile: PartialProfile) -> bool:
         top = partial.top_mask
         chosen = complete.mask & ~top
         if (complete.mask & top != top or chosen & ~partial.middle_mask
-                or any(bit & chosen and up & ~chosen for bit, up in partial.up.items())):
+                or partial.above(chosen) != chosen):
             return False
     return True
 
@@ -565,41 +586,6 @@ def completion_by(
         profile.registry,
         tuple(ApprovalBallot(b.top.union(pick(b))) for b in profile.ballots),
     )
-
-
-def committee_completion_av(
-    profile: PartialProfile, committee: frozenset[int]
-) -> ApprovalProfile:
-    """Every voter approves its top and exactly its undecided W-members.
-
-    Under the linear-weight rule this maximizes the margin of W over
-    every rival at once: each such candidate adds one to W and at most
-    one to any rival, each skipped outsider adds zero.
-    """
-    return completion_by(profile, lambda b: b.middle & committee)
-
-
-def threshold_completion(
-    profile: PartialProfile, committee: frozenset[int], t: int
-) -> ApprovalProfile:
-    """Cheapest completion pushing each voter's overlap with W to t.
-
-    A voter whose top already reaches t, or whose full middle cannot,
-    approves no middle candidate at all. Otherwise it approves the
-    shortest prefix of its ranking that closes the gap. Under a 0/1 step
-    weight this choice maximizes every voter's margin for W against every
-    rival committee simultaneously.
-    """
-
-    def pick(b: PartialBallot) -> list[int]:
-        need = t - len(b.top & committee)
-        if not 0 < need <= len(b.middle & committee):
-            return []
-        sequence = b.middle_sequence()
-        ends = [i for i, c in enumerate(sequence) if c in committee]
-        return sequence[: ends[need - 1] + 1]
-
-    return completion_by(profile, pick)
 
 
 def complete_profile(

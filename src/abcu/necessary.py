@@ -85,37 +85,27 @@ def _scan(scorer: Scorer, thiele: bool, ballot: PartialBallot, committee: int, r
 
     This is max_diff_ballot's scan over Scorer entries, which read only
     the overlaps with W and W' and the ballot size. The submasks R of the
-    contested bits come in ascending order; closure is R's upward closure
-    (the OR of its members' up masks), and free holds the bits free to pad.
+    contested bits come in ascending order; closure is R's upward closure,
+    and free holds the bits free to pad: those of avoiding(S - R) outside
+    the closure, S being the contested bits.
     """
-    top, size, middle = ballot.top_mask, len(ballot.top), ballot.middle_mask
-    contested = middle & (committee | rival)
+    top, size = ballot.top_mask, len(ballot.top)
+    contested = ballot.middle_mask & (committee | rival)
     top_w = (top & committee).bit_count()
     top_r = (top & rival).bit_count()
     if thiele and not contested:
         return scorer[top_r, size] - scorer[top_w, size], 0, 0, 0
-    up, down = ballot.up, None if thiele else ballot.down
+    above, avoiding = ballot.above, ballot.avoiding
     best = None
     sub = 0
     while True:
-        closure, bits = 0, sub
-        while bits:
-            low = bits & -bits
-            closure |= up.get(low, low)
-            bits ^= low
+        closure = above(sub)
         excluded = contested ^ sub
         if not closure & excluded:
             in_w = top_w + (sub & committee).bit_count()
             in_r = top_r + (sub & rival).bit_count()
             base = size + closure.bit_count()
-            free = 0
-            if not thiele:
-                blocked, bits = closure, excluded
-                while bits:
-                    low = bits & -bits
-                    blocked |= down.get(low, low)
-                    bits ^= low
-                free = middle & ~blocked
+            free = 0 if thiele else avoiding(excluded) & ~closure
             for j in range(free.bit_count() + 1):
                 diff = scorer[in_r, base + j] - scorer[in_w, base + j]
                 if best is None or diff > best[0]:
@@ -130,12 +120,12 @@ def _chosen(ballot: PartialBallot, pick: tuple) -> int:
     candidates in an above-first order, the lowest id first among those
     ready."""
     _diff, chosen, free, j = pick
-    up = ballot.up
+    above = ballot.above
     for _ in range(j):
         bits = free
         while True:
             low = bits & -bits
-            if up.get(low, low) & free == low:
+            if above(low) & free == low:
                 break
             bits ^= low
         chosen |= low
@@ -296,11 +286,9 @@ def necmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
 
-    def pick(b):
-        bit = 1 << candidate
-        return members_of(b.up.get(bit, bit) ^ bit) if candidate in b.middle else b.middle
-
-    adversarial = completion_by(profile, pick)
+    bit = 1 << candidate
+    adversarial = completion_by(
+        profile, lambda b: members_of(b.avoiding(bit)) if candidate in b.middle else b.middle)
     counts = approval_counts(adversarial)
     best, leader = av_leader(counts, k)
     if av_leader(counts, k, candidate)[0] < best:

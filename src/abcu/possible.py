@@ -13,7 +13,6 @@ back to capped brute-force enumeration otherwise.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 from .errors import ModelMismatchError, NoPolyAlgorithmError
@@ -22,13 +21,11 @@ from .model import (
     ApprovalProfile,
     Decision,
     PartialProfile,
-    committee_completion_av,
     completion_by,
     is_linearly_ordered,
     is_three_valued,
     mask_of,
     members_of,
-    threshold_completion,
 )
 from .rules import (
     AV,
@@ -57,11 +54,34 @@ def canonical_route(
     ordered; AV is listed first, so its order-free route wins there.
     """
     if f.is_av and is_three_valued(profile):
-        canonical_for = partial(committee_completion_av, profile)
-        return canonical_for, "av-3va-canonical", "av-3va-defeat-scan"
+        # Each voter approves its top and exactly its undecided W-members:
+        # under the linear-weight rule each adds one to W and at most one to
+        # any rival, and each skipped outsider adds zero.
+        return (lambda committee: completion_by(profile, lambda b: b.middle & committee),
+                "av-3va-canonical", "av-3va-defeat-scan")
     t = f.binary_threshold
     if t is not None and is_linearly_ordered(profile):
-        canonical_for = partial(threshold_completion, profile, t=t)
+        # The cheapest completion pushing each voter's overlap with W to t,
+        # which under a 0/1 step weight maximizes every voter's margin for W
+        # against every rival at once. A voter whose top already reaches t,
+        # or whose whole middle cannot, approves no middle candidate; any
+        # other approves the shortest prefix of its ranking closing the gap,
+        # above() of the W-member whose above() holds need members of W.
+        def canonical_for(committee: Committee) -> ApprovalProfile:
+            wmask = mask_of(committee)
+
+            def pick(b):
+                need = t - len(b.top & committee)
+                inside = b.middle & committee
+                if 0 < need <= len(inside):
+                    for c in inside:
+                        prefix = b.above(1 << c)
+                        if (prefix & wmask).bit_count() == need:
+                            return members_of(prefix)
+                return ()
+
+            return completion_by(profile, pick)
+
         return canonical_for, "binary-linear-prefix", "binary-linear-defeat-scan"
     return None
 
@@ -171,11 +191,9 @@ def posmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decisio
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
 
-    def pick(b):
-        bit = 1 << candidate
-        return members_of(b.up.get(bit, bit)) if candidate in b.middle else ()
-
-    canonical = completion_by(profile, pick)
+    bit = 1 << candidate
+    canonical = completion_by(
+        profile, lambda b: members_of(b.above(bit)) if candidate in b.middle else ())
     counts = approval_counts(canonical)
     held, leader = av_leader(counts, k, candidate)
     if held < av_leader(counts, k)[0]:

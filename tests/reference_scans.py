@@ -11,6 +11,8 @@ with the library.
 
 neccom_scan is neccom on candidate sets: every rival, every distinct
 ballot's scan over the subsets of its contested middle, no bound.
+threshold_completion is the binary-linear route's canonical completion
+cut from each ballot's middle_sequence.
 """
 
 from __future__ import annotations
@@ -110,3 +112,24 @@ def neccom_scan(f, profile, committee, k) -> Decision:
             witness = ApprovalProfile(profile.registry, tuple(built[b] for b in profile.ballots))
             return Decision(False, witness, rival, "max-score-difference")
     return Decision(True, None, None, "max-score-difference")
+
+
+def threshold_completion(profile, committee, t) -> ApprovalProfile:
+    """Cheapest completion pushing each voter's overlap with W to t.
+
+    A voter whose top already reaches t, or whose full middle cannot,
+    approves no middle candidate at all. Otherwise it approves the
+    shortest prefix of its ranking that closes the gap.
+    """
+
+    def pick(b):
+        need = t - len(b.top & committee)
+        if not 0 < need <= len(b.middle & committee):
+            return []
+        sequence = b.middle_sequence()
+        ends = [i for i, c in enumerate(sequence) if c in committee]
+        return sequence[: ends[need - 1] + 1]
+
+    return ApprovalProfile(
+        profile.registry, tuple(ApprovalBallot(b.top.union(pick(b))) for b in profile.ballots)
+    )

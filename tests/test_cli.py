@@ -170,6 +170,18 @@ def test_enumerate_lists_completions_in_order(profile_file, capsys):
     assert doc["completions"] == [[["a"], []], [["a"], ["b"]]]
 
 
+def test_enumerate_reads_no_committee_size(profile_file, capsys):
+    doc = {"candidates": ["a", "b", "c"], "voters": [{"top": ["a"], "middle": ["b"]}]}
+    code, listing, err = run(capsys, "enumerate", "--profile", profile_file(doc))
+    assert code == 0 and err == ""
+    code, with_k, _ = run(capsys, "enumerate", "--profile", profile_file({**doc, "k": 2}))
+    assert code == 0 and listing == with_k
+    assert listing["completions"] == [[["a"]], [["a", "b"]]]
+    # enumerate takes no --k, so the flag is a usage error there.
+    code, out, err = run(capsys, "enumerate", "--profile", profile_file(doc), "--k", "0")
+    assert code == 2 and out is None and "--k" in err
+
+
 def test_completion_caps_refuse_work(profile_file, capsys, monkeypatch, tmp_path):
     path = profile_file(PAIR_DOC)
     code, out, err = run(capsys, "enumerate", "--profile", path, "--cap", "1")

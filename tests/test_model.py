@@ -401,3 +401,32 @@ def test_cached_masks_agree_with_the_sets(ballot):
     complete = complete_profile(registry, [b.approved for b in completions])
     for b in completions + list(complete.ballots) + list(as_partial(complete).ballots):
         _check_cached_masks(b)
+
+
+@given(st.one_of(partial_ballots().map(lambda drawn: drawn[1]), wide_posets()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_above_and_avoiding_follow_their_definitions(ballot, data):
+    # above(S): S and everything ranked above a member of S, the OR of
+    # the members' forced_by sets; avoiding(S): the middle without S and
+    # without everything ranked below a member of S.
+    m = len(ballot.top | ballot.middle | ballot.bottom)
+    mask = data.draw(st.integers(0, (1 << m) - 1))
+    ids = {c for c in range(m) if mask >> c & 1}
+    assert ballot.above(mask) == mask_of(set().union(*(ballot.forced_by(c) for c in ids)))
+    below = {y for x, y in ballot.precedence if x in ids}
+    assert ballot.avoiding(mask) == mask_of(ballot.middle - ids - below)
+
+
+@given(st.one_of(partial_ballots(max_m=6).map(lambda drawn: drawn[1]), wide_posets(max_middle=4)))
+@settings(max_examples=200, deadline=None)
+def test_is_completion_accepts_exactly_the_ballot_options(ballot):
+    m = len(ballot.top | ballot.middle | ballot.bottom)
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(m)))
+    profile = PartialProfile(registry, (ballot,))
+    options = set(ballot_options(ballot))
+    mids = sorted(ballot.middle)
+    for mask in range(1 << len(mids)):
+        approved = ballot.top | {c for i, c in enumerate(mids) if mask >> i & 1}
+        assert is_completion(complete_profile(registry, [approved]), profile) == (
+            approved in options
+        )

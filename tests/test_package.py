@@ -119,3 +119,15 @@ def test_only_model_builds_masks_from_ballot_parts():
                 if isinstance(part, ast.Attribute) and part.attr in BALLOT_PARTS
             ]
     assert faults == []
+
+
+def test_only_model_reads_the_order_maps():
+    # A ballot's order is read through its above and avoiding methods;
+    # the up and down maps behind them stay inside model.
+    faults = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path, tree in _library_trees() if path.name != "model.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("up", "down")
+    ]
+    assert faults == []

@@ -29,9 +29,12 @@ from abcu import (
     posmem_av_linear,
     validate_partial_profile,
 )
+from abcu.model import completion_by
+from abcu.possible import canonical_route
 from conftest import A, B, C
 from oracles import SCORERS, decide_all
 from profilegen import random_committee, random_partial_profile
+from reference_scans import threshold_completion
 
 RULES = {
     "av": AV,
@@ -155,6 +158,26 @@ def test_poscom_entry_points_equal_the_dispatcher(kind):
             assert got == outcome(lambda: dispatch(profile, w))
             assert got[0] is BadThresholdError
     assert answers == {True, False}
+
+
+def test_canonical_routes_build_the_reference_completions():
+    # The binary-linear route cuts each ranking where middle_sequence
+    # would; the order-free av route approves each voter's undecided
+    # W-members.
+    rng = Random(31)
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        k = rng.randint(1, min(3, m))
+        t = rng.randint(1, k)
+        w = random_committee(rng, m, k)
+        linear = random_partial_profile(rng, rng.randint(1, 5), m, "linear", 5)
+        build, name, _ = canonical_route(linear, binary_rule(t))
+        assert name == "binary-linear-prefix"
+        assert build(w) == threshold_completion(linear, w, t)
+        flat = random_partial_profile(rng, rng.randint(1, 5), m, "3va", 5)
+        build, name, _ = canonical_route(flat, AV)
+        assert name == "av-3va-canonical"
+        assert build(w) == completion_by(flat, lambda b: b.middle & w)
 
 
 def test_threshold_above_committee_size_is_rejected(trio_profile):
