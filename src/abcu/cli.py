@@ -30,7 +30,7 @@ from .model import (
     DEFAULT_CAP,
     ApprovalProfile,
     PartialProfile,
-    completion_by,
+    complete_profile,
     enumerate_completions,
 )
 from .necessary import neccom, necmem
@@ -143,7 +143,7 @@ def _require_complete(profile: PartialProfile, command: str) -> ApprovalProfile:
             f"{command} needs a complete profile (empty middles); "
             "use poscom/neccom for incomplete ones"
         )
-    return completion_by(profile, lambda b: ())
+    return complete_profile(profile.registry, (b.top for b in profile.ballots))
 
 
 def _committee(args, profile: PartialProfile) -> frozenset[int]:

@@ -18,13 +18,13 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
-from .errors import ProfileSyntaxError
+from .errors import InputError, ProfileSyntaxError
 from .model import (
     ApprovalProfile,
     CandidateRegistry,
     Decision,
     PartialProfile,
-    validate_partial_profile,
+    ballot_of_ids,
 )
 from .representation import GroupWitness
 
@@ -91,14 +91,13 @@ def _checked_record(i: int, voter: Any, registry: CandidateRegistry) -> tuple:
     _require(not unknown, f"voter {i} has unknown keys: {sorted(unknown)}")
     top = _name_list(voter.get("top", []), f'voter {i} "top"')
     middle = _name_list(voter.get("middle", []), f'voter {i} "middle"')
-    top_ids = [registry.id_of(name) for name in top]
-    middle_ids = [registry.id_of(name) for name in middle]
+    top_ids = frozenset(registry.id_of(name) for name in top)
+    middle_ids = frozenset(registry.id_of(name) for name in middle)
     if "bottom" in voter:
         bottom = _name_list(voter["bottom"], f'voter {i} "bottom"')
-        bottom_ids = [registry.id_of(name) for name in bottom]
+        bottom_ids = frozenset(registry.id_of(name) for name in bottom)
     else:
-        placed = set(top_ids) | set(middle_ids)
-        bottom_ids = [c for c in range(len(registry)) if c not in placed]
+        bottom_ids = registry.ids.difference(top_ids, middle_ids)
     order = voter.get("order", [])
     _require(isinstance(order, list), f'voter {i} "order" must be an array')
     edges = []
@@ -115,10 +114,12 @@ def _checked_record(i: int, voter: Any, registry: CandidateRegistry) -> tuple:
 def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
     """Parse a profile document; returns the profile and its default k.
 
-    Every voter's syntax is checked before any voter is validated, so the
-    error raised is the first syntax fault if there is one. Each name
-    array maps to an id set in one pass; only a record that pass rejects
-    goes through the name-by-name checks that say what is wrong with it.
+    Every voter's syntax is checked before any voter's partition and
+    order, so the error raised is the first syntax fault if there is one:
+    the first fault ballot_of_ids raises waits for the syntax pass to
+    end. Each name array maps to an id set in one pass, and the sets go
+    straight to ballot_of_ids; only a record that pass rejects goes
+    through the name-by-name checks that say what is wrong with it.
     """
     try:
         doc = json.loads(text)
@@ -138,13 +139,21 @@ def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
     voters = doc.get("voters")
     _require(isinstance(voters, list), '"voters" must be an array')
     id_of, everyone = registry.index.__getitem__, registry.ids
-    records = []
+    ballots = []
+    fault = None
     for i, voter in enumerate(voters):
         try:
-            records.append(_voter_record(voter, id_of, everyone))
+            top, middle, bottom, edges = _voter_record(voter, id_of, everyone)
         except (LookupError, TypeError, ValueError):
-            records.append(_checked_record(i, voter, registry))
-    return validate_partial_profile(records, registry), k
+            top, middle, bottom, edges = _checked_record(i, voter, registry)
+        if fault is None:
+            try:
+                ballots.append(ballot_of_ids(top, middle, bottom, edges, registry, i))
+            except InputError as exc:
+                fault = exc
+    if fault is not None:
+        raise fault
+    return PartialProfile(registry, tuple(ballots)), k
 
 
 def _names(registry: CandidateRegistry, ids) -> list[str]:

@@ -333,20 +333,34 @@ def _closed_order(
     return frozenset(pairs)
 
 
-def _partial_ballot(top, middle, bottom, precedence) -> PartialBallot:
-    """A PartialBallot from checked parts.
+_NONE: frozenset = frozenset()
 
-    It fills the instance dict directly: the frozen dataclass's __init__
+
+def ballot_of_ids(
+    top: frozenset[int], middle: frozenset[int], bottom: frozenset[int],
+    edges: Iterable[tuple[int, int]], registry: CandidateRegistry, voter: int | None = None,
+) -> PartialBallot:
+    """A PartialBallot from frozensets of the registry's own ids.
+
+    Ids in range partition the registry iff the part sizes add up to m
+    and the parts are pairwise disjoint, so no union set is built. Ids
+    from anywhere else are range-checked first by make_partial_ballot;
+    io's loader, which maps names through the registry's index, is the
+    only other caller. The instance dict is filled directly: the frozen dataclass's __init__
     makes one object.__setattr__ call per field and checks the
     precedence default, about as much work as checking an unordered
     ballot.
     """
+    if (len(top) + len(middle) + len(bottom) != len(registry.names)
+            or not top.isdisjoint(bottom)
+            or middle and not (top.isdisjoint(middle) and middle.isdisjoint(bottom))):
+        _partition_fault(top, middle, bottom, registry, voter)
     ballot = object.__new__(PartialBallot)
     fields = ballot.__dict__
     fields["top"] = top
-    fields["middle"] = middle
+    fields["middle"] = middle or _NONE
     fields["bottom"] = bottom
-    fields["precedence"] = precedence
+    fields["precedence"] = _closed_order(frozenset(edges), middle, voter) if edges else _NONE
     return ballot
 
 
@@ -362,22 +376,14 @@ def make_partial_ballot(
 
     Checks, in order: ids known to the registry, the three parts disjoint,
     the parts jointly covering the registry, order edges confined to the
-    middle, and acyclicity after transitive closure. A valid record costs
-    one size sum and one set comparison for its partition; the ordered
-    checks run only to name the fault of an invalid one. Frozensets are
-    taken as they are, so a caller holding id sets copies nothing.
+    middle, and acyclicity after transitive closure. Once every id is in
+    range, ballot_of_ids checks the rest. Frozensets are taken as they
+    are, so a caller holding id sets copies nothing.
     """
     tset, mset, bset = frozenset(top), frozenset(middle), frozenset(bottom)
-    # The parts partition the registry iff their sizes add up to m and
-    # their union is every id.
-    everyone = registry.ids
-    if (len(tset) + len(mset) + len(bset) != len(everyone)
-            or tset.union(mset, bset) != everyone):
+    if not registry.ids.issuperset(itertools.chain(tset, mset, bset)):
         _partition_fault(tset, mset, bset, registry, voter)
-    edges = frozenset(precedence)
-    if edges:
-        edges = _closed_order(edges, mset, voter)
-    return _partial_ballot(tset, mset, bset, edges)
+    return ballot_of_ids(tset, mset, bset, frozenset(precedence), registry, voter)
 
 
 def validate_partial_profile(
@@ -501,13 +507,13 @@ def count_ballot_completions(ballot: PartialBallot) -> int:
     """
     if not ballot.precedence:
         return 1 << len(ballot.middle)
-    above, avoiding = ballot.above, ballot.avoiding
+    up, down = ballot.up, ballot.down
     counts = {0: 1}
     stack = [ballot.middle_mask]
     while stack:
         elems = stack[-1]
         x = elems & -elems
-        parts = elems & ~above(x), elems & avoiding(x)
+        parts = elems & ~up.get(x, x), elems & ~down.get(x, x)
         todo = [part for part in parts if part not in counts]
         if todo:
             stack += todo

@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcu import AV, UnknownCandidateError, check_jr, check_pjr, necjr, poscom
+from abcu import (
+    AV,
+    CandidateRegistry,
+    UnknownCandidateError,
+    check_jr,
+    check_pjr,
+    make_partial_ballot,
+    necjr,
+    poscom,
+)
 from abcu.errors import (
     CycleDetectedError,
     EdgeOutsideMiddleError,
@@ -432,6 +441,73 @@ def test_tricky_records_load_as_the_reference_loads_them(voter, outcome):
         assert got[0] is outcome
 
 
+# Ids follow the candidate list (c=0, a=1, b=2, d=3). A validation fault
+# waits for every voter's syntax: a later voter's syntax fault wins over
+# it, and of two validation faults the earlier voter's is raised.
+@pytest.mark.parametrize(
+    "voters, error, message",
+    [
+        ([{"top": ["a"], "middle": ["a"]}, {"top": ["b"]}, {"top": ["z"]}],
+         UnknownCandidateError, "unknown candidate 'z'"),
+        ([{"top": ["a"]}, {"middle": ["a", "b"], "order": [["a", "b"], ["b", "a"]]},
+          {"top": ["c"]}, {"top": ["d"], "bottom": ["c", "a", "b", "d"]}],
+         CycleDetectedError, "order constraints are cyclic (voter 1)"),
+    ],
+)
+def test_validation_faults_wait_for_every_voters_syntax(voters, error, message):
+    text = json.dumps({"candidates": ["c", "a", "b", "d"], "voters": voters})
+    got = _outcome(parse_profile, text)
+    assert got == _outcome(reference_loader.parse_profile, text)
+    assert got == (error, message)
+
+
+def test_ids_from_outside_the_registry_are_range_checked():
+    # {99} plus every id but one has m members, all disjoint, so a check
+    # by sizes and disjointness alone would take it for a partition.
+    registry = CandidateRegistry(("c", "a", "b", "d"))
+    args = ([99], [], [0, 1, 2], registry)
+    got = _outcome(lambda a: make_partial_ballot(*a), args)
+    assert got == _outcome(lambda a: reference_loader.make_partial_ballot(*a), args)
+    assert got == (UnknownCandidateError, "candidate id 99 out of range")
+
+
+def _bench_shaped_document(rng, n, m):
+    """A document written as the benchmark writes its profiles: every part
+    spelled out, sorted keys, and 3va, linear and poset voters mixed."""
+    names = [f"c{i}" for i in range(m)]
+    voters = []
+    for v in range(n):
+        ids = rng.sample(range(m), m)
+        q = 1 + rng.randrange(4)
+        middle, rest = ids[:q], ids[q:]
+        top = {c for c in rest if rng.random() < 0.25}
+        kind = v % 3
+        if kind == 0:
+            edges = []
+        elif kind == 1:
+            edges = list(zip(middle, middle[1:]))
+        else:
+            edges = [(x, y) for i, x in enumerate(middle) for y in middle[i + 1:]
+                     if rng.random() < 0.5]
+        record = {
+            "top": [names[c] for c in sorted(top)],
+            "middle": [names[c] for c in sorted(middle)],
+            "bottom": [names[c] for c in range(m) if c not in top and c not in middle],
+        }
+        if edges:
+            record["order"] = [[names[x], names[y]] for x, y in edges]
+        voters.append(record)
+    return json.dumps({"candidates": names, "k": 3, "voters": voters}, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bench_shaped_documents_load_as_the_reference_loads_them(seed):
+    text = _bench_shaped_document(Random(seed), 150, 14)
+    profile, k = parse_profile(text)
+    assert (profile, k) == reference_loader.parse_profile(text)
+    assert {b.is_three_valued() for b in profile.ballots} == {True, False}
+
+
 def test_large_documents_load_in_linear_time():
     # 20,000 voters over 14 candidates, half of them with a chain of two
     # to four middle candidates whose order the loader has to close. A
@@ -458,3 +534,22 @@ def test_large_documents_load_in_linear_time():
     assert (profile.n, profile.m, k) == (20_000, 14, 3)
     assert sum(b.is_totally_ordered() and len(b.middle) > 1 for b in profile.ballots) == 10_000
     assert profile.ballots[1].middle_sequence() == [int(c[1:]) for c in voters[1]["middle"]]
+    # 20,000 complete voters with every part spelled out, as documents
+    # written by serialize_profile are.
+    complete = []
+    for _ in range(20_000):
+        top = {c for c in range(14) if rng.random() < 0.3}
+        complete.append({
+            "top": [names[c] for c in sorted(top)],
+            "middle": [],
+            "bottom": [names[c] for c in range(14) if c not in top],
+        })
+    text = json.dumps({"candidates": names, "voters": complete}, sort_keys=True)
+    start = time.perf_counter()
+    profile, k = parse_profile(text)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, elapsed
+    assert (profile.n, profile.m, k) == (20_000, 14, None)
+    assert [sorted(b.top) for b in profile.ballots[:3]] == [
+        [int(name[1:]) for name in record["top"]] for record in complete[:3]]
+    assert all(not b.middle and len(b.top) + len(b.bottom) == 14 for b in profile.ballots)

@@ -131,3 +131,19 @@ def test_only_model_reads_the_order_maps():
         if isinstance(node, ast.Attribute) and node.attr in ("up", "down")
     ]
     assert faults == []
+
+
+def test_only_the_loader_and_make_partial_ballot_use_ballot_of_ids():
+    # model.ballot_of_ids checks a partition by sizes and disjointness,
+    # which proves one only for ids in range. make_partial_ballot
+    # range-checks first; parse_profile maps names through the
+    # registry's own index. No other library code may reach it.
+    users = {
+        (path.name, getattr(stmt, "name", None))
+        for path, tree in _library_trees()
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if "ballot_of_ids" in (getattr(node, "id", None), getattr(node, "attr", None))
+    }
+    assert users == {("io.py", "parse_profile"), ("model.py", "make_partial_ballot")}
+    assert "ballot_of_ids" not in abcu.__all__
