@@ -8,7 +8,7 @@ completion give W' a strictly higher score, and because voters complete
 independently the largest achievable value of score(W') - score(W)
 splits into independent per-voter maximizations. Each of those is one
 integer scan (max_diff_ballot) over what the voter's middle contributes
-to W and W', and equal ballots are scanned once.
+to W and W'.
 
 Membership questions use per-rival canonical completions where the rule
 and ballot structure admit them, and capped enumeration elsewhere.
@@ -70,16 +70,6 @@ class ScoreDiffReport:
     witness: ApprovalProfile
 
 
-def _slots(ballots) -> tuple[list[PartialBallot], list[int], list[int]]:
-    """The distinct ballots in first-appearance order, their voter counts, each voter's index."""
-    index_of: dict[PartialBallot, int] = {}
-    index = [index_of.setdefault(b, len(index_of)) for b in ballots]
-    counts = [0] * len(index_of)
-    for i in index:
-        counts[i] += 1
-    return list(index_of), counts, index
-
-
 def _scan(scorer: Scorer, thiele: bool, ballot: PartialBallot, committee: int, rival: int) -> tuple:
     """One ballot's first best (scaled difference, closure, free, j).
 
@@ -133,21 +123,19 @@ def _chosen(ballot: PartialBallot, pick: tuple) -> int:
     return chosen
 
 
-def _assemble(scorer: Scorer, profile: PartialProfile, slots: tuple, committee: int,
-              rival: int, picks: list[tuple]) -> ApprovalProfile:
-    """The completion of each distinct ballot's pick, checked against their sum."""
-    distinct, counts, index = slots
-    chosen = [_chosen(b, p) for b, p in zip(distinct, picks)]
+def _assemble(scorer: Scorer, profile: PartialProfile, committee: int, rival: int,
+              picks: list[tuple]) -> ApprovalProfile:
+    """The completion of each voter's pick, checked against their sum."""
+    chosen = [_chosen(b, p) for b, p in zip(profile.ballots, picks)]
     margin = 0
-    for b, n, part in zip(distinct, counts, chosen):
+    for b, part in zip(profile.ballots, chosen):
         a = b.top_mask | part
         size = a.bit_count()
-        margin += n * (scorer[(a & rival).bit_count(), size]
-                       - scorer[(a & committee).bit_count(), size])
-    if margin != sum(n * p[0] for n, p in zip(counts, picks)):
+        margin += scorer[(a & rival).bit_count(), size] - scorer[(a & committee).bit_count(), size]
+    if margin != sum(p[0] for p in picks):
         raise RuntimeError("per-voter maxima must assemble exactly")
-    built = [ApprovalBallot(b.top | members_of(part)) for b, part in zip(distinct, chosen)]
-    return ApprovalProfile(profile.registry, tuple(built[i] for i in index))
+    return ApprovalProfile(profile.registry, tuple(
+        ApprovalBallot(b.top | members_of(part)) for b, part in zip(profile.ballots, chosen)))
 
 
 def max_diff_ballot(
@@ -189,28 +177,26 @@ def max_diff_profile(
     check_members(committee, profile.m)
     check_members(rival, profile.m)
     scorer = Scorer(f, len(committee), profile.m)
-    slots = _slots(profile.ballots)
-    distinct, _, index = slots
     wmask, rmask = mask_of(committee), mask_of(rival)
-    picks = [_scan(scorer, f.is_thiele, b, wmask, rmask) for b in distinct]
-    witness = _assemble(scorer, profile, slots, wmask, rmask, picks)
-    diffs = [Fraction(picks[i][0], scorer.scale) for i in index]
+    picks = [_scan(scorer, f.is_thiele, b, wmask, rmask) for b in profile.ballots]
+    witness = _assemble(scorer, profile, wmask, rmask, picks)
+    diffs = [Fraction(p[0], scorer.scale) for p in picks]
     return ScoreDiffReport(committee, rival, tuple(diffs), sum(diffs, Fraction(0)), witness)
 
 
-def _bound(f: ScoringFunction, profile: PartialProfile, committee: int, k: int):
+def _bound(scorer: Scorer, f: ScoringFunction, profile: PartialProfile, committee: int, k: int):
     """rival mask -> an upper bound on its largest score difference.
 
     Under a Thiele rule a committee's score never drops as a ballot
     grows, so score(W') is at most its score when every middle is
-    approved and score(W) at least its score when none is.
+    approved and score(W) at least its score when none is: ``scorer``'s
+    entries for the tops, which the first exact scan has already read.
     """
     widest = Scorer(
         f, k, profile.m, [ApprovalBallot(b.top | b.middle) for b in profile.ballots],
         math.comb(profile.m, k),
     )
-    narrowest = Scorer(f, k, profile.m, [ApprovalBallot(b.top) for b in profile.ballots])
-    floor = narrowest.score(committee)
+    floor = sum(scorer[(b.top_mask & committee).bit_count(), 0] for b in profile.ballots)
     return lambda rival: widest.score(rival) - floor
 
 
@@ -225,7 +211,7 @@ def neccom(
     W fails exactly when some rival achieves a positive maximum score
     difference; rivals are scanned ascending by candidate-id bitmask and
     the first positive one supplies the counterexample completion. Each
-    distinct ballot is scanned once per rival, in scaled integers.
+    voter's ballot is scanned once per rival, in scaled integers.
 
     Under a Thiele rule, once one exact scan comes out non-positive, a
     rival whose upper bound (see _bound) is non-positive is skipped: it
@@ -235,8 +221,6 @@ def neccom(
     check_committee_size(committee, k, profile.m)
     check_threshold(f.binary_threshold, k)
     scorer = Scorer(f, k, profile.m)
-    slots = _slots(profile.ballots)
-    distinct, counts, _ = slots
     thiele = f.is_thiele
     wmask = mask_of(committee)
     bound = None
@@ -249,12 +233,12 @@ def neccom(
                     continue
             except TableOutOfRangeError:
                 pass
-        picks = [_scan(scorer, thiele, b, wmask, rmask) for b in distinct]
-        if sum(n * p[0] for n, p in zip(counts, picks)) > 0:
-            witness = _assemble(scorer, profile, slots, wmask, rmask, picks)
+        picks = [_scan(scorer, thiele, b, wmask, rmask) for b in profile.ballots]
+        if sum(p[0] for p in picks) > 0:
+            witness = _assemble(scorer, profile, wmask, rmask, picks)
             return Decision(False, witness, members_of(rmask), "max-score-difference")
         if bound is None and thiele:
-            bound = _bound(f, profile, wmask, k)
+            bound = _bound(scorer, f, profile, wmask, k)
     return Decision(True, None, None, "max-score-difference")
 
 

@@ -615,7 +615,10 @@ def test_neccom_true_answers_scale():
     26,333 rivals must be ruled out; here the Thiele bound rules out all
     of them after the first exact scan. On the near-tie profile the bound
     rules out none, and the answer and witness must be the set-based
-    reference's.
+    reference's. Under sav there is no bound: with m = 12, k = 3 and the
+    voters casting 3 ballots, every rival is scanned exactly, once per
+    voter, so tripling n from 100 to 300 must cost well under the ninefold
+    a quadratic scan would.
     """
     n, m, k, budget = 100, 22, 5, 3.0
     rng = Random(2215)
@@ -640,6 +643,31 @@ def test_neccom_true_answers_scale():
         profile, committee = near_tie(14, 4, extra)
         for rule in (AV, PAV):
             assert neccom(rule, profile, committee, 4) == neccom_scan(rule, profile, committee, 4)
+
+    m, k = 12, 3
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(m)))
+    committee = frozenset(rng.sample(range(m), k))
+    others = [c for c in range(m) if c not in committee]
+    pool = []
+    for ranked in (False, True, True):
+        middle = rng.sample(others, 4)
+        edges = list(zip(middle, middle[1:])) if ranked else []
+        pool.append((committee, middle, set(others) - set(middle), edges))
+    records = [rng.choice(pool) for _ in range(3 * n)]
+    times = {}
+    for size in (n, 3 * n):
+        profile = validate_partial_profile(records[:size], registry)
+        elapsed = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            decision = neccom(SAV, profile, committee, k)
+            elapsed.append(time.perf_counter() - t0)
+        times[size] = min(elapsed)
+        assert decision == Decision(True, None, None, "max-score-difference"), size
+        if size == n:
+            assert decision == neccom_scan(SAV, profile, committee, k)
+    assert times[3 * n] < budget, ("sav", times)
+    assert times[3 * n] < 5 * times[n], ("sav", times)
 
 
 def test_av_canonical_routes_scale_in_k():

@@ -429,9 +429,23 @@ def neccom_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_neccom_matches_the_set_reference(case):
     profile, committee, k = case
+    rival = next((r for r in committees_by_mask(profile.m, k) if r != committee), None)
     for f in NECCOM_RULES:
         expected = _outcome(neccom_scan, f, profile, committee, k)
         assert _outcome(neccom, f, profile, committee, k) == expected, f
+        if rival is None:
+            continue
+        # Each voter's entry and witness ballot is its own max_diff_ballot,
+        # whether or not another voter casts the same ballot.
+        report = _outcome(max_diff_profile, f, profile, committee, rival)
+        voters = [_outcome(max_diff_ballot, f, b, committee, rival) for b in profile.ballots]
+        failures = [v for v in voters if isinstance(v[0], type)]
+        if failures:
+            assert report == failures[0], f
+        else:
+            assert report.per_voter == tuple(diff for diff, _ in voters), f
+            assert report.witness.ballots == tuple(ballot for _, ballot in voters), f
+            assert report.total == sum(report.per_voter), f
 
 
 def test_a_bound_reading_a_missing_entry_leaves_the_error_to_the_scan():
