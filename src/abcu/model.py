@@ -422,40 +422,51 @@ def is_linearly_ordered(profile: PartialProfile) -> bool:
     return all(b.is_totally_ordered() for b in profile.ballots)
 
 
-def _upward_closed_masks(ballot: PartialBallot) -> list[int]:
-    """Every upward-closed submask of the ballot's middle, ascending.
+def _option_masks(ballot: PartialBallot, committee: int = -1, widest: bool = False) -> list[int]:
+    """The middle part of one completion per overlap R = A ∩ W, W given
+    as its bitmask (every candidate by default), in the order in which
+    an ascending walk over every completion first reaches each R.
 
-    The next mask after S sets the lowest middle bit p outside S whose
-    superiors on higher bits S all holds, keeps S's bits above p, and
-    clears the bits below p except those the kept ones force. So the work
-    follows the number of such masks, not 2^|middle|.
+    The feasible R are the upward-closed subsets of inside = middle ∩ W
+    under the order restricted to inside. The completions with a given R
+    are closed under intersection and union: the narrowest, above(R),
+    lies inside all the others and so is reached first; the widest is
+    avoiding(inside ^ R). The walk over R sets the lowest bit p of
+    inside outside R whose superiors on higher bits R all holds, keeps
+    R's bits above p, and clears the bits below p except those the kept
+    ones force, so the work follows the number of options. When inside
+    is the whole middle, each R is a completion, already ascending.
     """
-    middle, up = ballot.middle_mask, ballot.up
+    middle = ballot.middle_mask
+    inside = middle & committee
+    if not ballot.precedence:
+        rest = middle & ~inside if widest else 0
+        masks = [rest]
+        r = 0
+        while r != inside:
+            r = (r - inside) & inside
+            masks.append(r | rest)
+        return masks
+    up = ballot.up
     masks = [0]
-    mask = 0
+    r = 0
     while True:
-        bits = middle & ~mask
+        bits = free = inside & ~r
         while bits:
             p = bits & -bits
-            if not up.get(p, p) & ~mask & -(p << 1):
+            if not up.get(p, p) & free & -(p << 1):
                 break
             bits ^= p
         else:
-            return masks
-        mask = ballot.above(mask & -p | p)
-        masks.append(mask)
-
-
-def _completion_masks(ballot: PartialBallot) -> list[int]:
-    """Each completion's middle part as a candidate-id bitmask, ascending;
-    only upward-closed subsets."""
-    middle = ballot.middle_mask
-    if ballot.precedence:
-        return _upward_closed_masks(ballot)
-    masks = [0]
-    while masks[-1] != middle:
-        masks.append((masks[-1] - middle) & middle)
-    return masks
+            break
+        r = ballot.above(r & -p | p) & inside
+        masks.append(r)
+    if inside == middle:
+        return masks
+    narrowest = sorted(map(ballot.above, masks))
+    if widest:
+        return [ballot.avoiding(inside & ~a) for a in narrowest]
+    return narrowest
 
 
 def completions_of_ballot(ballot: PartialBallot) -> list[ApprovalBallot]:
@@ -465,29 +476,7 @@ def completions_of_ballot(ballot: PartialBallot) -> list[ApprovalBallot]:
     middle subset. For a totally ordered middle this yields exactly the
     q+1 prefixes of the ranking. Only upward-closed subsets are generated.
     """
-    return _ballots(ballot, _completion_masks(ballot))
-
-
-def _overlap_options(ballot: PartialBallot, committee: int, widest: bool) -> list[ApprovalBallot]:
-    """One completion of the ballot per overlap R = A ∩ W, W given as its
-    bitmask, in the order in which completions_of_ballot first reaches
-    each R.
-
-    The completions with a given R are closed under intersection and
-    union, so the group holds a narrowest member, inside all the others,
-    and a widest one. The masks ascend, so the narrowest is the first of
-    its group; the widest is the union of the group. The work follows the
-    ballot's completions, as completions_of_ballot's does.
-    """
-    inside = ballot.middle_mask & committee
-    kept: dict[int, int] = {}
-    for mask in _completion_masks(ballot):
-        r = mask & inside
-        if r not in kept:
-            kept[r] = mask
-        elif widest:
-            kept[r] |= mask
-    return _ballots(ballot, kept.values())
+    return _ballots(ballot, _option_masks(ballot))
 
 
 def _ballots(ballot: PartialBallot, masks: Iterable[int]) -> list[ApprovalBallot]:
@@ -545,23 +534,20 @@ def enumerate_completions(
     ``cap``. Consecutive completions share the ballot objects of the
     voters whose completion did not change.
 
-    Without a committee every completion is streamed. With a committee W
-    each voter keeps one completion per overlap A ∩ W, the narrowest or,
-    with ``widest``, the widest one, so the stream is a subsequence of
-    the full one when narrowest; the number of options per voter is at
-    most its completion count and at most 2^|middle ∩ W|. An id in W
-    that names no candidate is refused before the cap check.
+    Each voter keeps one completion per overlap A ∩ W, the narrowest or,
+    with ``widest``, the widest one, built straight from the ballot, so
+    the work follows the options, at most 2^|middle ∩ W| per voter, and
+    not the completions. Without a committee W holds every candidate,
+    each overlap is a whole completion and every completion is streamed;
+    with one, the narrowest stream is a subsequence of the full one. An
+    id in W that names no candidate is refused before the cap check.
     """
-    if committee is not None:
-        check_members(committee, profile.m)
+    check_members(committee or (), profile.m)
     total = count_completions(profile)
     if total > cap:
         raise CapExceededError(f"{total} completions exceed the cap of {cap}")
-    if committee is None:
-        options = [completions_of_ballot(b) for b in profile.ballots]
-    else:
-        wmask = mask_of(committee)
-        options = [_overlap_options(b, wmask, widest) for b in profile.ballots]
+    wmask = -1 if committee is None else mask_of(committee)
+    options = [_ballots(b, _option_masks(b, wmask, widest)) for b in profile.ballots]
     registry = profile.registry
     for choice in itertools.product(*options):
         yield ApprovalProfile(registry, choice)

@@ -121,18 +121,20 @@ def poscom_brute(
     Under a Thiele rule whose weights are defined up to k, each voter's
     options shrink to one completion per overlap R = A ∩ W: the narrowest
     one, A_min(R) = top ∪ closure(R), the intersection of every
-    completion with that R. W's score reads A ∩ W only and a rival's
-    score never drops as A grows, so replacing each ballot of a
-    completion where W wins by its A_min keeps W a co-winner. A_min(R)
-    lies inside every completion with that R, so it has the lowest mask
-    among them and comes first in ballot order, and the reduced
-    completions are a subsequence of enumerate_completions order. The
-    first witness F there reduces to a witness F' that is no later than
-    F voter by voter, hence F' = F: the first reduced witness is the
-    first witness of the full scan. sav and table2d rules read the
-    ballot size, which a larger ballot can raise or lower, and a short
-    weight table raises where the full scan reaches a missing entry, so
-    those keep every completion.
+    completion with that R. enumerate_completions builds these options
+    from the ballot, so the work follows their number, at most
+    2^|middle ∩ W|, and not the voter's completion count. W's score
+    reads A ∩ W only and a rival's score never drops as A grows, so
+    replacing each ballot of a completion where W wins by its A_min
+    keeps W a co-winner. A_min(R) lies inside every completion with that
+    R, so it has the lowest mask among them and comes first in ballot
+    order, and the reduced completions are a subsequence of
+    enumerate_completions order. The first witness F there reduces to a
+    witness F' that is no later than F voter by voter, hence F' = F: the
+    first reduced witness is the first witness of the full scan. sav and
+    table2d rules read the ballot size, which a larger ballot can raise
+    or lower, and a short weight table raises where the full scan
+    reaches a missing entry, so those keep every completion.
     """
     check_committee_size(committee, k, profile.m)
     target = mask_of(committee)

@@ -241,14 +241,17 @@ def necjr(profile: PartialProfile, committee: Committee, k: int) -> Decision:
     One completion is most adversarial: every voter approves the largest
     upward-closed middle part that avoids the committee entirely, keeping
     the voter unrepresented (when the top allows) with a ballot as wide
-    as possible. The axiom holds in every completion exactly when it
-    holds in this one.
+    as possible: its widest option with overlap A ∩ W = ∅. The axiom
+    holds in every completion exactly when it holds in this one.
     """
     check_committee_size(committee, k, profile.m)
+    wmask = mask_of(committee)
 
     def pick(b):
-        banned = {y for x, y in b.precedence if x in committee}
-        return b.middle - committee - banned
+        # A middle that misses W is kept whole, without building its masks.
+        if b.middle.isdisjoint(committee):
+            return b.middle
+        return members_of(b.avoiding(b.middle_mask & wmask))
 
     adversarial = completion_by(profile, pick)
     satisfied, _ = check_jr(adversarial, committee, k)
@@ -322,7 +325,10 @@ def _axiom_scan(
     A ∩ W never creates a violation and growing it never removes one.
     The possible direction keeps the narrowest completion per R, the
     necessary direction the widest, and the answer on these options is
-    the answer on all completions.
+    the answer on all completions. enumerate_completions builds the
+    options from each ballot's overlap with W, so their work follows
+    their number and not the completion count; only the cap check reads
+    the full count.
 
     The narrowest completion per R lies inside every completion with
     that R, so it comes first in ballot order and the reduced

@@ -9,6 +9,9 @@ the library does. Only the data classes, the completion counts, the
 per-ballot completion lists and the single-profile checks are shared
 with the library.
 
+overlap_options groups a ballot's completions, listed by the
+definition in oracles.py, by their overlap with a committee.
+
 neccom_scan is neccom on candidate sets: every rival, every distinct
 ballot's scan over the subsets of its contested middle, no bound.
 threshold_completion is the binary-linear route's canonical completion
@@ -31,6 +34,7 @@ from abcu import (
     is_winning_committee,
 )
 from abcu.rules import Scorer, check_committee_size, check_threshold, committees_by_mask
+from oracles import ballot_options
 
 
 def all_completions(profile, cap: int = DEFAULT_CAP):
@@ -40,6 +44,20 @@ def all_completions(profile, cap: int = DEFAULT_CAP):
     per_voter = [completions_of_ballot(b) for b in profile.ballots]
     for choice in product(*per_voter):
         yield ApprovalProfile(profile.registry, choice)
+
+
+def overlap_options(ballot, committee, widest: bool) -> list[frozenset]:
+    """One completion per overlap R = A ∩ W, groups in the order of their
+    first member by ascending middle mask: the intersection of the group,
+    or with ``widest`` its union."""
+    def middle_mask(approved):
+        return sum(1 << c for c in approved - ballot.top)
+
+    pick = frozenset.union if widest else frozenset.intersection
+    groups: dict[frozenset, list[frozenset]] = {}
+    for approved in sorted(ballot_options(ballot), key=middle_mask):
+        groups.setdefault(approved & committee, []).append(approved)
+    return [pick(*group) for group in groups.values()]
 
 
 def poscom_scan(profile, committee, f, k, cap: int = DEFAULT_CAP) -> Decision:

@@ -18,6 +18,7 @@ from abcu import (
     CC,
     PAV,
     SAV,
+    DEFAULT_CAP,
     ApprovalBallot,
     ApprovalProfile,
     CandidateRegistry,
@@ -93,7 +94,7 @@ from profilegen import (
     random_partial_profile,
     random_x3c,
 )
-from reference_scans import neccom_scan
+from reference_scans import axiom_scan, neccom_scan, poscom_scan
 from test_necessary import near_tie
 
 RULES = [
@@ -959,3 +960,50 @@ def test_fixed_committee_scans_scale():
     elapsed = time.perf_counter() - t0
     assert decision == Decision(False, None, None, "brute-force")
     assert elapsed < budget, elapsed
+
+
+def _best_of_3(scan, *args):
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        decision = scan(*args)
+        elapsed.append(time.perf_counter() - t0)
+    return decision, min(elapsed)
+
+
+def test_overlap_options_scale_with_the_options():
+    """A voter's options about W are built from its overlap with W.
+
+    One voter with an order-free middle of 20, one of them in W, has
+    2^20 completions, the default cap, but only the 2 options R = {}
+    and R = {0}; a 40-candidate chain with one member in W has 41
+    completions and 2 options. Each scan reads both and answers false,
+    well within 50 ms, where a walk over every completion takes longer.
+    """
+    budget = 0.05
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(22)))
+    profile = validate_partial_profile([([21], range(20), [20])], registry)
+    committee = frozenset({0, 20})
+    assert count_completions(profile) == DEFAULT_CAP
+    for scan, args, method in (
+        (poscom_brute, (profile, committee, PAV, 2), "brute-force"),
+        (possible_axiom_by_scan, (profile, committee, 2, "pjr"), "experimental-completion-scan"),
+    ):
+        decision, elapsed = _best_of_3(scan, *args)
+        assert decision == Decision(False, None, None, method), scan.__name__
+        assert elapsed < budget, (scan.__name__, elapsed)
+
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(42)))
+    chain = [(i, i + 1) for i in range(39)]
+    profile = validate_partial_profile([([41], range(40), [40], chain)], registry)
+    committee = frozenset({5, 40})
+    options = [c.ballots[0].approved for c in enumerate_completions(profile, 41, committee)]
+    assert options == [frozenset({41}), frozenset({41, *range(6)})]
+    for scan, args, reference in (
+        (poscom_brute, (profile, committee, PAV, 2), (poscom_scan, PAV, 2)),
+        (possible_axiom_by_scan, (profile, committee, 2, "pjr"), (axiom_scan, 2, "pjr", True)),
+    ):
+        decision, elapsed = _best_of_3(scan, *args)
+        assert decision == reference[0](profile, committee, *reference[1:]), scan.__name__
+        assert decision.answer is False
+        assert elapsed < budget, (scan.__name__, elapsed)

@@ -28,9 +28,9 @@ from abcu import (
     possible_axiom_by_scan,
     validate_partial_profile,
 )
-from abcu.model import completions_of_ballot, enumerate_completions
+from abcu.model import enumerate_completions
 from profilegen import random_committee, random_partial_profile
-from reference_scans import axiom_scan, poscom_scan
+from reference_scans import axiom_scan, overlap_options, poscom_scan
 
 KINDS = ("3va", "linear", "poset")
 TABLE2D = ScoringFunction.table2d({
@@ -93,18 +93,28 @@ def test_reduced_axiom_scans_match_the_full_scan():
     assert not mismatches, mismatches[:3]
 
 
+def _wide_instance(rng):
+    """One voter over up to 10 candidates, its middle ordered by a random
+    share, from none to all, of the pairs of a random ranking."""
+    m = rng.randint(1, 10)
+    ids = rng.sample(range(m), m)
+    q = rng.randint(0, m)
+    ranked, rest = ids[:q], ids[q:]
+    cut = rng.randint(0, len(rest))
+    density = rng.random()
+    edges = [(x, y) for i, x in enumerate(ranked) for y in ranked[i + 1:] if rng.random() < density]
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(m)))
+    profile = validate_partial_profile([(rest[:cut], ranked, rest[cut:], edges)], registry)
+    return profile, random_committee(rng, m, rng.randint(0, m))
+
+
 def test_options_keep_one_completion_per_overlap():
     rng = Random(3333)
-    for trial in range(300):
-        profile, k, committee = _instance(rng, trial)
+    instances = [_instance(rng, trial)[::2] for trial in range(300)]
+    instances += [_wide_instance(rng) for _ in range(300)]
+    for profile, committee in instances:
         for widest in (False, True):
-            pick = frozenset.union if widest else frozenset.intersection
-            kept = []
-            for ballot in profile.ballots:
-                groups = {}
-                for c in completions_of_ballot(ballot):
-                    groups.setdefault(c.approved & committee, []).append(c.approved)
-                kept.append([pick(*g) for g in groups.values()])
+            kept = [overlap_options(b, committee, widest) for b in profile.ballots]
             want = [list(choice) for choice in product(*kept)]
             got = [
                 [b.approved for b in c.ballots]
