@@ -159,7 +159,8 @@ class PartialBallot:
     above another to that bit and those of everything ranked below it; a
     middle bit absent from either stands for itself. Rows are collected
     by id, whose hash is cheaper than that of a bit on a long order.
-    Other modules read the order through ``above`` and ``avoiding``.
+    Other modules read the order through ``above``, ``avoiding`` and
+    ``overlaps``.
     """
 
     top: frozenset[int]
@@ -235,6 +236,31 @@ class PartialBallot:
             blocked |= down.get(low, low)
             bits ^= low
         return self.middle_mask & ~blocked
+
+    def overlaps(self, inside: int) -> list[int]:
+        """Every overlap R = A ∩ inside of a completion's middle part A,
+        ascending: the subsets of ``inside`` closed upward under the order
+        restricted to it. Each step sets the lowest bit p of inside outside
+        R whose superiors on higher bits R all holds, keeps R's bits above
+        p and clears those below it but the ones the kept bits force."""
+        masks, r = [0], 0
+        if not self.precedence:
+            while r != inside:
+                r = (r - inside) & inside
+                masks.append(r)
+            return masks
+        up = self.up
+        while True:
+            bits = free = inside & ~r
+            while bits:
+                p = bits & -bits
+                if not up.get(p, p) & free & -(p << 1):
+                    break
+                bits ^= p
+            else:
+                return masks
+            r = self.above(r & -p | p) & inside
+            masks.append(r)
 
 
 @dataclass(frozen=True)
@@ -427,40 +453,17 @@ def _option_masks(ballot: PartialBallot, committee: int = -1, widest: bool = Fal
     as its bitmask (every candidate by default), in the order in which
     an ascending walk over every completion first reaches each R.
 
-    The feasible R are the upward-closed subsets of inside = middle ∩ W
-    under the order restricted to inside. The completions with a given R
-    are closed under intersection and union: the narrowest, above(R),
-    lies inside all the others and so is reached first; the widest is
-    avoiding(inside ^ R). The walk over R sets the lowest bit p of
-    inside outside R whose superiors on higher bits R all holds, keeps
-    R's bits above p, and clears the bits below p except those the kept
-    ones force, so the work follows the number of options. When inside
-    is the whole middle, each R is a completion, already ascending.
+    The completions with a given R are closed under intersection and
+    union: the narrowest, above(R), lies inside all the others and so is
+    reached first; the widest is avoiding(inside ^ R), inside being
+    middle ∩ W. When inside is the whole middle, each R is a completion,
+    already ascending.
     """
     middle = ballot.middle_mask
     inside = middle & committee
+    masks = ballot.overlaps(inside)
     if not ballot.precedence:
-        rest = middle & ~inside if widest else 0
-        masks = [rest]
-        r = 0
-        while r != inside:
-            r = (r - inside) & inside
-            masks.append(r | rest)
-        return masks
-    up = ballot.up
-    masks = [0]
-    r = 0
-    while True:
-        bits = free = inside & ~r
-        while bits:
-            p = bits & -bits
-            if not up.get(p, p) & free & -(p << 1):
-                break
-            bits ^= p
-        else:
-            break
-        r = ballot.above(r & -p | p) & inside
-        masks.append(r)
+        return [r | middle & ~inside for r in masks] if widest else masks
     if inside == middle:
         return masks
     narrowest = sorted(map(ballot.above, masks))
@@ -476,7 +479,7 @@ def completions_of_ballot(ballot: PartialBallot) -> list[ApprovalBallot]:
     middle subset. For a totally ordered middle this yields exactly the
     q+1 prefixes of the ranking. Only upward-closed subsets are generated.
     """
-    return _ballots(ballot, _option_masks(ballot))
+    return _ballots(ballot, ballot.overlaps(ballot.middle_mask))
 
 
 def _ballots(ballot: PartialBallot, masks: Iterable[int]) -> list[ApprovalBallot]:

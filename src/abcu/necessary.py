@@ -74,10 +74,10 @@ def _scan(scorer: Scorer, thiele: bool, ballot: PartialBallot, committee: int, r
     """One ballot's first best (scaled difference, closure, free, j).
 
     This is max_diff_ballot's scan over Scorer entries, which read only
-    the overlaps with W and W' and the ballot size. The submasks R of the
-    contested bits come in ascending order; closure is R's upward closure,
-    and free holds the bits free to pad: those of avoiding(S - R) outside
-    the closure, S being the contested bits.
+    the overlaps with W and W' and the ballot size. The feasible overlaps
+    R with the contested bits S come from the ballot's overlaps walk, in
+    ascending order; closure is R's upward closure, and free holds the
+    bits free to pad: those of avoiding(S - R) outside the closure.
     """
     top, size = ballot.top_mask, len(ballot.top)
     contested = ballot.middle_mask & (committee | rival)
@@ -87,22 +87,17 @@ def _scan(scorer: Scorer, thiele: bool, ballot: PartialBallot, committee: int, r
         return scorer[top_r, size] - scorer[top_w, size], 0, 0, 0
     above, avoiding = ballot.above, ballot.avoiding
     best = None
-    sub = 0
-    while True:
-        closure = above(sub)
-        excluded = contested ^ sub
-        if not closure & excluded:
-            in_w = top_w + (sub & committee).bit_count()
-            in_r = top_r + (sub & rival).bit_count()
-            base = size + closure.bit_count()
-            free = 0 if thiele else avoiding(excluded) & ~closure
-            for j in range(free.bit_count() + 1):
-                diff = scorer[in_r, base + j] - scorer[in_w, base + j]
-                if best is None or diff > best[0]:
-                    best = (diff, closure, free, j)
-        sub = (sub - contested) & contested
-        if not sub:
-            return best
+    for overlap in ballot.overlaps(contested):
+        closure = above(overlap)
+        in_w = top_w + (overlap & committee).bit_count()
+        in_r = top_r + (overlap & rival).bit_count()
+        base = size + closure.bit_count()
+        free = 0 if thiele else avoiding(contested ^ overlap) & ~closure
+        for j in range(free.bit_count() + 1):
+            diff = scorer[in_r, base + j] - scorer[in_w, base + j]
+            if best is None or diff > best[0]:
+                best = (diff, closure, free, j)
+    return best
 
 
 def _chosen(ballot: PartialBallot, pick: tuple) -> int:
@@ -147,9 +142,10 @@ def max_diff_ballot(
     """One voter's largest score(rival) - score(committee), with a witness.
 
     The contested set S is the middle's overlap with either committee. A
-    completion meets S in some subset R; it must then contain R's upward
-    closure, which is only consistent when the closure stays out of
-    S - R. Beyond that the completion may add any prefix of the
+    completion meets S in some R closed upward under the order restricted
+    to S, and contains R's upward closure; the ballot's overlaps walk
+    lists exactly these R, so no R whose closure meets S - R is visited.
+    Beyond that the completion may add any prefix of the
     candidates that are neither contested nor forced nor forcing anything
     in S - R, taken in an above-first order. Prefix length changes
     nothing for overlap-only rules, so only the empty prefix is scanned

@@ -248,9 +248,10 @@ def necjr(profile: PartialProfile, committee: Committee, k: int) -> Decision:
     wmask = mask_of(committee)
 
     def pick(b):
-        # A middle that misses W is kept whole, without building its masks.
-        if b.middle.isdisjoint(committee):
-            return b.middle
+        # An order-free middle, or one that misses W, keeps all but W
+        # without building its masks.
+        if not b.precedence or b.middle.isdisjoint(committee):
+            return b.middle.difference(committee)
         return members_of(b.avoiding(b.middle_mask & wmask))
 
     adversarial = completion_by(profile, pick)

@@ -671,6 +671,42 @@ def test_neccom_true_answers_scale():
     assert times[3 * n] < 5 * times[n], ("sav", times)
 
 
+def test_max_diff_follows_the_chain_prefixes():
+    """One to three voters, each ranking a 20-candidate chain split
+    between W and W'; the first puts W' first, so the total is positive.
+
+    A chain meets W ∪ W' in one of its 21 prefixes, so each voter's
+    maximum is read from those, well within 0.2 s, where a scan over all
+    2^20 subsets of the chain takes seconds.
+    """
+    budget = 0.2
+    registry = CandidateRegistry(tuple(f"c{i}" for i in range(22)))
+    committee, rival = frozenset(range(10)), frozenset(range(10, 20))
+    chains = [
+        list(range(10, 20)) + list(range(10)),
+        list(range(20)),
+        [c for pair in zip(range(10, 20), range(10)) for c in pair],
+    ]
+    records = [([20], chain, [21], list(zip(chain, chain[1:]))) for chain in chains]
+    for rule in (PAV, SAV):
+        score = SCORERS[rule.label]
+
+        def diff(approved):
+            return score(approved, rival) - score(approved, committee)
+
+        best = [max(diff(frozenset({20, *chain[:p]})) for p in range(21)) for chain in chains]
+        for n in (1, 2, 3):
+            profile = validate_partial_profile(records[:n], registry)
+            t0 = time.perf_counter()
+            report = max_diff_profile(rule, profile, committee, rival)
+            elapsed = time.perf_counter() - t0
+            assert report.per_voter == tuple(best[:n]), (rule.label, n)
+            assert report.total == sum(best[:n]) > 0, (rule.label, n)
+            assert [diff(b.approved) for b in report.witness.ballots] == best[:n]
+            assert is_completion(report.witness, profile)
+            assert elapsed < budget, (rule.label, n, elapsed)
+
+
 def test_av_canonical_routes_scale_in_k():
     """AV canonical routes at n = 200, m = 100, k = 10, each answering false,
     then is_winning_committee and defeats under AV on one completion.

@@ -408,13 +408,16 @@ def test_cached_masks_agree_with_the_sets(ballot):
 def test_above_and_avoiding_follow_their_definitions(ballot, data):
     # above(S): S and everything ranked above a member of S, the OR of
     # the members' forced_by sets; avoiding(S): the middle without S and
-    # without everything ranked below a member of S.
+    # without everything ranked below a member of S; overlaps(I): each
+    # completion's overlap with I, ascending, once each.
     m = len(ballot.top | ballot.middle | ballot.bottom)
     mask = data.draw(st.integers(0, (1 << m) - 1))
     ids = {c for c in range(m) if mask >> c & 1}
     assert ballot.above(mask) == mask_of(set().union(*(ballot.forced_by(c) for c in ids)))
     below = {y for x, y in ballot.precedence if x in ids}
     assert ballot.avoiding(mask) == mask_of(ballot.middle - ids - below)
+    inside = ballot.middle_mask & mask
+    assert ballot.overlaps(inside) == sorted({mask_of(a) & inside for a in ballot_options(ballot)})
 
 
 @given(st.one_of(partial_ballots(max_m=6).map(lambda drawn: drawn[1]), wide_posets(max_middle=4)))

@@ -122,8 +122,8 @@ def test_only_model_builds_masks_from_ballot_parts():
 
 
 def test_only_model_reads_the_order_maps():
-    # A ballot's order is read through its above and avoiding methods;
-    # the up and down maps behind them stay inside model.
+    # A ballot's order is read through its above, avoiding and overlaps
+    # methods; the up and down maps behind them stay inside model.
     faults = [
         f"{path.name}:{node.lineno} {ast.unparse(node)}"
         for path, tree in _library_trees() if path.name != "model.py"
@@ -131,6 +131,26 @@ def test_only_model_reads_the_order_maps():
         if isinstance(node, ast.Attribute) and node.attr in ("up", "down")
     ]
     assert faults == []
+
+
+def _submask_step(node):
+    # (x - y) & y: the step to the next submask of y.
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
+        return False
+    left, right = node.left, node.right
+    return (isinstance(left, ast.BinOp) and isinstance(left.op, ast.Sub)
+            and isinstance(left.right, ast.Name) and isinstance(right, ast.Name)
+            and left.right.id == right.id)
+
+
+def test_only_model_walks_submasks():
+    # A ballot's feasible overlaps come from PartialBallot.overlaps; no
+    # other module walks the submasks of a middle and filters them.
+    walkers = {
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path, tree in _library_trees() for node in ast.walk(tree) if _submask_step(node)
+    }
+    assert {w.split(":")[0] for w in walkers} == {"model.py"}, sorted(walkers)
 
 
 def test_only_the_loader_and_make_partial_ballot_use_ballot_of_ids():
