@@ -160,7 +160,7 @@ class PartialBallot:
     middle bit absent from either stands for itself. Rows are collected
     by id, whose hash is cheaper than that of a bit on a long order.
     Other modules read the order through ``above``, ``avoiding`` and
-    ``overlaps``.
+    ``overlaps``; ``necjr`` reads the closed pairs once per voter.
     """
 
     top: frozenset[int]
@@ -198,8 +198,6 @@ class PartialBallot:
 
     @_cached
     def up(self) -> dict[int, int]:
-        if not self.precedence:
-            return {}
         above: dict[int, int] = {}
         for x, y in self.precedence:
             above[y] = above.get(y, 0) | 1 << x
@@ -207,8 +205,6 @@ class PartialBallot:
 
     @_cached
     def down(self) -> dict[int, int]:
-        if not self.precedence:
-            return {}
         below: dict[int, int] = {}
         for x, y in self.precedence:
             below[x] = below.get(x, 0) | 1 << y
@@ -456,14 +452,13 @@ def _option_masks(ballot: PartialBallot, committee: int = -1, widest: bool = Fal
     The completions with a given R are closed under intersection and
     union: the narrowest, above(R), lies inside all the others and so is
     reached first; the widest is avoiding(inside ^ R), inside being
-    middle ∩ W. When inside is the whole middle, each R is a completion,
-    already ascending.
+    middle ∩ W. An order-free ballot takes the same path: there above(R)
+    is R, and the widest adds the middle outside W. When inside is the
+    whole middle, each R is a completion, already ascending.
     """
     middle = ballot.middle_mask
     inside = middle & committee
     masks = ballot.overlaps(inside)
-    if not ballot.precedence:
-        return [r | middle & ~inside for r in masks] if widest else masks
     if inside == middle:
         return masks
     narrowest = sorted(map(ballot.above, masks))
@@ -498,6 +493,7 @@ def count_ballot_completions(ballot: PartialBallot) -> int:
     deeply nor rescans the order.
     """
     if not ballot.precedence:
+        # An empty middle must exit here: the split would count it twice.
         return 1 << len(ballot.middle)
     up, down = ballot.up, ballot.down
     counts = {0: 1}

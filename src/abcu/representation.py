@@ -241,20 +241,14 @@ def necjr(profile: PartialProfile, committee: Committee, k: int) -> Decision:
     One completion is most adversarial: every voter approves the largest
     upward-closed middle part that avoids the committee entirely, keeping
     the voter unrepresented (when the top allows) with a ballot as wide
-    as possible: its widest option with overlap A ∩ W = ∅. The axiom
-    holds in every completion exactly when it holds in this one.
+    as possible: its widest option with A ∩ W = ∅, the middle without W
+    and without everything ranked below a member of W, found in one pass
+    over the closed ``precedence``. The axiom holds in every completion
+    exactly when it holds in this one.
     """
     check_committee_size(committee, k, profile.m)
-    wmask = mask_of(committee)
-
-    def pick(b):
-        # An order-free middle, or one that misses W, keeps all but W
-        # without building its masks.
-        if not b.precedence or b.middle.isdisjoint(committee):
-            return b.middle.difference(committee)
-        return members_of(b.avoiding(b.middle_mask & wmask))
-
-    adversarial = completion_by(profile, pick)
+    adversarial = completion_by(profile, lambda b: b.middle.difference(
+        committee, [y for x, y in b.precedence if x in committee]))
     satisfied, _ = check_jr(adversarial, committee, k)
     if satisfied:
         return Decision(True, None, None, "canonical-completion")

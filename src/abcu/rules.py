@@ -399,10 +399,10 @@ def check_threshold(t: int | None, k: int) -> None:
         raise BadThresholdError(f"threshold {t} exceeds committee size {k}")
 
 
-def _winners(masks: list[int], scores: list[int]) -> tuple[int, list[int]]:
-    """The best score and the masks reaching it, in the masks' order."""
+def _winners(masks: list[int], scores: list[int]) -> list[int]:
+    """The masks reaching the best score, in the masks' order."""
     best = max(scores)
-    return best, list(compress(masks, map(best.__eq__, scores)))
+    return list(compress(masks, map(best.__eq__, scores)))
 
 
 def best_committees(
@@ -546,7 +546,7 @@ def completion_winners(
                 row = rows[b.approved] = scorer.row(b, masks)
             sums.append(list(map(add, sums[-1], row)))
         last = ballots
-        yield completion, _winners(masks, sums[-1])[1]
+        yield completion, _winners(masks, sums[-1])
 
 
 def parse_rule_spec(spec: str) -> ScoringFunction:

@@ -20,6 +20,8 @@ from abcu import (
     check_jr,
     check_pjr,
     complete_profile,
+    enumerate_completions,
+    is_completion,
     jr_modification_check,
     necessary_axiom_by_scan,
     necjr,
@@ -374,6 +376,29 @@ def test_canonical_routes_agree_with_completion_scans():
         )
         assert posjr(profile, committee, k).answer == exists, trial
         assert necjr(profile, committee, k).answer == always, trial
+
+
+def test_necjr_decides_on_each_voters_widest_option_avoiding_w():
+    """necjr's adversarial completion is, by definition, the first one the
+    widest enumeration yields for W: each voter's widest option with
+    A ∩ W = ∅. Its answer is JR's there, and a false answer returns it."""
+    rng = Random(1729)
+    falses = 0
+    for trial in range(600):
+        kind = ("3va", "linear", "poset")[trial % 3]
+        profile = random_partial_profile(
+            rng, n=rng.randint(1, 4), m=rng.randint(1, 7), kind=kind, max_middle=5
+        )
+        k = rng.randint(1, min(3, profile.m))
+        committee = random_committee(rng, profile.m, k)
+        widest = next(enumerate_completions(profile, committee=committee, widest=True))
+        decision = necjr(profile, committee, k)
+        assert decision.answer == check_jr(widest, committee, k)[0], trial
+        if not decision.answer:
+            falses += 1
+            assert decision.witness == widest, trial
+            assert is_completion(decision.witness, profile), trial
+    assert falses >= 100
 
 
 def test_experimental_scans_cover_the_other_axioms():
