@@ -18,7 +18,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
-from .errors import InputError, ProfileSyntaxError
+from .errors import ProfileSyntaxError
 from .model import (
     ApprovalProfile,
     CandidateRegistry,
@@ -49,10 +49,10 @@ def _name_list(value: Any, context: str) -> list[str]:
 def _voter_record(voter: Any, id_of: Callable[[str], int], everyone: frozenset[int]) -> tuple:
     """One voter's id sets and order edges, for a well-formed record only.
 
-    Each name array maps straight to an id set; an absent or empty order
-    yields no edges. Any fault raises LookupError, TypeError or
-    ValueError (``id_of``, the registry's name -> id lookup, holds names
-    only); _checked_record then names it.
+    parse_profile's first pass reads every record with this. Each name
+    array maps straight to an id set; an absent or empty order yields no
+    edges. Any fault raises LookupError, TypeError or ValueError (``id_of``,
+    the registry's name -> id lookup, holds names only); _record_fault names it.
     """
     if type(voter) is not dict or not voter.keys() <= _VOTER_KEYS:
         raise TypeError("not a voter record")
@@ -83,43 +83,40 @@ def _voter_record(voter: Any, id_of: Callable[[str], int], everyone: frozenset[i
     return top_ids, middle_ids, bottom_ids, [(id_of(x), id_of(y)) for x, y in order]
 
 
-def _checked_record(i: int, voter: Any, registry: CandidateRegistry) -> tuple:
-    """One voter's ids, found by checks that raise the record's first
-    syntax fault in document order."""
+def _record_fault(i: int, voter: Any, registry: CandidateRegistry) -> None:
+    """Raise the first syntax fault of a record _voter_record rejected, in
+    document order. It only diagnoses: it builds and returns nothing."""
     _require(isinstance(voter, dict), f"voter {i} must be an object")
     unknown = set(voter) - _VOTER_KEYS
     _require(not unknown, f"voter {i} has unknown keys: {sorted(unknown)}")
     top = _name_list(voter.get("top", []), f'voter {i} "top"')
     middle = _name_list(voter.get("middle", []), f'voter {i} "middle"')
-    top_ids = frozenset(registry.id_of(name) for name in top)
-    middle_ids = frozenset(registry.id_of(name) for name in middle)
+    for name in top + middle:
+        registry.id_of(name)
     if "bottom" in voter:
-        bottom = _name_list(voter["bottom"], f'voter {i} "bottom"')
-        bottom_ids = frozenset(registry.id_of(name) for name in bottom)
-    else:
-        bottom_ids = registry.ids.difference(top_ids, middle_ids)
+        for name in _name_list(voter["bottom"], f'voter {i} "bottom"'):
+            registry.id_of(name)
     order = voter.get("order", [])
     _require(isinstance(order, list), f'voter {i} "order" must be an array')
-    edges = []
     for pair in order:
         _require(
             isinstance(pair, list) and len(pair) == 2
             and all(isinstance(p, str) for p in pair),
             f'voter {i} "order" entries must be [name, name] pairs',
         )
-        edges.append((registry.id_of(pair[0]), registry.id_of(pair[1])))
-    return top_ids, middle_ids, bottom_ids, edges
+        registry.id_of(pair[0])
+        registry.id_of(pair[1])
 
 
 def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
     """Parse a profile document; returns the profile and its default k.
 
-    Every voter's syntax is checked before any voter's partition and
-    order, so the error raised is the first syntax fault if there is one:
-    the first fault ballot_of_ids raises waits for the syntax pass to
-    end. Each name array maps to an id set in one pass, and the sets go
-    straight to ballot_of_ids; only a record that pass rejects goes
-    through the name-by-name checks that say what is wrong with it.
+    Two passes put every voter's syntax before any voter's partition and
+    order. Pass 1 reads each record with _voter_record; a record it
+    rejects goes to _record_fault, which only diagnoses: it raises the
+    record's first syntax fault, or else the reader's own exception goes
+    on as an internal error. Pass 2 builds each ballot with ballot_of_ids
+    in voter order, and the first partition or order fault raises there.
     """
     try:
         doc = json.loads(text)
@@ -139,20 +136,15 @@ def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
     voters = doc.get("voters")
     _require(isinstance(voters, list), '"voters" must be an array')
     id_of, everyone = registry.index.__getitem__, registry.ids
-    ballots = []
-    fault = None
+    records = []
     for i, voter in enumerate(voters):
         try:
-            top, middle, bottom, edges = _voter_record(voter, id_of, everyone)
+            records.append(_voter_record(voter, id_of, everyone))
         except (LookupError, TypeError, ValueError):
-            top, middle, bottom, edges = _checked_record(i, voter, registry)
-        if fault is None:
-            try:
-                ballots.append(ballot_of_ids(top, middle, bottom, edges, registry, i))
-            except InputError as exc:
-                fault = exc
-    if fault is not None:
-        raise fault
+            _record_fault(i, voter, registry)
+            raise
+    ballots = [ballot_of_ids(top, middle, bottom, edges, registry, i)
+               for i, (top, middle, bottom, edges) in enumerate(records)]
     return PartialProfile(registry, tuple(ballots)), k
 
 

@@ -269,6 +269,39 @@ def test_axiom_queries_cover_both_quantifiers(profile_file, capsys):
     assert doc["method"] == "experimental-completion-scan"
 
 
+def test_necjr_false_jr_witness_fails_check(profile_file, capsys):
+    # Voter 0 may approve any of a, c, d, but d only with a. The witness
+    # completion drops d from voter 0, whose d is ranked below a, and
+    # leaves c's two voters without a member of {a, b}.
+    path = profile_file({
+        "candidates": ["a", "b", "c", "d"],
+        "k": 2,
+        "voters": [
+            {"middle": ["a", "c", "d"], "order": [["a", "d"]]},
+            {"top": ["c"]},
+            {"top": ["a"]},
+            {"top": ["b"]},
+        ],
+    })
+    code, doc, err = run(
+        capsys, "necjr", "--profile", path, "--committee", "a,b", "--witness"
+    )
+    assert code == 1 and err == ""
+    assert doc["answer"] is False and doc["axiom"] == "jr"
+    assert doc["method"] == "canonical-completion"
+    assert doc["witness_committee"] == ["a", "b"]
+    assert doc["witness"] == [["c"], ["c"], ["a"], ["b"]]
+    path = profile_file({
+        "candidates": ["a", "b", "c", "d"],
+        "k": 2,
+        "voters": [{"top": row} for row in doc["witness"]],
+    })
+    code, doc, _ = run(
+        capsys, "check", "--profile", path, "--committee", "a,b", "--axiom", "jr"
+    )
+    assert code == 1 and doc["answer"] is False
+
+
 @pytest.mark.parametrize(
     "argv",
     [

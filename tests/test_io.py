@@ -411,7 +411,10 @@ def test_malformed_documents_fail_as_the_reference_fails(doc):
 # The records a one-pass loader most easily accepts by mistake: a null or
 # empty-object order, a null part, a string where an array belongs, a
 # voter that is no object, and the order shapes the closure must tell
-# apart. Ids follow the candidate list (c=0, a=1, b=2, d=3).
+# apart. Then order pairs of three names, of a non-name and of none, a
+# repeated bottom name, and a record whose middle holds a non-name while
+# its top holds an unknown name: the middle's fault, a syntax error, is
+# the one reported. Ids follow the candidate list (c=0, a=1, b=2, d=3).
 @pytest.mark.parametrize(
     "voter, outcome",
     [
@@ -428,6 +431,11 @@ def test_malformed_documents_fail_as_the_reference_fails(doc):
          EdgeOutsideMiddleError),
         ({"middle": ["a", "b", "d"], "order": [["a", "b"], ["b", "d"], ["d", "a"]]},
          CycleDetectedError),
+        ({"middle": ["a", "b", "d"], "order": [["a", "b", "d"]]}, ProfileSyntaxError),
+        ({"middle": ["a", "b"], "order": [["a", 1]]}, ProfileSyntaxError),
+        ({"top": ["a"], "bottom": ["b", "b"]}, ProfileSyntaxError),
+        ({"top": ["zz"], "middle": ["a", 1]}, ProfileSyntaxError),
+        ({"middle": ["a", "b"], "order": [[]]}, ProfileSyntaxError),
     ],
 )
 def test_tricky_records_load_as_the_reference_loads_them(voter, outcome):

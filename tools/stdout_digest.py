@@ -11,6 +11,9 @@ imported from this checkout's src/. Each query adds its exit code, stdout
 and stderr to one SHA-256, in query order, with the temporary directory's
 path replaced by a fixed token. Two checkouts whose digests are equal gave
 byte-identical results on every query; the printed count says how many.
+Above that last line, one line per workload gives the same digest and
+count over that workload's queries alone, summed over the seeds, so a
+difference names the workload it comes from.
 
 bench/ is only read: no bytecode is written there, and nothing else.
 Standard library only.
@@ -63,18 +66,24 @@ def main(argv=None) -> int:
     import workloads
 
     digest = hashlib.sha256()
-    count = 0
+    per_workload = {name: [0, hashlib.sha256()] for name in workloads.WORKLOADS}
     for seed in args.seeds:
         for name in workloads.WORKLOADS:
+            tally = per_workload[name]
             workdir = tempfile.mkdtemp(prefix="abcu-digest-")
             try:
                 for query in workloads.build(name, seed, workdir).queries:
                     code, out, err = _run(run_cli, query.argv)
                     record = [code, out.replace(workdir, TOKEN), err.replace(workdir, TOKEN)]
-                    digest.update(json.dumps(record).encode() + b"\n")
-                    count += 1
+                    line = json.dumps(record).encode() + b"\n"
+                    digest.update(line)
+                    tally[1].update(line)
+                    tally[0] += 1
             finally:
                 shutil.rmtree(workdir, ignore_errors=True)
+    for name, (n, part) in per_workload.items():
+        print(f"{name}: {n} queries sha256 {part.hexdigest()}")
+    count = sum(n for n, _ in per_workload.values())
     print(f"{count} queries sha256 {digest.hexdigest()}")
     return 0
 
