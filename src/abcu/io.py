@@ -9,11 +9,17 @@ all empty. Serialization is canonical (sorted keys, arrays in registry
 order, order pairs as the full transitive closure) so fixtures diff
 cleanly. Results leave as single JSON objects with a fixed key order and
 exact rationals rendered as p/q strings.
+
+parse_profile keeps what its first pass read of each document (registry,
+k and voter id sets), by the document's exact text and within a fixed
+budget of text, so a document read again skips the JSON decoder; every
+ballot is still validated on every call.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
@@ -49,10 +55,11 @@ def _name_list(value: Any, context: str) -> list[str]:
 def _voter_record(voter: Any, id_of: Callable[[str], int], everyone: frozenset[int]) -> tuple:
     """One voter's id sets and order edges, for a well-formed record only.
 
-    parse_profile's first pass reads every record with this. Each name
-    array maps straight to an id set; an absent or empty order yields no
-    edges. Any fault raises LookupError, TypeError or ValueError (``id_of``,
-    the registry's name -> id lookup, holds names only); _record_fault names it.
+    _decoded, parse_profile's first pass, reads every record with this.
+    Each name array maps straight to an id set; an absent or empty order
+    yields no edges. Any fault raises LookupError, TypeError or ValueError
+    (``id_of``, the registry's name -> id lookup, holds names only);
+    _record_fault names it.
     """
     if type(voter) is not dict or not voter.keys() <= _VOTER_KEYS:
         raise TypeError("not a voter record")
@@ -108,15 +115,15 @@ def _record_fault(i: int, voter: Any, registry: CandidateRegistry) -> None:
         registry.id_of(pair[1])
 
 
-def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
-    """Parse a profile document; returns the profile and its default k.
+def _decoded(text: str) -> tuple[CandidateRegistry, int | None, list[tuple]]:
+    """Pass 1 of parse_profile: the document-level checks, then every
+    voter's record read with _voter_record, in voter order.
 
-    Two passes put every voter's syntax before any voter's partition and
-    order. Pass 1 reads each record with _voter_record; a record it
-    rejects goes to _record_fault, which only diagnoses: it raises the
-    record's first syntax fault, or else the reader's own exception goes
-    on as an internal error. Pass 2 builds each ballot with ballot_of_ids
-    in voter order, and the first partition or order fault raises there.
+    Returns the registry, the document's k and one (top, middle, bottom,
+    edges) record per voter, the id sets as frozensets. A record the
+    reader rejects goes to _record_fault, which only diagnoses: it raises
+    the record's first syntax fault, or else the reader's own exception
+    goes on as an internal error.
     """
     try:
         doc = json.loads(text)
@@ -143,7 +150,63 @@ def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
         except (LookupError, TypeError, ValueError):
             _record_fault(i, voter, registry)
             raise
-    ballots = [ballot_of_ids(top, middle, bottom, edges, registry, i)
+    return registry, k, records
+
+
+# Pass 1's results by the exact document text, oldest first, and the
+# total length of the texts they hold. A text pushes out the oldest until
+# the total fits _KEPT_TEXT characters again; a longer text is never
+# kept. An entry holds the registry, k and the records: first as pass 1
+# built them, a list of id frozensets, then, from the first call that
+# reads the text again, a tuple of id tuples, which take under a third of
+# those frozensets' memory. Turning them into tuples at once would cost a
+# text that is read only once about a tenth of its parse.
+_KEPT_TEXT = 1 << 20
+_kept: dict[str, tuple] = {}
+_kept_text = 0
+_kept_lock = threading.Lock()
+
+
+def _keep(text: str, entry: tuple) -> None:
+    """Keep (or, if still kept, replace) the entry for ``text``."""
+    global _kept_text
+    if len(text) > _KEPT_TEXT:
+        return
+    with _kept_lock:
+        if text not in _kept:
+            _kept_text += len(text)
+        _kept[text] = entry
+        while _kept_text > _KEPT_TEXT:
+            oldest = next(iter(_kept))
+            del _kept[oldest]
+            _kept_text -= len(oldest)
+
+
+def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
+    """Parse a profile document; returns the profile and its default k.
+
+    Two passes put every voter's syntax before any voter's partition and
+    order. Pass 1 (_decoded) reads the document and every voter record;
+    its results are kept by the document's text, so a text read again
+    skips it. Pass 2 runs on every call: it builds each ballot with
+    ballot_of_ids in voter order, and the first partition or order fault
+    raises there. Every call gets its own ballots and sets: a first call
+    hands pass 1's frozensets on (frozenset() returns a frozenset as it
+    is), a later one builds them from the kept id tuples. Calls share
+    only the immutable registry.
+    """
+    kept = _kept.get(text)
+    if kept is None:
+        registry, k, records = _decoded(text)
+        _keep(text, (registry, k, records))
+    else:
+        registry, k, records = kept
+        if type(records) is list:
+            records = tuple([(tuple(top), tuple(middle), tuple(bottom), tuple(edges))
+                             for top, middle, bottom, edges in records])
+            _keep(text, (registry, k, records))
+    ballots = [ballot_of_ids(frozenset(top), frozenset(middle), frozenset(bottom),
+                             edges, registry, i)
                for i, (top, middle, bottom, edges) in enumerate(records)]
     return PartialProfile(registry, tuple(ballots)), k
 

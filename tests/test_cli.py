@@ -127,6 +127,20 @@ def test_k_flag_overrides_the_document(profile_file, capsys):
     assert doc["committees"] == [["c"]]
 
 
+def test_a_profile_rewritten_in_place_is_read_again(profile_file, capsys):
+    # The loader keeps what it decoded by the document's text, not by its
+    # path, size or time: same path, same length, same mtime, new answer.
+    path = profile_file({"candidates": ["a", "b"], "k": 1, "voters": [{"top": ["a"]}]})
+    stat = os.stat(path)
+    _, doc, _ = run(capsys, "winners", "--profile", path, "--rule", "av")
+    assert doc["committees"] == [["a"]]
+    path = profile_file({"candidates": ["a", "b"], "k": 1, "voters": [{"top": ["b"]}]})
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+    _, doc, _ = run(capsys, "winners", "--profile", path, "--rule", "av")
+    assert doc["committees"] == [["b"]]
+
+
 def test_winners_lists_all_optimal_committees(profile_file, capsys):
     path = profile_file(QUAD_DOC)
     code, doc, _ = run(capsys, "winners", "--profile", path, "--rule", "cc")

@@ -1,6 +1,8 @@
 """Profile document parsing and result rendering."""
 
 import json
+import sys
+import threading
 import time
 from fractions import Fraction
 from random import Random
@@ -19,6 +21,7 @@ from abcu import (
     necjr,
     poscom,
 )
+from abcu import io as abcu_io
 from abcu.errors import (
     CycleDetectedError,
     EdgeOutsideMiddleError,
@@ -392,11 +395,16 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
+# Each text is parsed twice: the second call reads what the first kept
+# by the text, and must give the reference loader's outcome all the same.
 @settings(max_examples=300, deadline=None)
 @given(_documents())
 def test_valid_documents_load_as_the_reference_loads_them(doc):
     text = json.dumps(doc)
-    assert parse_profile(text) == reference_loader.parse_profile(text)
+    expected = reference_loader.parse_profile(text)
+    assert parse_profile(text) == expected
+    assert text in abcu_io._kept
+    assert parse_profile(text) == expected
 
 
 @settings(max_examples=500, deadline=None)
@@ -405,7 +413,9 @@ def test_malformed_documents_fail_as_the_reference_fails(doc):
     # Both loaders report every voter's syntax faults before any voter's
     # validation faults; the first fault found names the error.
     text = json.dumps(doc)
-    assert _outcome(parse_profile, text) == _outcome(reference_loader.parse_profile, text)
+    expected = _outcome(reference_loader.parse_profile, text)
+    assert _outcome(parse_profile, text) == expected
+    assert _outcome(parse_profile, text) == expected
 
 
 # The records a one-pass loader most easily accepts by mistake: a null or
@@ -561,3 +571,150 @@ def test_large_documents_load_in_linear_time():
     assert [sorted(b.top) for b in profile.ballots[:3]] == [
         [int(name[1:]) for name in record["top"]] for record in complete[:3]]
     assert all(not b.middle and len(b.top) + len(b.bottom) == 14 for b in profile.ballots)
+
+
+# parse_profile keeps pass 1's results by the document's text. The tests
+# below each start from an empty store, restored afterwards.
+@pytest.fixture
+def kept(monkeypatch):
+    monkeypatch.setattr(abcu_io, "_kept", {})
+    monkeypatch.setattr(abcu_io, "_kept_text", 0)
+    return abcu_io
+
+
+def _doc_text(voters, candidates=("c", "a", "b", "d")):
+    return json.dumps({"candidates": list(candidates), "voters": voters})
+
+
+# Ids follow the candidate list (c=0, a=1, b=2, d=3).
+@pytest.mark.parametrize(
+    "voter, error, message",
+    [
+        ({"top": ["a"], "middle": ["a"]}, PartitionOverlapError,
+         "candidates in more than one part (voter 1): a"),
+        ({"top": ["a"], "bottom": ["b"]}, PartitionIncompleteError,
+         "candidates in no part (voter 1): c, d"),
+        ({"top": ["c"], "middle": ["a", "b"], "order": [["c", "a"]]}, EdgeOutsideMiddleError,
+         "order edge (0, 1) leaves the middle (voter 1)"),
+        ({"middle": ["a", "b"], "order": [["a", "b"], ["b", "a"]]}, CycleDetectedError,
+         "order constraints are cyclic (voter 1)"),
+    ],
+)
+def test_validation_faults_raise_on_every_call(kept, voter, error, message):
+    # Pass 1 accepts these records, so the text is kept; pass 2 checks
+    # each ballot again on every later call and raises the same fault.
+    text = _doc_text([{"top": ["a"]}, voter])
+    expected = _outcome(reference_loader.parse_profile, text)
+    assert expected == (error, message)
+    for _ in range(3):
+        assert _outcome(parse_profile, text) == expected
+        assert text in kept._kept
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{",
+        "[]",
+        '{"candidates": ["a"], "voters": [], "extra": 1}',
+        '{"candidates": ["a"], "k": 0, "voters": []}',
+        '{"candidates": ["a"], "voters": {}}',
+        _doc_text([{"top": ["a"]}, {"top": ["zz"]}]),
+        _doc_text([{"middle": ["a", "b"], "order": [["a"]]}]),
+        _doc_text([{"top": ["a", "a"]}]),
+    ],
+)
+def test_syntax_faults_leave_the_kept_texts_as_they_were(kept, text):
+    valid = _doc_text([{"top": ["a"]}])
+    parse_profile(valid)
+    before = dict(kept._kept), kept._kept_text
+    expected = _outcome(reference_loader.parse_profile, text)
+    assert expected[0] in (ProfileSyntaxError, UnknownCandidateError)
+    for _ in range(2):
+        assert _outcome(parse_profile, text) == expected
+        assert (dict(kept._kept), kept._kept_text) == before
+
+
+def test_calls_share_only_the_registry(kept):
+    # Every call builds its own ballots and sets; the first reads pass 1's
+    # sets, the second turns them into tuples, the third reads the tuples.
+    text = _doc_text([
+        {"top": ["a"], "middle": ["b", "d"], "order": [["b", "d"]]},
+        {"top": ["c", "d"], "bottom": ["a", "b"]},
+    ])
+    results = [parse_profile(text) for _ in range(3)]
+    assert all(result == results[0] for result in results)
+    assert len({id(profile.registry) for profile, _ in results}) == 1
+    seen = {}
+    for call, (profile, _) in enumerate(results):
+        for b in profile.ballots:
+            for part in (b, b.top, b.middle, b.bottom, b.precedence):
+                if part:
+                    assert seen.setdefault(id(part), call) == call
+    assert type(kept._kept[text][2]) is tuple
+
+
+def _sized_texts(count):
+    """Distinct valid documents of different lengths."""
+    return [_doc_text([{"top": ["a"]}] * (i + 1)) for i in range(count)]
+
+
+def test_kept_texts_are_pushed_out_oldest_first(kept, monkeypatch):
+    texts = _sized_texts(6)
+    budget = sum(map(len, texts[:3]))
+    monkeypatch.setattr(abcu_io, "_KEPT_TEXT", budget)
+    expected = []
+    for i in (0, 1, 2, 0, 3, 4, 0, 5, 5, 1):
+        assert parse_profile(texts[i]) == reference_loader.parse_profile(texts[i])
+        if texts[i] not in expected:
+            expected.append(texts[i])
+            while sum(map(len, expected)) > budget:
+                expected.pop(0)
+        assert list(kept._kept) == expected
+        assert kept._kept_text == sum(map(len, expected)) <= budget
+
+
+def test_a_text_longer_than_the_budget_is_not_kept(kept, monkeypatch):
+    small, big = _doc_text([{"top": ["a"]}]), _doc_text([{"top": ["b"]}] * 40)
+    monkeypatch.setattr(abcu_io, "_KEPT_TEXT", 2 * len(small))
+    parse_profile(small)
+    for _ in range(2):
+        assert parse_profile(big) == reference_loader.parse_profile(big)
+        assert list(kept._kept) == [small] and kept._kept_text == len(small)
+
+
+def test_threads_parsing_while_texts_are_pushed_out_get_serial_results(kept, monkeypatch):
+    # A budget of two texts makes almost every call push one out, so four
+    # threads keep, replace and push out entries under each other all the
+    # time. Without the store's lock, one thread's eviction reads the dict
+    # while another changes it, which raises, or the total loses an update.
+    texts = _sized_texts(8) + [
+        _doc_text([{"top": ["a"]}, {"middle": ["a", "b"], "order": [["a", "b"], ["b", "a"]]}]),
+        _doc_text([{"top": ["a"], "bottom": ["a"]}]),
+    ]
+    expected = [_outcome(reference_loader.parse_profile, text) for text in texts]
+    monkeypatch.setattr(abcu_io, "_KEPT_TEXT", sum(map(len, texts[:2])))
+    faults = []
+
+    def work(start):
+        try:
+            for step in range(2000):
+                j = (start + step) % len(texts)
+                if _outcome(parse_profile, texts[j]) != expected[j]:
+                    faults.append((start, step))
+        except Exception as exc:  # any escape is a fault to report
+            faults.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(3 * t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert faults == []
+    assert kept._kept_text == sum(map(len, kept._kept)) <= abcu_io._KEPT_TEXT
