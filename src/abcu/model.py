@@ -439,7 +439,7 @@ def is_linearly_ordered(profile: PartialProfile) -> bool:
     """True when every ballot's middle is totally ordered.
 
     Middles of size at most one count, so this can hold together with
-    is_three_valued; dispatchers treat both as capabilities, not classes.
+    is_three_valued; possible.route tests both as capabilities, not classes.
     """
     return all(b.is_totally_ordered() for b in profile.ballots)
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadKError, ModelMismatchError, NoPolyAlgorithmError, TableOutOfRangeError
+from .errors import BadKError, ModelMismatchError, TableOutOfRangeError
 from .model import (
     DEFAULT_CAP,
     ApprovalBallot,
@@ -34,7 +34,7 @@ from .model import (
     mask_of,
     members_of,
 )
-from .possible import canonical_route
+from .possible import route
 from .rules import (
     AV,
     Committee,
@@ -302,36 +302,29 @@ def necmem(
     method: str = "auto",
     cap: int = DEFAULT_CAP,
 ) -> Decision:
-    """Necessary-member query with rule/model dispatch."""
-    if method not in ("auto", "poly", "brute"):
-        raise ValueError(f"unknown method {method!r}")
+    """Necessary-member query with rule/model dispatch through route."""
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
     check_threshold(f.binary_threshold, k)
     bit = 1 << candidate
-    if method != "brute":
-        # canonical_route takes AV's order-free route first, so singleton
-        # middles reach av-3va before av-linear, like classify.
-        route = canonical_route(profile, f)
-        if route is not None:
-            # The candidate fails exactly when some committee W avoiding
-            # it, in W's completion on the route, defeats every committee
-            # holding it. Committees are scanned ascending by candidate-id
-            # bitmask; the first W that does so is the witness committee.
-            canonical_for, _, name = route
-            for mask in committee_masks(profile.m, k):
-                if not mask & bit:
-                    committee = members_of(mask)
-                    completion = canonical_for(committee)
-                    if defeats(f, completion, committee, candidate):
-                        return Decision(False, completion, committee, name)
-            return Decision(True, None, None, name)
-        if f.is_av and is_linearly_ordered(profile):
+    # route takes AV's order-free route first, so singleton middles
+    # reach av-3va before av-linear, like classify.
+    picked = route("necmem", profile, f, method)
+    if picked is not None:
+        name, canonical_for = picked
+        if canonical_for is None:
             return necmem_av_linear(profile, candidate, k)
-        if method == "poly":
-            raise NoPolyAlgorithmError(
-                f"no polynomial route for rule {f.label!r} on this profile"
-            )
+        # The candidate fails exactly when some committee W avoiding it,
+        # in W's completion on the route, defeats every committee holding
+        # it. Committees are scanned ascending by candidate-id bitmask;
+        # the first W that does so is the witness committee.
+        for mask in committee_masks(profile.m, k):
+            if not mask & bit:
+                committee = members_of(mask)
+                completion = canonical_for(committee)
+                if defeats(f, completion, committee, candidate):
+                    return Decision(False, completion, committee, name)
+        return Decision(True, None, None, name)
     for completion, winners in completion_winners(f, profile, k, cap):
         if not any(w & bit for w in winners):
             return Decision(False, completion, members_of(winners[0]), "brute-force")

@@ -44,21 +44,30 @@ from .rules import (
 )
 
 
-def canonical_route(
-    profile: PartialProfile, f: ScoringFunction
-) -> tuple[Callable[[Committee], ApprovalProfile], str, str] | None:
-    """The one list of canonical-completion cells: None when this rule
-    and ballot structure have none, else W -> the completion maximizing
-    W's margin over every rival at once, with the poscom and necmem
-    method names. Singleton middles are both order-free and totally
-    ordered; AV is listed first, so its order-free route wins there.
+def route(
+    query: str, profile: PartialProfile, f: ScoringFunction, method: str
+) -> tuple[str, Callable[[Committee], ApprovalProfile] | None] | None:
+    """The one route table of poscom, posmem and necmem: method checked,
+    then posmem's AV-linear prefix, AV on order-free middles, binary:t on
+    totally ordered ones, necmem's AV-linear completion (singleton middles
+    are both). A match gives the query's method name and W -> the
+    completion maximizing W's margin over every rival, None on AV-linear.
+    None means enumerate: "brute", or "auto" with no match ("poly" raises).
     """
+    if method not in ("auto", "poly", "brute"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "brute":
+        return None
+    if query == "posmem" and f.is_av and is_linearly_ordered(profile):
+        return "av-linear-prefix", None
+    # method names by query; posmem iterates poscom's route
+    at = ("poscom", "posmem", "necmem").index(query)
     if f.is_av and is_three_valued(profile):
         # Each voter approves its top and exactly its undecided W-members:
         # under the linear-weight rule each adds one to W and at most one to
         # any rival, and each skipped outsider adds zero.
-        return (lambda committee: completion_by(profile, lambda b: b.middle & committee),
-                "av-3va-canonical", "av-3va-defeat-scan")
+        return (("av-3va-canonical", "poscom-iteration", "av-3va-defeat-scan")[at],
+                lambda committee: completion_by(profile, lambda b: b.middle & committee))
     t = f.binary_threshold
     if t is not None and is_linearly_ordered(profile):
         # The cheapest completion pushing each voter's overlap with W to t,
@@ -82,7 +91,12 @@ def canonical_route(
 
             return completion_by(profile, pick)
 
-        return canonical_for, "binary-linear-prefix", "binary-linear-defeat-scan"
+        return (("binary-linear-prefix", "poscom-iteration", "binary-linear-defeat-scan")[at],
+                canonical_for)
+    if query == "necmem" and f.is_av and is_linearly_ordered(profile):
+        return "av-linear-canonical", None
+    if method == "poly":
+        raise NoPolyAlgorithmError(f"no polynomial route for rule {f.label!r} on this profile")
     return None
 
 
@@ -156,27 +170,20 @@ def poscom(
 ) -> Decision:
     """Possible-winner query with rule/model dispatch.
 
-    method "auto" takes a canonical-completion route when the rule and
-    the profile's structure admit one and falls back to capped
-    enumeration; "poly" refuses the fallback; "brute" forces it.
+    method "auto" judges W in its canonical completion when route finds
+    one for the rule and the profile's structure, and falls back to
+    capped enumeration; "poly" refuses the fallback; "brute" forces it.
     """
-    if method not in ("auto", "poly", "brute"):
-        raise ValueError(f"unknown method {method!r}")
     check_committee_size(committee, k, profile.m)
     check_threshold(f.binary_threshold, k)
-    if method != "brute":
-        route = canonical_route(profile, f)
-        if route is not None:
-            canonical_for, name, _ = route
-            canonical = canonical_for(committee)
-            if is_winning_committee(f, canonical, committee):
-                return Decision(True, canonical, committee, name)
-            return Decision(False, None, None, name)
-        if method == "poly":
-            raise NoPolyAlgorithmError(
-                f"no polynomial route for rule {f.label!r} on this profile"
-            )
-    return poscom_brute(profile, committee, f, k, cap)
+    picked = route("poscom", profile, f, method)
+    if picked is None:
+        return poscom_brute(profile, committee, f, k, cap)
+    name, canonical_for = picked
+    canonical = canonical_for(committee)
+    if is_winning_committee(f, canonical, committee):
+        return Decision(True, canonical, committee, name)
+    return Decision(False, None, None, name)
 
 
 def posmem_av_linear(profile: PartialProfile, candidate: int, k: int) -> Decision:
@@ -211,36 +218,24 @@ def posmem(
     method: str = "auto",
     cap: int = DEFAULT_CAP,
 ) -> Decision:
-    """Possible-member query with rule/model dispatch.
-
-    Routes: the direct prefix construction for the linear-weight rule on
-    ordered middles; otherwise, when the possible-winner cell is
-    polynomial, one possible-winner call per committee containing the
-    candidate; otherwise capped enumeration.
-    """
-    if method not in ("auto", "poly", "brute"):
-        raise ValueError(f"unknown method {method!r}")
+    """Possible-member query: route's AV-linear prefix, or its possible-winner
+    route tried on each committee holding the candidate, or enumeration."""
     check_candidate(candidate, profile.m)
     check_k(k, profile.m)
     check_threshold(f.binary_threshold, k)
     bit = 1 << candidate
-    if method != "brute":
-        if f.is_av and is_linearly_ordered(profile):
+    picked = route("posmem", profile, f, method)
+    if picked is not None:
+        name, canonical_for = picked
+        if canonical_for is None:
             return posmem_av_linear(profile, candidate, k)
-        route = canonical_route(profile, f)
-        if route is not None:
-            canonical_for = route[0]
-            for mask in committee_masks(profile.m, k):
-                if mask & bit:
-                    committee = members_of(mask)
-                    canonical = canonical_for(committee)
-                    if is_winning_committee(f, canonical, committee):
-                        return Decision(True, canonical, committee, "poscom-iteration")
-            return Decision(False, None, None, "poscom-iteration")
-        if method == "poly":
-            raise NoPolyAlgorithmError(
-                f"no polynomial route for rule {f.label!r} on this profile"
-            )
+        for mask in committee_masks(profile.m, k):
+            if mask & bit:
+                committee = members_of(mask)
+                canonical = canonical_for(committee)
+                if is_winning_committee(f, canonical, committee):
+                    return Decision(True, canonical, committee, name)
+        return Decision(False, None, None, name)
     for completion, winners in completion_winners(f, profile, k, cap):
         holder = next((w for w in winners if w & bit), None)
         if holder is not None:

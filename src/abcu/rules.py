@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, compress
 from operator import add
 from typing import Iterable, Iterator, Mapping
@@ -84,7 +85,10 @@ class WeightFunction:
         return WeightFunction("table", values=tuple(Fraction(v) for v in values))
 
 
-_PAV_CACHE: list[Fraction] = [Fraction(0)]
+@cache
+def _harmonic(x: int) -> Fraction:
+    """1 + 1/2 + ... + 1/x, summed without recursion; kept by x alone."""
+    return sum((Fraction(1, i) for i in range(1, x + 1)), Fraction(0))
 
 
 def eval_weight(w: WeightFunction, x: int) -> Fraction:
@@ -94,9 +98,7 @@ def eval_weight(w: WeightFunction, x: int) -> Fraction:
     if w.kind == "av":
         return Fraction(x)
     if w.kind == "pav":
-        while len(_PAV_CACHE) <= x:
-            _PAV_CACHE.append(_PAV_CACHE[-1] + Fraction(1, len(_PAV_CACHE)))
-        return _PAV_CACHE[x]
+        return _harmonic(x)
     if w.kind == "binary":
         return Fraction(1) if x >= w.threshold else Fraction(0)
     if x >= len(w.values):

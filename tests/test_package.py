@@ -85,6 +85,38 @@ def test_committee_scans_walk_committee_masks():
     assert faults == []
 
 
+def _top_level_sites(tree, hit):
+    # The module-level def or class holding each node that hit accepts.
+    return [
+        getattr(top, "name", top.lineno)
+        for top in tree.body for node in ast.walk(top) if hit(node)
+    ]
+
+
+def test_one_function_routes_the_queries():
+    # possible.route is the one route table of poscom, posmem and
+    # necmem: it alone checks method against ("auto", "poly", "brute")
+    # and constructs NoPolyAlgorithmError, so the dispatch is not copied.
+    def refusal(node):
+        return (isinstance(node, ast.Call)
+                and "NoPolyAlgorithmError" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None)))
+
+    def method_check(node):
+        return (isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+                and any(isinstance(c, ast.Tuple)
+                        and [getattr(e, "value", None) for e in c.elts] == ["auto", "poly", "brute"]
+                        for c in node.comparators))
+
+    for hit in (refusal, method_check):
+        sites = [
+            f"{path.name}:{site}"
+            for path, tree in _library_trees() for site in _top_level_sites(tree, hit)
+        ]
+        assert sites == ["possible.py:route"], (hit.__name__, sites)
+
+
 def test_library_holds_no_assert_statements():
     # Invariants are explicit checks; python -O strips assert statements.
     faults = [

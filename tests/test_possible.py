@@ -1,5 +1,6 @@
 """Possible-winner and possible-member queries."""
 
+import re
 from random import Random
 
 import pytest
@@ -30,7 +31,7 @@ from abcu import (
     validate_partial_profile,
 )
 from abcu.model import completion_by
-from abcu.possible import canonical_route
+from abcu.possible import route
 from conftest import A, B, C
 from oracles import SCORERS, decide_all
 from profilegen import random_committee, random_partial_profile
@@ -171,11 +172,11 @@ def test_canonical_routes_build_the_reference_completions():
         t = rng.randint(1, k)
         w = random_committee(rng, m, k)
         linear = random_partial_profile(rng, rng.randint(1, 5), m, "linear", 5)
-        build, name, _ = canonical_route(linear, binary_rule(t))
+        name, build = route("poscom", linear, binary_rule(t), "auto")
         assert name == "binary-linear-prefix"
         assert build(w) == threshold_completion(linear, w, t)
         flat = random_partial_profile(rng, rng.randint(1, 5), m, "3va", 5)
-        build, name, _ = canonical_route(flat, AV)
+        name, build = route("poscom", flat, AV, "auto")
         assert name == "av-3va-canonical"
         assert build(w) == completion_by(flat, lambda b: b.middle & w)
 
@@ -261,3 +262,49 @@ def test_brute_witness_is_first_in_voter_major_order(pair_profile):
     # v2 = {} already ties b with a at 0? no: a scores 1, so the witness
     # must be the second completion, v2 = {b}
     assert rows(decision.witness) == [frozenset({A}), frozenset({B})]
+
+
+def test_every_query_keeps_the_route_contract():
+    # poscom, posmem and necmem alike: "poly" answers as "auto" on every
+    # route and refuses exactly where "auto" enumerates; "brute" always
+    # enumerates and answers as "auto"; any other method is refused.
+    rng = Random(2026)
+    shapes = (("3va", 3), ("linear", 3), ("poset", 3), ("3va", 1))  # last: singleton middles
+    seen = set()
+    for trial in range(120):
+        kind, max_middle = shapes[trial % len(shapes)]
+        name = list(RULES)[trial // len(shapes) % len(RULES)]
+        f = RULES[name]
+        least_m = 2 if name == "binary:2" else 1
+        profile = random_partial_profile(
+            rng, n=rng.randint(1, 3), m=rng.randint(least_m, 4), kind=kind,
+            max_middle=max_middle,
+        )
+        if max_middle == 1:
+            assert is_three_valued(profile) and is_linearly_ordered(profile)
+        k = 2 if name == "binary:2" else rng.randint(1, min(2, profile.m))
+        committee = random_committee(rng, profile.m, k)
+        candidate = rng.randrange(profile.m)
+        for query in (
+            lambda method: poscom(profile, committee, f, k, method=method),
+            lambda method: posmem(profile, candidate, f, k, method=method),
+            lambda method: necmem(profile, candidate, f, k, method=method),
+        ):
+            auto, brute = query("auto"), query("brute")
+            seen.add(auto.method_used)
+            assert brute.method_used == "brute-force"
+            assert brute.answer == auto.answer, (trial, name)
+            if auto.method_used == "brute-force":
+                assert brute == auto
+                refusal = f"no polynomial route for rule {f.label!r} on this profile"
+                with pytest.raises(NoPolyAlgorithmError, match=re.escape(refusal)):
+                    query("poly")
+            else:
+                assert query("poly") == auto
+            with pytest.raises(ValueError, match="unknown method 'fast'"):
+                query("fast")
+    assert seen == {
+        "av-3va-canonical", "binary-linear-prefix", "av-linear-prefix", "poscom-iteration",
+        "av-3va-defeat-scan", "binary-linear-defeat-scan", "av-linear-canonical",
+        "brute-force",
+    }

@@ -1,6 +1,8 @@
 """Weight functions, committee scores, winner scans, rule parsing."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -37,6 +39,7 @@ from abcu import (
     profile_score,
     winning_committees,
 )
+from abcu import rules
 from abcu.model import ApprovalBallot
 from abcu.rules import (
     Scorer,
@@ -62,6 +65,34 @@ def test_harmonic_weight():
     assert eval_weight(w, 1) == 1
     assert eval_weight(w, 2) == Fraction(3, 2)
     assert eval_weight(w, 3) == Fraction(11, 6)
+
+
+def test_pav_weights_stay_exact_under_threads():
+    # Each kept harmonic number depends on x alone, so threads that fill
+    # the cache at once cannot store a wrong one for later scores to read.
+    pav = WeightFunction.pav()
+    exact = [Fraction(0)]
+    for i in range(1, 151):
+        exact.append(exact[-1] + Fraction(1, i))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rules._harmonic.cache_clear()
+            got = []
+            threads = [
+                threading.Thread(target=lambda: got.append(eval_weight(pav, 150)))
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [exact[150]] * 4
+            assert [eval_weight(pav, x) for x in range(151)] == exact
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_step_weights():
