@@ -261,7 +261,8 @@ class PartialBallot:
 
 @dataclass(frozen=True)
 class PartialProfile:
-    """Incomplete ballots for every voter, over a shared registry."""
+    """Incomplete ballots for every voter, over a shared registry; its
+    structure answers are kept on first read, outside eq and hash."""
 
     registry: CandidateRegistry
     ballots: tuple[PartialBallot, ...]
@@ -273,6 +274,14 @@ class PartialProfile:
     @property
     def m(self) -> int:
         return len(self.registry)
+
+    @_cached
+    def three_valued(self) -> bool:
+        return all(b.is_three_valued() for b in self.ballots)
+
+    @_cached
+    def linearly_ordered(self) -> bool:
+        return all(b.is_totally_ordered() for b in self.ballots)
 
 
 @dataclass(frozen=True)
@@ -432,7 +441,7 @@ def classify(profile: PartialProfile) -> ModelClass:
 
 def is_three_valued(profile: PartialProfile) -> bool:
     """True when every ballot is free of order constraints."""
-    return all(b.is_three_valued() for b in profile.ballots)
+    return profile.three_valued
 
 
 def is_linearly_ordered(profile: PartialProfile) -> bool:
@@ -441,7 +450,7 @@ def is_linearly_ordered(profile: PartialProfile) -> bool:
     Middles of size at most one count, so this can hold together with
     is_three_valued; possible.route tests both as capabilities, not classes.
     """
-    return all(b.is_totally_ordered() for b in profile.ballots)
+    return profile.linearly_ordered
 
 
 def _option_masks(ballot: PartialBallot, committee: int = -1, widest: bool = False) -> list[int]:

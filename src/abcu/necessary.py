@@ -16,9 +16,9 @@ and ballot structure admit them, and capped enumeration elsewhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import BadKError, ModelMismatchError, TableOutOfRangeError
 from .model import (
@@ -180,20 +180,25 @@ def max_diff_profile(
     return ScoreDiffReport(committee, rival, tuple(diffs), sum(diffs, Fraction(0)), witness)
 
 
-def _bound(scorer: Scorer, f: ScoringFunction, profile: PartialProfile, committee: int, k: int):
-    """rival mask -> an upper bound on its largest score difference.
+def _bounds(scorer: Scorer, f: ScoringFunction, profile: PartialProfile, committee: int,
+            k: int, rival: int) -> Iterator[int]:
+    """An upper bound on each later rival's largest score difference, in
+    committee_masks order, starting just after ``rival``.
 
     Under a Thiele rule a committee's score never drops as a ballot
     grows, so score(W') is at most its score when every middle is
-    approved and score(W) at least its score when none is: ``scorer``'s
-    entries for the tops, which the first exact scan has already read.
+    approved, read from that profile's walk, and score(W) at least its
+    score when none is: ``scorer``'s entries for the tops, which the
+    first exact scan has already read. That scan has read every entry
+    the walk reads up to ``rival`` too, so skipping there raises nothing.
     """
-    widest = Scorer(
-        f, k, profile.m, [ApprovalBallot(b.top | b.middle) for b in profile.ballots],
-        math.comb(profile.m, k),
-    )
+    widest = Scorer(f, k, profile.m, [ApprovalBallot(b.top | b.middle) for b in profile.ballots])
     floor = sum(scorer[(b.top_mask & committee).bit_count(), 0] for b in profile.ballots)
-    return lambda rival: widest.score(rival) - floor
+    walk = widest.walk()
+    for mask, _ in walk:
+        if mask == rival:
+            break
+    return (score - floor for _, score in walk)
 
 
 def neccom(
@@ -210,7 +215,7 @@ def neccom(
     voter's ballot is scanned once per rival, in scaled integers.
 
     Under a Thiele rule, once one exact scan comes out non-positive, a
-    rival whose upper bound (see _bound) is non-positive is skipped: it
+    rival whose upper bound (see _bounds) is non-positive is skipped: it
     cannot be the first positive one. A rival whose bound reads a
     missing table entry is scanned, and the scan raises there.
     """
@@ -219,22 +224,22 @@ def neccom(
     scorer = Scorer(f, k, profile.m)
     thiele = f.is_thiele
     wmask = mask_of(committee)
-    bound = None
+    bounds = None
     for rmask in committee_masks(profile.m, k):
-        if rmask == wmask:
-            continue
-        if bound is not None:
+        if bounds is not None:
             try:
-                if bound(rmask) <= 0:
+                if next(bounds) <= 0:
                     continue
             except TableOutOfRangeError:
                 pass
+        if rmask == wmask:
+            continue
         picks = [_scan(scorer, thiele, b, wmask, rmask) for b in profile.ballots]
         if sum(p[0] for p in picks) > 0:
             witness = _assemble(scorer, profile, wmask, rmask, picks)
             return Decision(False, witness, members_of(rmask), "max-score-difference")
-        if bound is None and thiele:
-            bound = _bound(scorer, f, profile, wmask, k)
+        if bounds is None and thiele:
+            bounds = _bounds(scorer, f, profile, wmask, k, rmask)
     return Decision(True, None, None, "max-score-difference")
 
 

@@ -11,7 +11,9 @@ approved ballot inside the committee) is the common example.
 
 Scores are exact rationals; nothing here rounds or normalizes. Scans
 compare them as integers, every entry multiplied by one denominator
-fixed by the rule, the committee size and the candidate count.
+fixed by the rule, the committee size and the candidate count. Scorer
+builds them from one bitmask of voters per candidate; its walk still
+visits all C(m, k) committees, as exact PAV and CC winners are NP-hard.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, compress
+from itertools import compress
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -235,23 +237,25 @@ class Scorer(dict):
     Fraction(entry, scale) is the exact value. Committees are passed as
     bitmasks of at most k members.
 
-    A score is read in one of two ways. The grouped scan reads one entry
-    per distinct approval set: ballots are grouped as [mask, size,
-    multiplicity], the mask read from the ballot. The co-approval table
-    takes, for each ballot size s, the Möbius coefficients mu_s(t) = sum
-    over j <= t of (-1)^(t-j) C(t, j) entry(j, s), so that entry(x, s) =
-    sum over t <= x of C(x, t) mu_s(t), and folds each group into w[T] +=
-    n mu_s(|T|) for every T inside its approval set A with |T| <= d_s,
-    the last t <= min(k, s) with mu_s(t) != 0. Then score(W) = sum of
-    w[T] over the subsets T of W: k reads per committee when every
-    d_s <= 1 (AV, SAV), 2^k otherwise.
+    Scores come from per-candidate voter bitmasks: bit i of V[c] is set
+    when voter i approves c. Voters fall into classes that share one row
+    of entries, one class under a Thiele rule and one per ballot size
+    otherwise. With ge_j the voters approving at least j members of W,
+    built one member c at a time by ge_j |= ge_{j-1} & V[c] for j = k
+    down to 1, a class adds |class| entry(0) plus the sum over j of
+    d[j] |ge_j & class|, where d[j] = entry(j) - entry(j - 1). A class
+    whose d[j] is one d at every level is additive: it adds d |V[c] &
+    class| per member c, kept as one total per candidate, and needs no
+    counters; so av and sav read k totals per committee. Counters are
+    kept only up to the last level a step or a missing entry needs:
+    level 1 under cc. score(mask) builds one committee's counters;
+    walk() shares them between committees.
 
-    A caller that will score ``committees`` committees passes that count.
-    The table is built only when its build (one step per subset folded)
-    plus ``committees`` times the reads costs less than ``committees``
-    times the groups, and only when every entry it reads exists; a table
-    rule that lacks an entry keeps the grouped scan, so a missing entry
-    raises exactly when a scan reaches it.
+    A class reaches levels up to min(k, its ballot size) only. When its
+    row lacks the entry of one of those levels, a committee whose
+    counters reach that level is scored by a scan over the ballots, one
+    entry each, which raises at the first ballot whose entry is missing:
+    exactly where a scan over every ballot would, with its message.
     """
 
     def __init__(
@@ -260,26 +264,50 @@ class Scorer(dict):
         k: int,
         m: int,
         ballots: Iterable[ApprovalBallot] = (),
-        committees: int = 0,
     ) -> None:
         super().__init__()
         self._f = f
+        self._k, self._m = k, m
         self._scale = _scale(f, k, m)
-        groups: dict[frozenset[int], list[int]] = {}
-        for b in ballots:
-            group = groups.get(b.approved)
-            if group is None:
-                groups[b.approved] = [b.mask, len(b.approved), 1]
-            else:
-                group[2] += 1
-        self._groups = list(groups.values())
-        self._weights: dict[int, int] | None = None
-        self._additive = False
-        if committees and len(groups) > k:
+        self._ballots = ballots = tuple(ballots)
+        self._base, self._totals = 0, [0] * m
+        self._terms: list[tuple[int, int, int]] = []  # (j, class, d[j]), non-additive classes
+        self._guards: list[tuple[int, int]] = []  # (first level missing its entry, class)
+        self._approvers, self._start = [0] * m, [0]  # V[c]; ge_0..ge_depth of no committee
+        if not ballots:
+            return
+        masks = [b.mask for b in ballots]
+        # Row i of this bit matrix is bin() of voter n - 1 - i's mask with
+        # bit m set: "0b1", then the candidates from m - 1 down to 0. So
+        # V[c] is the column at offset m + 2 - c, voter 0 lowest.
+        matrix = "".join([bin(mask | 1 << m) for mask in reversed(masks)])
+        self._approvers = approvers = [int(matrix[m + 2 - c::m + 3], 2) for c in range(m)]
+        everyone = (1 << len(masks)) - 1
+        sizes = list(map(int.bit_count, masks))
+        classes: dict[int, int] = {}  # ballot size -> its voters' bits
+        if f.is_thiele:
+            classes[max(sizes)] = everyone
+        else:
+            for i, size in enumerate(sizes):
+                classes[size] = classes.get(size, 0) | 1 << i
+        for size, voters in classes.items():
+            entries: list[int] = []
             try:
-                self._fold(groups, k, committees)
+                for x in range(min(k, size) + 1):
+                    entries.append(self[x, size])
             except TableOutOfRangeError:
-                pass
+                self._guards.append((len(entries), voters))
+            if not entries:
+                continue
+            self._base += entries[0] * voters.bit_count()
+            steps = [b - a for a, b in zip(entries, entries[1:])]
+            if len(set(steps)) > 1:
+                self._terms += [(j, voters, d) for j, d in enumerate(steps, 1) if d]
+            elif steps and steps[0]:
+                for c in range(m):
+                    self._totals[c] += steps[0] * (approvers[c] & voters).bit_count()
+        depth = max((level[0] for level in self._terms + self._guards), default=0)
+        self._start = [everyone] + [0] * depth
 
     @property
     def scale(self) -> int:
@@ -294,58 +322,67 @@ class Scorer(dict):
         self[key] = value
         return value
 
-    def _mobius(self, size: int, k: int) -> list[int]:
-        """mu_size(0..d): the Möbius coefficients up to the last nonzero one."""
-        entries = [self[j, size] for j in range(min(k, size) + 1)]
-        mu = [
-            sum((-1) ** (t - j) * math.comb(t, j) * entries[j] for j in range(t + 1))
-            for t in range(len(entries))
-        ]
-        while len(mu) > 1 and not mu[-1]:
-            mu.pop()
-        return mu
+    @staticmethod
+    def _add(ge: list[int], v: int) -> list[int]:
+        """The counters ge_0..ge_depth once a member approved by v joins."""
+        return [ge[0]] + [g | h & v for h, g in zip(ge, ge[1:])]
 
-    def _fold(self, groups: dict[frozenset[int], list[int]], k: int, committees: int) -> None:
-        """Build the co-approval table when it beats the grouped scan."""
-        mobius = {s: self._mobius(s, k) for s in {len(a) for a in groups}}
-        additive = all(len(mu) <= 2 for mu in mobius.values())
-        reads = k if additive else 1 << k
-        build = sum(
-            math.comb(len(a), t)
-            for a in groups
-            for t, coeff in enumerate(mobius[len(a)]) if coeff
-        )
-        if build + committees * reads >= committees * len(groups):
-            return
-        weights = {0: 0}
-        for a, (_, _, n) in groups.items():
-            bits = [1 << c for c in a]
-            for t, coeff in enumerate(mobius[len(a)]):
-                if coeff:
-                    for subset in combinations(bits, t):
-                        key = sum(subset)
-                        weights[key] = weights.get(key, 0) + n * coeff
-        self._weights, self._additive = weights, additive
+    def _value(self, ge: list[int], total: int, mask: int) -> int:
+        """The score of committee ``mask``, whose counters are ``ge`` and
+        whose members' totals plus the base come to ``total``."""
+        for j, voters in self._guards:
+            if ge[j] & voters:
+                return sum(
+                    self[(b.mask & mask).bit_count(), len(b.approved)] for b in self._ballots
+                )
+        for j, voters, d in self._terms:
+            total += d * (ge[j] & voters).bit_count()
+        return total
 
     def score(self, mask: int) -> int:
-        weights = self._weights
-        if weights is None:
-            return sum(
-                n * self[(a & mask).bit_count(), size] for a, size, n in self._groups
-            )
-        total = weights[0]
-        get = weights.get
-        if self._additive:
-            while mask:
-                low = mask & -mask
-                total += get(low, 0)
-                mask ^= low
-            return total
-        sub = mask
-        while sub:
-            total += get(sub, 0)
-            sub = (sub - 1) & mask
-        return total
+        ge, total, bits = self._start, self._base, mask
+        while bits:
+            low = bits & -bits
+            c = low.bit_length() - 1
+            ge, total = self._add(ge, self._approvers[c]), total + self._totals[c]
+            bits ^= low
+        return self._value(ge, total, mask)
+
+    def walk(self, held: int | None = None) -> Iterator[tuple[int, int]]:
+        """(mask, score) of every size-k committee, or of every one
+        holding candidate ``held``, in committee_masks order.
+
+        Members are fixed highest first, so the committees below one
+        prefix share the counters that prefix built, and each committee
+        adds only its lowest member. The C(m, k) committees stay: only
+        the cost per committee shrinks.
+        """
+        rows = [(1 << c, self._approvers[c], self._totals[c]) for c in range(self._m) if c != held]
+        r, ge, mask, total = self._k, self._start, 0, self._base
+        if held is not None:
+            r, mask = r - 1, 1 << held
+            ge, total = self._add(ge, self._approvers[held]), total + self._totals[held]
+        if r == 0:
+            yield mask, self._value(ge, total, mask)
+        # Prefixes to extend: (members still to add, from rows[:top], counters, mask, total).
+        stack = [(r, len(rows), ge, mask, total)] if r > 0 else []
+        while stack:
+            r, top, ge, mask, total = stack.pop()
+            if r > 1:
+                # Pushed highest first, so the lowest next member pops first.
+                for i in range(top - 1, r - 2, -1):
+                    bit, v, u = rows[i]
+                    stack.append((r - 1, i, self._add(ge, v), mask | bit, total + u))
+            elif self._guards:
+                for bit, v, u in rows[:top]:
+                    yield mask | bit, self._value(self._add(ge, v), total + u, mask | bit)
+            else:
+                # Each term's counters, cut to its class once per prefix.
+                parts = [(ge[j - 1] & voters, ge[j] & voters, d) for j, voters, d in self._terms]
+                for bit, v, u in rows[:top]:
+                    for h, g, d in parts:
+                        u += d * (g | h & v).bit_count()
+                    yield mask | bit, total + u
 
     def row(self, ballot: ApprovalBallot, masks: list[int]) -> list[int]:
         """One ballot's scaled score against each committee mask."""
@@ -417,13 +454,11 @@ def best_committees(
     grows with the number of winners, not with C(m, k).
     """
     check_k(k, profile.m)
-    scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m, k))
-    score_of = scorer.score
-    masks = committee_masks(profile.m, k)
-    first = next(masks)
-    best, winners = score_of(first), [first]
-    for mask in masks:
-        score = score_of(mask)
+    scorer = Scorer(f, k, profile.m, profile.ballots)
+    walk = scorer.walk()
+    first, best = next(walk)
+    winners = [first]
+    for mask, score in walk:
         if score > best:
             best, winners = score, [mask]
         elif score == best:
@@ -451,9 +486,9 @@ def is_winning_committee(
     if f.is_av:
         counts = approval_counts(profile)
         return sum(counts[c] for c in committee) == av_leader(counts, k)[0]
-    scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m, k))
+    scorer = Scorer(f, k, profile.m, profile.ballots)
     own = scorer.score(mask_of(committee))
-    return all(scorer.score(mask) <= own for mask in committee_masks(profile.m, k))
+    return all(score <= own for _, score in scorer.walk())
 
 
 def defeats(
@@ -478,12 +513,9 @@ def defeats(
     if f.is_av:
         counts = approval_counts(profile)
         return sum(counts[c] for c in committee) > av_leader(counts, k, candidate)[0]
-    scorer = Scorer(f, k, profile.m, profile.ballots, math.comb(profile.m - 1, k - 1))
+    scorer = Scorer(f, k, profile.m, profile.ballots)
     own = scorer.score(mask_of(committee))
-    bit = 1 << candidate
-    return all(
-        scorer.score(mask) < own for mask in committee_masks(profile.m, k) if mask & bit
-    )
+    return all(score < own for _, score in scorer.walk(candidate))
 
 
 def approval_counts(profile: ApprovalProfile) -> list[int]:

@@ -30,7 +30,7 @@ from abcu import (
     posmem_av_linear,
     validate_partial_profile,
 )
-from abcu.model import completion_by
+from abcu.model import PartialBallot, PartialProfile, completion_by
 from abcu.possible import route
 from conftest import A, B, C
 from oracles import SCORERS, decide_all
@@ -63,6 +63,26 @@ def test_witnesses_are_completions_where_the_committee_wins(pair_profile):
     decision = poscom(pair_profile, frozenset({B}), AV, 1)
     assert is_completion(decision.witness, pair_profile)
     assert is_winning_committee(AV, decision.witness, frozenset({B}))
+
+
+def test_av_linear_routes_walk_the_ballots_once(trio_profile, monkeypatch):
+    # route and the AV-linear route it picks read the answers kept on the
+    # profile, so each ballot's structure is read once per profile; the
+    # kept answers take no part in eq, hash or repr.
+    fresh = PartialProfile(trio_profile.registry, trio_profile.ballots)
+    reads = []
+    for name in ("is_three_valued", "is_totally_ordered"):
+        method = getattr(PartialBallot, name)
+        monkeypatch.setattr(PartialBallot, name,
+                            lambda b, method=method, name=name: reads.append(name) or method(b))
+    assert posmem(trio_profile, A, AV, 1).method_used == "av-linear-prefix"
+    assert posmem(trio_profile, A, AV, 1, method="poly").method_used == "av-linear-prefix"
+    assert necmem(trio_profile, A, AV, 1).method_used == "av-linear-canonical"
+    assert reads.count("is_totally_ordered") == trio_profile.n
+    assert reads.count("is_three_valued") <= trio_profile.n
+    assert vars(trio_profile).keys() >= {"three_valued", "linearly_ordered"}
+    assert trio_profile == fresh and hash(trio_profile) == hash(fresh)
+    assert repr(trio_profile) == repr(fresh)
 
 
 def test_ordered_profile_routes_binary_rules(trio_profile):

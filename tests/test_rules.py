@@ -1,6 +1,5 @@
 """Weight functions, committee scores, winner scans, rule parsing."""
 
-import math
 import sys
 import threading
 import tracemalloc
@@ -40,7 +39,7 @@ from abcu import (
     winning_committees,
 )
 from abcu import rules
-from abcu.model import ApprovalBallot
+from abcu.model import ApprovalBallot, members_of
 from abcu.rules import (
     Scorer,
     approval_counts,
@@ -270,8 +269,8 @@ def test_integer_kernel_matches_fraction_oracle(data):
         )
         rows = data.draw(st.lists(st.sampled_from(pool), max_size=8))
     else:
-        # More distinct ballots than 2^k, each cast at least once, let the
-        # co-approval table pay for rules that read 2^k entries too.
+        # More distinct ballots than 2^k, each cast at least once, so
+        # voters reach every counter level.
         m = data.draw(st.integers(4, 6))
         k = data.draw(st.integers(2, 3))
         pool = data.draw(
@@ -289,12 +288,13 @@ def test_integer_kernel_matches_fraction_oracle(data):
             committee: sum((score(a, committee) for a in rows), Fraction(0))
             for committee in committees(m, k)
         }
-        for scorer in (
-            Scorer(rule, k, m, profile.ballots),
-            Scorer(rule, k, m, profile.ballots, math.comb(m, k)),
-        ):
-            for committee, total in totals.items():
-                assert Fraction(scorer.score(mask_of(committee)), scorer.scale) == total
+        scorer = Scorer(rule, k, m, profile.ballots)
+        for committee, total in totals.items():
+            assert Fraction(scorer.score(mask_of(committee)), scorer.scale) == total
+        walked = {members_of(mask): score for mask, score in scorer.walk()}
+        assert walked.keys() == totals.keys()
+        for committee, total in totals.items():
+            assert Fraction(walked[committee], scorer.scale) == total
 
         expected = winners(score, rows, m, k)
         assert winning_committees(rule, profile, k) == expected
@@ -315,15 +315,87 @@ def test_integer_kernel_matches_fraction_oracle(data):
 @pytest.mark.parametrize("k", [2, 3])
 def test_scorer_reads_the_table_only_when_it_pays(rule, score, k):
     every = [frozenset(c) for size in range(7) for c in combinations(range(6), size)]
-    # Every approval set of six candidates pays for the table; k distinct
-    # ballots never do, since an additive rule still reads k entries.
-    for rows, tabled in ((every, True), (every[-k:], False)):
+    # The table is now the scorer's level counters, which pay only for a
+    # row whose steps differ. av and sav add one step per member at every
+    # ballot size, so each committee reads its members' totals and no
+    # counter. Every other rule here keeps the counters up to its last
+    # nonzero step: level t for a 0/1 step at t, level k otherwise, as
+    # every row set holds a ballot of at least k candidates.
+    levels = 0 if rule in (AV, SAV) else rule.binary_threshold or k
+    for rows in (every, every[-k:]):
         profile = complete_profile(CandidateRegistry(tuple("abcdef")), rows)
-        scorer = Scorer(rule, k, 6, profile.ballots, math.comb(6, k))
-        assert (scorer._weights is not None) == tabled
+        scorer = Scorer(rule, k, 6, profile.ballots)
+        assert len(scorer._start) == levels + 1
+        assert scorer._guards == []
         for committee in committees(6, k):
             total = sum((score(a, committee) for a in rows), Fraction(0))
             assert Fraction(scorer.score(mask_of(committee)), scorer.scale) == total
+
+
+# Linear in the overlap at every ballot size, with a constant term.
+ADDITIVE_ENTRIES = {
+    (x, y): Fraction(2 * x + y, y + 1) for y in range(9) for x in range(y + 1)
+}
+# The kernel rules, an additive table2d and a short table. table2d and
+# table2d-offset have no entries for ballots of 7 or 8 candidates.
+CONTRACT_RULES = KERNEL_RULES + [
+    _table2d_rule(ADDITIVE_ENTRIES),
+    (parse_rule_spec("table:0,1,3/2"), table_score(["0", "1", "3/2"])),
+]
+
+
+def _oracle(rule, score, rows, committee):
+    """The committee's exact score, or the message a scan over the rows
+    raises at the first row whose entry is missing."""
+    total = Fraction(0)
+    for a in rows:
+        try:
+            total += score(a, committee)
+        except (IndexError, KeyError):
+            with pytest.raises(TableOutOfRangeError) as caught:
+                ballot_score(rule, ApprovalBallot(a), committee)
+            return str(caught.value)
+    return total
+
+
+@given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(0, m), st.integers(0, m - 1),
+    st.lists(st.frozensets(st.integers(0, m - 1)), max_size=10))))
+@settings(max_examples=80, deadline=None)
+def test_walk_and_score_match_the_fraction_oracle(case):
+    # The walk's leaves are committee_masks, or those holding the held
+    # candidate, and every score equals the oracle's. Where a row's entry
+    # is missing, score(mask) raises the scan's message, and so does the
+    # walk when it reaches that committee, having yielded every earlier
+    # one; av, pav and cc miss no entry, so their walks reach the end.
+    m, k, held, rows = case
+    profile = complete_profile(CandidateRegistry(tuple("abcdefgh"[:m])), rows)
+    masks = list(rules.committee_masks(m, k))
+    for rule, score in CONTRACT_RULES:
+        scorer = Scorer(rule, k, m, profile.ballots)
+        expected = {mask: _oracle(rule, score, rows, members_of(mask)) for mask in masks}
+        for mask, want in expected.items():
+            if isinstance(want, str):
+                with pytest.raises(TableOutOfRangeError) as caught:
+                    scorer.score(mask)
+                assert str(caught.value) == want
+            else:
+                assert Fraction(scorer.score(mask), scorer.scale) == want
+        for chosen in (None, held):
+            walk = scorer.walk(chosen)
+            for mask in masks:
+                if chosen is not None and not mask >> chosen & 1:
+                    continue
+                want = expected[mask]
+                if isinstance(want, str):
+                    with pytest.raises(TableOutOfRangeError) as caught:
+                        next(walk)
+                    assert str(caught.value) == want
+                    break
+                leaf, got = next(walk)
+                assert leaf == mask and Fraction(got, scorer.scale) == want
+            else:
+                assert next(walk, None) is None
 
 
 def test_thiele_entries_are_shared_across_ballot_sizes():
@@ -344,12 +416,15 @@ def test_missing_table_entry_raises_only_where_a_scan_reaches_it():
     a, b, c, d, e, f = range(6)
     rows = [{a, b}, {a}, {b}, {d}, {e}, {d, e}, {e, f}]
     profile = complete_profile(CandidateRegistry(tuple("abcdef")), rows)
-    # With w(2) present, these ballots are enough for the table to pay.
-    full = Scorer(parse_rule_spec("table:0,1,1"), 2, 6, profile.ballots, math.comb(5, 1))
-    assert full._weights is not None
-    # table:0,1 lacks w(2). No ballot holds c, so no committee holding c
-    # reaches overlap 2 and the defeat scan answers; {d, f} ties {c, e}.
+    # With w(2) present no committee needs the scan over the ballots.
+    full = Scorer(parse_rule_spec("table:0,1,1"), 2, 6, profile.ballots)
+    assert full._guards == []
+    # table:0,1 lacks w(2), so a committee whose counters reach level 2
+    # is scored by the scan over the ballots. No ballot holds c, so no
+    # committee holding c reaches overlap 2 and the defeat scan answers;
+    # {d, f} ties {c, e}.
     short = parse_rule_spec("table:0,1")
+    assert Scorer(short, 2, 6, profile.ballots)._guards == [(2, (1 << len(rows)) - 1)]
     assert not defeats(short, profile, frozenset({d, f}), c)
     # The full scan reaches {a, b}, which the ballot {a, b} overlaps twice.
     with pytest.raises(TableOutOfRangeError):
