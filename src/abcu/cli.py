@@ -30,7 +30,6 @@ from .model import (
     DEFAULT_CAP,
     ApprovalProfile,
     PartialProfile,
-    complete_profile,
     enumerate_completions,
 )
 from .necessary import neccom, necmem
@@ -137,13 +136,14 @@ def _load_profile(args) -> tuple[PartialProfile, int | None]:
 
 
 def _require_complete(profile: PartialProfile, command: str) -> ApprovalProfile:
-    """The profile as complete ballots; empty middles are required."""
-    if any(b.middle for b in profile.ballots):
+    """The profile's kept complete view; empty middles are required."""
+    complete = profile.complete_view
+    if complete is None:
         raise InputError(
             f"{command} needs a complete profile (empty middles); "
             "use poscom/neccom for incomplete ones"
         )
-    return complete_profile(profile.registry, (b.top for b in profile.ballots))
+    return complete
 
 
 def _committee(args, profile: PartialProfile) -> frozenset[int]:

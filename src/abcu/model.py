@@ -262,7 +262,8 @@ class PartialBallot:
 @dataclass(frozen=True)
 class PartialProfile:
     """Incomplete ballots for every voter, over a shared registry; its
-    structure answers are kept on first read, outside eq and hash."""
+    structure answers and its complete view are kept on first read,
+    outside eq and hash."""
 
     registry: CandidateRegistry
     ballots: tuple[PartialBallot, ...]
@@ -282,6 +283,17 @@ class PartialProfile:
     @_cached
     def linearly_ordered(self) -> bool:
         return all(b.is_totally_ordered() for b in self.ballots)
+
+    @_cached
+    def complete_view(self) -> ApprovalProfile | None:
+        """The profile as complete ballots, or None when a middle is not
+        empty. Ballots with equal tops share one ApprovalBallot, and so
+        one mask."""
+        if any(b.middle for b in self.ballots):
+            return None
+        tops = [b.top for b in self.ballots]
+        shared = {top: ApprovalBallot(top) for top in set(tops)}
+        return ApprovalProfile(self.registry, tuple(map(shared.__getitem__, tops)))
 
 
 @dataclass(frozen=True)

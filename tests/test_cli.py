@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,19 @@ def test_a_profile_rewritten_in_place_is_read_again(profile_file, capsys):
     assert os.stat(path).st_size == stat.st_size
     _, doc, _ = run(capsys, "winners", "--profile", path, "--rule", "av")
     assert doc["committees"] == [["b"]]
+    # From its second read on, a complete document is kept as its profile;
+    # rewritten in place after three reads, it is answered anew.
+    path = profile_file({"candidates": ["a", "b"], "k": 1, "voters": [{"top": ["b"]}] * 3})
+    stat = os.stat(path)
+    for _ in range(3):
+        _, doc, _ = run(capsys, "winners", "--profile", path, "--rule", "av")
+        assert doc["committees"] == [["b"]]
+    path = profile_file({"candidates": ["a", "b"], "k": 1, "voters": [{"top": ["a"]}] * 3})
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+    for _ in range(3):
+        _, doc, _ = run(capsys, "winners", "--profile", path, "--rule", "av")
+        assert doc["committees"] == [["a"]]
 
 
 def test_winners_lists_all_optimal_committees(profile_file, capsys):
@@ -566,6 +581,71 @@ def _captured(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = run_cli(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+class _ThreadStreams(io.TextIOBase):
+    """A text stream that keeps each thread's writes apart."""
+
+    def __init__(self):
+        self.parts = {}
+
+    def write(self, text):
+        self.parts.setdefault(threading.get_ident(), []).append(text)
+        return len(text)
+
+    def take(self):
+        return "".join(self.parts.pop(threading.get_ident(), []))
+
+
+def test_threads_answering_complete_documents_get_serial_results(tmp_path, monkeypatch):
+    # Four threads ask winners and check questions of the same complete
+    # documents, each trial from an empty store, so they race on the second
+    # read that keeps each profile and on the first reads of its complete
+    # view and of the masks its shared ballots hold.
+    rng = Random(27)
+    names = [f"c{i}" for i in range(6)]
+    pool = [[name for name in names if rng.random() < 0.4] for _ in range(5)]
+    queries = []
+    for d in range(3):
+        path = tmp_path / f"complete{d}.json"
+        voters = [{"top": rng.choice(pool)} for _ in range(12)]
+        path.write_text(json.dumps({"candidates": names, "k": 2, "voters": voters}))
+        queries += [["winners", "--profile", str(path), "--rule", rule]
+                    for rule in ("av", "pav", "cc")]
+        queries += [["check", "--profile", str(path), "--committee", f"c{d},c{d + 3}",
+                     "--axiom", axiom] for axiom in ("jr", "pjr", "ejr")]
+    expected = [_captured(argv) for argv in queries]
+    assert {code for code, _, _ in expected} == {0, 1}
+    out, err = _ThreadStreams(), _ThreadStreams()
+    faults = []
+
+    def work(start):
+        try:
+            for step in range(3 * len(queries)):
+                j = (start + step) % len(queries)
+                code = run_cli(list(queries[j]))
+                if (code, out.take(), err.take()) != expected[j]:
+                    faults.append((start, step))
+        except Exception as exc:  # any escape is a fault to report
+            faults.append(exc)
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(abcu.io, "_kept", {})
+            monkeypatch.setattr(abcu.io, "_kept_text", 0)
+            threads = [threading.Thread(target=work, args=(5 * t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert faults == []
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path):

@@ -17,6 +17,7 @@ from abcu import (
     UnknownCandidateError,
     check_jr,
     check_pjr,
+    complete_profile,
     make_partial_ballot,
     necjr,
     poscom,
@@ -652,6 +653,59 @@ def test_calls_share_only_the_registry(kept):
                 if part:
                     assert seen.setdefault(id(part), call) == call
     assert type(kept._kept[text][2]) is tuple
+
+
+def test_a_complete_document_read_again_is_kept_as_one_profile(kept):
+    # Voters 0, 2 and 3 hold one record, spelled three ways; voter 1 holds
+    # another. The first read keeps pass 1's records, the second keeps the
+    # profile it builds, and from then on every call returns that profile.
+    text = _doc_text([
+        {"top": ["a"]},
+        {"top": ["c", "d"], "bottom": ["a", "b"]},
+        {"top": ["a"], "middle": [], "bottom": ["b", "c", "d"]},
+        {"bottom": ["d", "b", "c"], "top": ["a"], "order": []},
+    ])
+    expected, k = reference_loader.parse_profile(text)
+    expected_view = complete_profile(expected.registry, (b.top for b in expected.ballots))
+    results = []
+    for call in range(3):
+        profile, got_k = parse_profile(text)
+        assert (profile, got_k) == (expected, k)
+        assert profile.complete_view == expected_view
+        results.append(profile)
+        if call == 0:
+            assert type(kept._kept[text][2]) is list
+        else:
+            assert kept._kept[text][2] is profile
+    first, second, third = results
+    assert first is not second and second is third
+    assert second.complete_view is third.complete_view
+    view = second.complete_view
+    assert second.ballots[0] is second.ballots[2] is second.ballots[3]
+    assert view.ballots[0] is view.ballots[2] is view.ballots[3]
+    assert view.ballots[0] is not view.ballots[1]
+    assert [b.mask for b in view.ballots] == [0b10, 0b1001, 0b10, 0b10]
+
+
+# Ids follow the candidate list (c=0, a=1, b=2, d=3).
+@pytest.mark.parametrize(
+    "voter, error, message",
+    [
+        ({"top": ["a"], "bottom": ["b"]}, PartitionIncompleteError,
+         "candidates in no part (voter 2): c, d"),
+        ({"top": ["a"], "bottom": ["a", "b", "c", "d"]}, PartitionOverlapError,
+         "candidates in more than one part (voter 2): a"),
+    ],
+)
+def test_a_faulty_complete_document_is_never_kept_as_a_profile(kept, voter, error, message):
+    text = _doc_text([{"top": ["a"]}, {"top": ["b"]}, voter, voter])
+    expected = _outcome(reference_loader.parse_profile, text)
+    assert expected == (error, message)
+    # The second call decides once that the document is complete; its
+    # pass 2 faults, so the entry keeps the records as id tuples.
+    for call in range(4):
+        assert _outcome(parse_profile, text) == expected
+        assert type(kept._kept[text][2]) is (list if call == 0 else tuple)
 
 
 def _sized_texts(count):
