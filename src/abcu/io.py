@@ -10,12 +10,11 @@ order, order pairs as the full transitive closure) so fixtures diff
 cleanly. Results leave as single JSON objects with a fixed key order and
 exact rationals rendered as p/q strings.
 
-parse_profile keeps what its first pass read of each document (registry,
-k and voter id sets), by the document's exact text and within a fixed
-budget of text, so a document read again skips the JSON decoder. From
-its second read on, a complete document keeps its validated profile
-instead, which later reads return as it is; a partial document's ballots
-are still validated on every call.
+parse_profile keeps each document whose ballots it has validated, by
+the document's exact text and within a fixed budget of text, so a
+document read again skips the JSON decoder. A complete document is kept
+as its profile, which later reads return as it is; a partial document
+as its voters' id tuples, whose ballots are validated on every call.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
-from .errors import InputError, ProfileSyntaxError
+from .errors import ProfileSyntaxError
 from .model import (
     ApprovalProfile,
     CandidateRegistry,
@@ -155,16 +154,13 @@ def _decoded(text: str) -> tuple[CandidateRegistry, int | None, list[tuple]]:
     return registry, k, records
 
 
-# Pass 1's results by the exact document text, oldest first, and the
-# total length of the texts they hold. A text pushes out the oldest until
-# the total fits _KEPT_TEXT characters again; a longer text is never
-# kept. An entry holds the registry, k and the records: first as pass 1
-# built them, a list of id frozensets. The first call that reads the text
-# again decides, once, whether the document is complete. If it is, the
-# entry holds its validated PartialProfile from then on, which every
-# later call returns; if not, a tuple of id tuples, which take under a
-# third of those frozensets' memory. Doing either at once would cost a
-# text that is read only once about a tenth of its parse.
+# Validated documents by their exact text, oldest first, and the total
+# length of the texts they hold. A text pushes out the oldest until the
+# total fits _KEPT_TEXT characters again; a longer text is never kept.
+# The first call whose pass 2 succeeds writes the entry, once: the
+# registry, k and either the document's PartialProfile, if it is
+# complete, or its records as id tuples, which take under a third of the
+# memory of pass 1's frozensets. A faulty document is never kept.
 _KEPT_TEXT = 1 << 20
 _kept: dict[str, tuple] = {}
 _kept_text = 0
@@ -172,75 +168,61 @@ _kept_lock = threading.Lock()
 
 
 def _keep(text: str, entry: tuple) -> None:
-    """Keep (or, if still kept, replace) the entry for ``text``."""
+    """Keep the entry for ``text``, unless one is kept already."""
     global _kept_text
     if len(text) > _KEPT_TEXT:
         return
     with _kept_lock:
-        if text not in _kept:
-            _kept_text += len(text)
+        if text in _kept:
+            return
         _kept[text] = entry
+        _kept_text += len(text)
         while _kept_text > _KEPT_TEXT:
             oldest = next(iter(_kept))
             del _kept[oldest]
             _kept_text -= len(oldest)
 
 
-def _id_tuples(records: list[tuple]) -> tuple:
-    """Pass 1's records as id tuples, the form a later read keeps."""
-    return tuple([(tuple(top), tuple(middle), tuple(bottom), tuple(edges))
-                  for top, middle, bottom, edges in records])
-
-
 def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
     """Parse a profile document; returns the profile and its default k.
 
     Two passes put every voter's syntax before any voter's partition and
-    order. Pass 1 (_decoded) reads the document and every voter record;
-    its results are kept by the document's text, so a text read again
-    skips it. Pass 2 builds each ballot with ballot_of_ids in voter order,
-    and the first partition or order fault raises there. A complete
-    document (every middle empty, no order) whose pass 2 succeeds on its
-    second read is kept as that profile: the second and every later call
-    return the same PartialProfile, whose ballots, complete view and masks
-    are built once. A one-shot process reads each text once and never
-    gets there. Any other document runs pass 2 on every call, and every
-    call gets its own ballots and sets: a first call hands pass 1's
-    frozensets on (frozenset() returns a frozenset as it is), a later one
-    builds them from the kept id tuples. Such calls share only the
-    immutable registry.
+    order. Pass 1 (_decoded) reads the document and every voter record.
+    Pass 2 builds each ballot with ballot_of_ids in voter order, and the
+    first partition or order fault raises there. The first call whose
+    pass 2 succeeds keeps the document by its text, so later calls skip
+    pass 1; a faulty document runs both passes and raises on every call.
+    A complete document (every middle empty, no order) is kept as its
+    profile, built with one ballot per distinct record: that call and
+    every later one return the same PartialProfile, whose ballots,
+    complete view and masks are built once. Any other document is kept as
+    id tuples and runs pass 2 on every call, so every call gets its own
+    ballots and sets; such calls share only the immutable registry.
     """
     kept = _kept.get(text)
-    if kept is None:
-        registry, k, records = _decoded(text)
-        _keep(text, (registry, k, records))
-    else:
+    if kept is not None:
         registry, k, records = kept
         if type(records) is PartialProfile:
             return records, k
-        if type(records) is list:
-            if all(not middle and not edges for _, middle, _, edges in records):
-                # Pass 2 once, one ballot per distinct record, which keeps
-                # the profile and its complete view small. A record faults
-                # at the first voter holding it, as with a ballot per
-                # voter; a faulty document keeps its records, so every
-                # later call raises the same fault from pass 2 again.
-                built = {}
-                try:
-                    for i, record in enumerate(records):
-                        if record not in built:
-                            built[record] = ballot_of_ids(*record, registry, i)
-                except InputError:
-                    _keep(text, (registry, k, _id_tuples(records)))
-                    raise
-                profile = PartialProfile(registry, tuple(map(built.__getitem__, records)))
-                _keep(text, (registry, k, profile))
-                return profile, k
-            records = _id_tuples(records)
-            _keep(text, (registry, k, records))
+    else:
+        registry, k, records = _decoded(text)
+        if all(not middle and not edges for _, middle, _, edges in records):
+            # A record faults at the first voter holding it, as with a
+            # ballot per voter.
+            built = {}
+            for i, record in enumerate(records):
+                if record not in built:
+                    built[record] = ballot_of_ids(*record, registry, i)
+            profile = PartialProfile(registry, tuple(map(built.__getitem__, records)))
+            _keep(text, (registry, k, profile))
+            return profile, k
+    # frozenset() hands pass 1's frozensets on as they are.
     ballots = [ballot_of_ids(frozenset(top), frozenset(middle), frozenset(bottom),
                              edges, registry, i)
                for i, (top, middle, bottom, edges) in enumerate(records)]
+    if kept is None:
+        _keep(text, (registry, k, tuple([(tuple(top), tuple(middle), tuple(bottom), tuple(edges))
+                                         for top, middle, bottom, edges in records])))
     return PartialProfile(registry, tuple(ballots)), k
 
 

@@ -141,7 +141,7 @@ def test_a_profile_rewritten_in_place_is_read_again(profile_file, capsys):
     assert os.stat(path).st_size == stat.st_size
     _, doc, _ = run(capsys, "winners", "--profile", path, "--rule", "av")
     assert doc["committees"] == [["b"]]
-    # From its second read on, a complete document is kept as its profile;
+    # A complete document is kept as its profile from its first read on;
     # rewritten in place after three reads, it is answered anew.
     path = profile_file({"candidates": ["a", "b"], "k": 1, "voters": [{"top": ["b"]}] * 3})
     stat = os.stat(path)
@@ -154,6 +154,20 @@ def test_a_profile_rewritten_in_place_is_read_again(profile_file, capsys):
     for _ in range(3):
         _, doc, _ = run(capsys, "winners", "--profile", path, "--rule", "av")
         assert doc["committees"] == [["a"]]
+    # So is a partial document, kept as its voters' id tuples.
+    path = profile_file({"candidates": ["a", "b"], "k": 1,
+                         "voters": [{"top": ["a"], "middle": ["b"]}] * 3})
+    stat = os.stat(path)
+    for _ in range(3):
+        code, doc, _ = run(capsys, "neccom", "--profile", path, "--rule", "av", "--committee", "a")
+        assert code == 0 and doc["answer"] is True
+    path = profile_file({"candidates": ["a", "b"], "k": 1,
+                         "voters": [{"top": ["b"], "middle": ["a"]}] * 3})
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+    for _ in range(3):
+        code, doc, _ = run(capsys, "neccom", "--profile", path, "--rule", "av", "--committee", "a")
+        assert code == 1 and doc["answer"] is False
 
 
 def test_winners_lists_all_optimal_committees(profile_file, capsys):
@@ -599,7 +613,7 @@ class _ThreadStreams(io.TextIOBase):
 
 def test_threads_answering_complete_documents_get_serial_results(tmp_path, monkeypatch):
     # Four threads ask winners and check questions of the same complete
-    # documents, each trial from an empty store, so they race on the second
+    # documents, each trial from an empty store, so they race on the first
     # read that keeps each profile and on the first reads of its complete
     # view and of the masks its shared ballots hold.
     rng = Random(27)

@@ -415,8 +415,10 @@ def test_malformed_documents_fail_as_the_reference_fails(doc):
     # validation faults; the first fault found names the error.
     text = json.dumps(doc)
     expected = _outcome(reference_loader.parse_profile, text)
-    assert _outcome(parse_profile, text) == expected
-    assert _outcome(parse_profile, text) == expected
+    for _ in range(2):
+        assert _outcome(parse_profile, text) == expected
+        # Only a document that loads is kept; a fault is raised anew.
+        assert (text in abcu_io._kept) is not isinstance(expected[0], type)
 
 
 # The records a one-pass loader most easily accepts by mistake: a null or
@@ -574,8 +576,8 @@ def test_large_documents_load_in_linear_time():
     assert all(not b.middle and len(b.top) + len(b.bottom) == 14 for b in profile.ballots)
 
 
-# parse_profile keeps pass 1's results by the document's text. The tests
-# below each start from an empty store, restored afterwards.
+# parse_profile keeps each document it loads by the document's text. The
+# tests below each start from an empty store, restored afterwards.
 @pytest.fixture
 def kept(monkeypatch):
     monkeypatch.setattr(abcu_io, "_kept", {})
@@ -587,7 +589,10 @@ def _doc_text(voters, candidates=("c", "a", "b", "d")):
     return json.dumps({"candidates": list(candidates), "voters": voters})
 
 
-# Ids follow the candidate list (c=0, a=1, b=2, d=3).
+# Ids follow the candidate list (c=0, a=1, b=2, d=3). Pass 1 accepts
+# each of these records; pass 2 raises at voter 1, the first of the two
+# voters holding it. The second and the last make a complete document,
+# the others a partial one.
 @pytest.mark.parametrize(
     "voter, error, message",
     [
@@ -599,17 +604,21 @@ def _doc_text(voters, candidates=("c", "a", "b", "d")):
          "order edge (0, 1) leaves the middle (voter 1)"),
         ({"middle": ["a", "b"], "order": [["a", "b"], ["b", "a"]]}, CycleDetectedError,
          "order constraints are cyclic (voter 1)"),
+        ({"top": ["a"], "middle": ["c"], "bottom": ["b"]}, PartitionIncompleteError,
+         "candidates in no part (voter 1): d"),
+        ({"top": ["a"], "bottom": ["a", "b", "c", "d"]}, PartitionOverlapError,
+         "candidates in more than one part (voter 1): a"),
     ],
 )
 def test_validation_faults_raise_on_every_call(kept, voter, error, message):
-    # Pass 1 accepts these records, so the text is kept; pass 2 checks
-    # each ballot again on every later call and raises the same fault.
-    text = _doc_text([{"top": ["a"]}, voter])
+    # Nothing is kept of a document whose pass 2 faults, so every call
+    # runs both passes again and raises the same fault.
+    text = _doc_text([{"top": ["a"]}, voter, voter])
     expected = _outcome(reference_loader.parse_profile, text)
     assert expected == (error, message)
     for _ in range(3):
         assert _outcome(parse_profile, text) == expected
-        assert text in kept._kept
+        assert text not in kept._kept
 
 
 @pytest.mark.parametrize(
@@ -638,12 +647,18 @@ def test_syntax_faults_leave_the_kept_texts_as_they_were(kept, text):
 
 def test_calls_share_only_the_registry(kept):
     # Every call builds its own ballots and sets; the first reads pass 1's
-    # sets, the second turns them into tuples, the third reads the tuples.
+    # sets and keeps them as id tuples, which the later calls read.
     text = _doc_text([
         {"top": ["a"], "middle": ["b", "d"], "order": [["b", "d"]]},
         {"top": ["c", "d"], "bottom": ["a", "b"]},
     ])
-    results = [parse_profile(text) for _ in range(3)]
+    results = []
+    for _ in range(3):
+        results.append(parse_profile(text))
+        registry, k, records = kept._kept[text]
+        assert registry is results[0][0].registry and k is None
+        assert type(records) is tuple
+        assert all(type(part) is tuple for record in records for part in record)
     assert all(result == results[0] for result in results)
     assert len({id(profile.registry) for profile, _ in results}) == 1
     seen = {}
@@ -652,13 +667,12 @@ def test_calls_share_only_the_registry(kept):
             for part in (b, b.top, b.middle, b.bottom, b.precedence):
                 if part:
                     assert seen.setdefault(id(part), call) == call
-    assert type(kept._kept[text][2]) is tuple
 
 
 def test_a_complete_document_read_again_is_kept_as_one_profile(kept):
     # Voters 0, 2 and 3 hold one record, spelled three ways; voter 1 holds
-    # another. The first read keeps pass 1's records, the second keeps the
-    # profile it builds, and from then on every call returns that profile.
+    # another. The first read keeps the profile it builds, and every later
+    # call returns that profile.
     text = _doc_text([
         {"top": ["a"]},
         {"top": ["c", "d"], "bottom": ["a", "b"]},
@@ -668,44 +682,29 @@ def test_a_complete_document_read_again_is_kept_as_one_profile(kept):
     expected, k = reference_loader.parse_profile(text)
     expected_view = complete_profile(expected.registry, (b.top for b in expected.ballots))
     results = []
-    for call in range(3):
+    for _ in range(3):
         profile, got_k = parse_profile(text)
         assert (profile, got_k) == (expected, k)
         assert profile.complete_view == expected_view
         results.append(profile)
-        if call == 0:
-            assert type(kept._kept[text][2]) is list
-        else:
-            assert kept._kept[text][2] is profile
+        assert kept._kept[text][2] is results[0]
     first, second, third = results
-    assert first is not second and second is third
-    assert second.complete_view is third.complete_view
-    view = second.complete_view
-    assert second.ballots[0] is second.ballots[2] is second.ballots[3]
+    assert first is second is third
+    assert first.complete_view is third.complete_view
+    view = first.complete_view
+    assert first.ballots[0] is first.ballots[2] is first.ballots[3]
     assert view.ballots[0] is view.ballots[2] is view.ballots[3]
     assert view.ballots[0] is not view.ballots[1]
     assert [b.mask for b in view.ballots] == [0b10, 0b1001, 0b10, 0b10]
 
 
-# Ids follow the candidate list (c=0, a=1, b=2, d=3).
-@pytest.mark.parametrize(
-    "voter, error, message",
-    [
-        ({"top": ["a"], "bottom": ["b"]}, PartitionIncompleteError,
-         "candidates in no part (voter 2): c, d"),
-        ({"top": ["a"], "bottom": ["a", "b", "c", "d"]}, PartitionOverlapError,
-         "candidates in more than one part (voter 2): a"),
-    ],
-)
-def test_a_faulty_complete_document_is_never_kept_as_a_profile(kept, voter, error, message):
-    text = _doc_text([{"top": ["a"]}, {"top": ["b"]}, voter, voter])
-    expected = _outcome(reference_loader.parse_profile, text)
-    assert expected == (error, message)
-    # The second call decides once that the document is complete; its
-    # pass 2 faults, so the entry keeps the records as id tuples.
-    for call in range(4):
-        assert _outcome(parse_profile, text) == expected
-        assert type(kept._kept[text][2]) is (list if call == 0 else tuple)
+def test_a_kept_entry_is_never_replaced(kept):
+    # Two threads may load one text at once; the first entry kept stays.
+    text = _doc_text([{"top": ["a"]}])
+    profile, _ = parse_profile(text)
+    kept._keep(text, (None, None, None))
+    assert kept._kept[text][2] is profile and kept._kept_text == len(text)
+    assert parse_profile(text)[0] is profile
 
 
 def _sized_texts(count):
@@ -739,9 +738,9 @@ def test_a_text_longer_than_the_budget_is_not_kept(kept, monkeypatch):
 
 def test_threads_parsing_while_texts_are_pushed_out_get_serial_results(kept, monkeypatch):
     # A budget of two texts makes almost every call push one out, so four
-    # threads keep, replace and push out entries under each other all the
-    # time. Without the store's lock, one thread's eviction reads the dict
-    # while another changes it, which raises, or the total loses an update.
+    # threads keep and push out entries under each other all the time.
+    # Without the store's lock, one thread's eviction reads the dict while
+    # another changes it, which raises, or the total loses an update.
     texts = _sized_texts(8) + [
         _doc_text([{"top": ["a"]}, {"middle": ["a", "b"], "order": [["a", "b"], ["b", "a"]]}]),
         _doc_text([{"top": ["a"], "bottom": ["a"]}]),

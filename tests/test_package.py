@@ -117,6 +117,27 @@ def test_one_function_routes_the_queries():
         assert sites == ["possible.py:route"], (hit.__name__, sites)
 
 
+def test_one_function_writes_the_document_store():
+    # io._keep alone writes io._kept, once per text, under the store's
+    # lock: no other code stores into it or deletes from it by subscript,
+    # or calls a dict method that changes it.
+    def store(node):
+        return "_kept" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    def write(node):
+        if isinstance(node, ast.Subscript):
+            return store(node.value) and isinstance(node.ctx, (ast.Store, ast.Del))
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("pop", "popitem", "clear", "update", "setdefault")
+                and store(node.func.value))
+
+    sites = {
+        f"{path.name}:{site}"
+        for path, tree in _library_trees() for site in _top_level_sites(tree, write)
+    }
+    assert sites == {"io.py:_keep"}
+
+
 def test_library_holds_no_assert_statements():
     # Invariants are explicit checks; python -O strips assert statements.
     faults = [
