@@ -591,7 +591,7 @@ def _doc_text(voters, candidates=("c", "a", "b", "d")):
 
 # Ids follow the candidate list (c=0, a=1, b=2, d=3). Pass 1 accepts
 # each of these records; pass 2 raises at voter 1, the first of the two
-# voters holding it. The second and the last make a complete document,
+# voters holding it. The second and the fifth make a complete document,
 # the others a partial one.
 @pytest.mark.parametrize(
     "voter, error, message",
@@ -606,8 +606,6 @@ def _doc_text(voters, candidates=("c", "a", "b", "d")):
          "order constraints are cyclic (voter 1)"),
         ({"top": ["a"], "middle": ["c"], "bottom": ["b"]}, PartitionIncompleteError,
          "candidates in no part (voter 1): d"),
-        ({"top": ["a"], "bottom": ["a", "b", "c", "d"]}, PartitionOverlapError,
-         "candidates in more than one part (voter 1): a"),
     ],
 )
 def test_validation_faults_raise_on_every_call(kept, voter, error, message):
@@ -617,6 +615,27 @@ def test_validation_faults_raise_on_every_call(kept, voter, error, message):
     expected = _outcome(reference_loader.parse_profile, text)
     assert expected == (error, message)
     for _ in range(3):
+        assert _outcome(parse_profile, text) == expected
+        assert text not in kept._kept
+
+
+# Ids follow the candidate list (c=0, a=1, b=2, d=3).
+@pytest.mark.parametrize(
+    "voter, error, message",
+    [
+        ({"top": ["a"], "bottom": ["b"]}, PartitionIncompleteError,
+         "candidates in no part (voter 2): c, d"),
+        ({"top": ["a"], "bottom": ["a", "b", "c", "d"]}, PartitionOverlapError,
+         "candidates in more than one part (voter 2): a"),
+    ],
+)
+def test_a_faulty_complete_document_is_never_kept_as_a_profile(kept, voter, error, message):
+    # Every record is complete, so pass 2 builds the complete view; it
+    # faults at voter 2, and no call leaves an entry for the text.
+    text = _doc_text([{"top": ["a"]}, {"top": ["b"]}, voter, voter])
+    expected = _outcome(reference_loader.parse_profile, text)
+    assert expected == (error, message)
+    for _ in range(4):
         assert _outcome(parse_profile, text) == expected
         assert text not in kept._kept
 
