@@ -11,10 +11,10 @@ cleanly. Results leave as single JSON objects with a fixed key order and
 exact rationals rendered as p/q strings.
 
 parse_profile keeps each document whose ballots it has validated, by
-the document's exact text and within a fixed budget of text, so a
-document read again skips the JSON decoder. A complete document is kept
-as its profile, which later reads return as it is; a partial document
-as its voters' id tuples, whose ballots are validated on every call.
+the document's exact text and within a fixed budget of text, as its
+profile: a document read again skips the decoder and the validation,
+and every later read returns that same profile. The kept profiles share
+their equal top, middle and bottom sets through one table.
 """
 
 from __future__ import annotations
@@ -158,17 +158,22 @@ def _decoded(text: str) -> tuple[CandidateRegistry, int | None, list[tuple]]:
 # length of the texts they hold. A text pushes out the oldest until the
 # total fits _KEPT_TEXT characters again; a longer text is never kept.
 # The first call whose pass 2 succeeds writes the entry, once: the
-# registry, k and either the document's PartialProfile, if it is
-# complete, or its records as id tuples, which take under a third of the
-# memory of pass 1's frozensets. A faulty document is never kept.
+# registry, k and the document's PartialProfile. A faulty document is
+# never kept. _kept_parts holds the top, middle and bottom sets of kept
+# ballots, each its own key, so that equal parts of kept documents are
+# one set: a document adds its parts only when it is kept, and the table
+# is emptied whenever a text is pushed out, so it never holds more than
+# the kept profiles do.
 _KEPT_TEXT = 1 << 20
 _kept: dict[str, tuple] = {}
 _kept_text = 0
+_kept_parts: dict[frozenset, frozenset] = {}
 _kept_lock = threading.Lock()
 
 
-def _keep(text: str, entry: tuple) -> None:
-    """Keep the entry for ``text``, unless one is kept already."""
+def _keep(text: str, entry: tuple, parts: dict | tuple = ()) -> None:
+    """Keep the entry for ``text``, and its ballots' ``parts``, unless
+    an entry is kept already."""
     global _kept_text
     if len(text) > _KEPT_TEXT:
         return
@@ -177,10 +182,13 @@ def _keep(text: str, entry: tuple) -> None:
             return
         _kept[text] = entry
         _kept_text += len(text)
-        while _kept_text > _KEPT_TEXT:
-            oldest = next(iter(_kept))
-            del _kept[oldest]
-            _kept_text -= len(oldest)
+        if _kept_text > _KEPT_TEXT:
+            _kept_parts.clear()
+            while _kept_text > _KEPT_TEXT:
+                oldest = next(iter(_kept))
+                del _kept[oldest]
+                _kept_text -= len(oldest)
+        _kept_parts.update(parts)
 
 
 def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
@@ -188,42 +196,40 @@ def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
 
     Two passes put every voter's syntax before any voter's partition and
     order. Pass 1 (_decoded) reads the document and every voter record.
-    Pass 2 builds each ballot with ballot_of_ids in voter order, and the
-    first partition or order fault raises there. The first call whose
-    pass 2 succeeds keeps the document by its text, so later calls skip
-    pass 1; a faulty document runs both passes and raises on every call.
-    A complete document (every middle empty, no order) is kept as its
-    profile, built with one ballot per distinct record: that call and
-    every later one return the same PartialProfile, whose ballots,
-    complete view and masks are built once. Any other document is kept as
-    id tuples and runs pass 2 on every call, so every call gets its own
-    ballots and sets; such calls share only the immutable registry.
+    Pass 2 builds one ballot per distinct record with ballot_of_ids, in
+    voter order, so the first partition or order fault raises there at
+    the first voter holding it. The first call whose pass 2 succeeds keeps
+    the profile by the document's text: that call and every later one
+    return the same PartialProfile, whose ballots, masks, order maps and
+    complete view are built once. A faulty document runs both passes and
+    raises on every call. Each part set is taken from the kept profiles'
+    table when an equal one is there.
     """
     kept = _kept.get(text)
     if kept is not None:
-        registry, k, records = kept
-        if type(records) is PartialProfile:
-            return records, k
-    else:
-        registry, k, records = _decoded(text)
-        if all(not middle and not edges for _, middle, _, edges in records):
-            # A record faults at the first voter holding it, as with a
-            # ballot per voter.
-            built = {}
-            for i, record in enumerate(records):
-                if record not in built:
-                    built[record] = ballot_of_ids(*record, registry, i)
-            profile = PartialProfile(registry, tuple(map(built.__getitem__, records)))
-            _keep(text, (registry, k, profile))
-            return profile, k
-    # frozenset() hands pass 1's frozensets on as they are.
-    ballots = [ballot_of_ids(frozenset(top), frozenset(middle), frozenset(bottom),
-                             edges, registry, i)
-               for i, (top, middle, bottom, edges) in enumerate(records)]
-    if kept is None:
-        _keep(text, (registry, k, tuple([(tuple(top), tuple(middle), tuple(bottom), tuple(edges))
-                                         for top, middle, bottom, edges in records])))
-    return PartialProfile(registry, tuple(ballots)), k
+        return kept[2], kept[1]
+    registry, k, records = _decoded(text)
+    parts: dict[frozenset, frozenset] = {}
+    built = {}
+    ballots = []
+    for i, (top, middle, bottom, edges) in enumerate(records):
+        key = top, middle, bottom, tuple(edges)
+        ballot = built.get(key)
+        if ballot is None:
+            for part in key[:3]:
+                if part not in parts:
+                    shared = _kept_parts.get(part)
+                    if shared is None:
+                        # A copy's table is sized to its members; pass 1
+                        # grew its set name by name, to up to twice that.
+                        shared = part.union()
+                    parts[shared] = shared
+            ballot = built[key] = ballot_of_ids(
+                parts[top], parts[middle], parts[bottom], edges, registry, i)
+        ballots.append(ballot)
+    profile = PartialProfile(registry, tuple(ballots))
+    _keep(text, (registry, k, profile), parts)
+    return profile, k
 
 
 def _names(registry: CandidateRegistry, ids) -> list[str]:

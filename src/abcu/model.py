@@ -144,7 +144,7 @@ class ApprovalProfile:
         return len(self.registry)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialBallot:
     """An incomplete ballot over candidate ids.
 
@@ -152,21 +152,37 @@ class PartialBallot:
     ranked above y, so a completion containing y must contain x. Both
     endpoints always lie in ``middle``.
 
-    The masks below hold the same ballot in candidate-id bits, built on
-    first read and kept outside eq, hash and repr. ``up`` maps the bit of
-    each middle candidate ranked below another to that bit and the bits
-    of everything ranked above it, ``down`` the bit of each one ranked
-    above another to that bit and those of everything ranked below it; a
-    middle bit absent from either stands for itself. Rows are collected
-    by id, whose hash is cheaper than that of a bit on a long order.
-    Other modules read the order through ``above``, ``avoiding`` and
-    ``overlaps``; ``necjr`` reads the closed pairs once per voter.
+    The fields after ``precedence`` hold the same ballot in candidate-id
+    bits. Each is built on its first read (see _DERIVED) and kept outside
+    eq, hash and repr; the fields live in slots, about a third of the
+    memory of an instance dict, which counts for ballots a process keeps.
+    ``up`` maps the bit of each middle candidate ranked below another to
+    that bit and the bits of everything ranked above it, ``down`` the bit
+    of each one ranked above another to that bit and those of everything
+    ranked below it; a middle bit absent from either stands for itself,
+    and an order-free ballot answers without building either. Rows are
+    collected by id, whose hash is cheaper than that of a bit on a long
+    order. Other modules read the order through ``above``, ``avoiding``
+    and ``overlaps``; ``necjr`` reads the closed pairs once per voter.
     """
 
     top: frozenset[int]
     middle: frozenset[int]
     bottom: frozenset[int]
     precedence: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    top_mask: int = field(init=False, repr=False, compare=False)
+    middle_mask: int = field(init=False, repr=False, compare=False)
+    up: dict[int, int] = field(init=False, repr=False, compare=False)
+    down: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __getattr__(self, name: str):
+        # Reached only when a slot is unset or the name is no attribute.
+        build = _DERIVED.get(name)
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = build(self)
+        object.__setattr__(self, name, value)
+        return value
 
     def is_three_valued(self) -> bool:
         return not self.precedence
@@ -188,31 +204,11 @@ class PartialBallot:
         """Candidates every completion containing ``cid`` must contain."""
         return frozenset({cid} | {x for x, y in self.precedence if y == cid})
 
-    @_cached
-    def top_mask(self) -> int:
-        return mask_of(self.top)
-
-    @_cached
-    def middle_mask(self) -> int:
-        return mask_of(self.middle)
-
-    @_cached
-    def up(self) -> dict[int, int]:
-        above: dict[int, int] = {}
-        for x, y in self.precedence:
-            above[y] = above.get(y, 0) | 1 << x
-        return {1 << y: row | 1 << y for y, row in above.items()}
-
-    @_cached
-    def down(self) -> dict[int, int]:
-        below: dict[int, int] = {}
-        for x, y in self.precedence:
-            below[x] = below.get(x, 0) | 1 << y
-        return {1 << x: row | 1 << x for x, row in below.items()}
-
     def above(self, bits: int) -> int:
         """``bits`` and every middle candidate ranked above one of them:
         the middle part of the narrowest completion approving ``bits``."""
+        if not self.precedence:
+            return bits
         up = self.up
         closure = bits
         while bits:
@@ -225,6 +221,8 @@ class PartialBallot:
         """The middle without ``bits`` and every candidate ranked below
         one of them: the middle part of the widest completion approving
         none of ``bits``."""
+        if not self.precedence:
+            return self.middle_mask & ~bits
         down = self.down
         blocked = bits
         while bits:
@@ -257,6 +255,29 @@ class PartialBallot:
                 return masks
             r = self.above(r & -p | p) & inside
             masks.append(r)
+
+
+def _up(ballot: PartialBallot) -> dict[int, int]:
+    above: dict[int, int] = {}
+    for x, y in ballot.precedence:
+        above[y] = above.get(y, 0) | 1 << x
+    return {1 << y: row | 1 << y for y, row in above.items()}
+
+
+def _down(ballot: PartialBallot) -> dict[int, int]:
+    below: dict[int, int] = {}
+    for x, y in ballot.precedence:
+        below[x] = below.get(x, 0) | 1 << y
+    return {1 << x: row | 1 << x for x, row in below.items()}
+
+
+# How PartialBallot builds each derived field on its first read.
+_DERIVED: dict[str, Callable[[PartialBallot], object]] = {
+    "top_mask": lambda ballot: mask_of(ballot.top),
+    "middle_mask": lambda ballot: mask_of(ballot.middle),
+    "up": _up,
+    "down": _down,
+}
 
 
 @dataclass(frozen=True)
@@ -377,6 +398,9 @@ def _closed_order(
 
 
 _NONE: frozenset = frozenset()
+_set_top, _set_middle, _set_bottom, _set_precedence = (
+    PartialBallot.top.__set__, PartialBallot.middle.__set__,
+    PartialBallot.bottom.__set__, PartialBallot.precedence.__set__)
 
 
 def ballot_of_ids(
@@ -389,21 +413,20 @@ def ballot_of_ids(
     and the parts are pairwise disjoint, so no union set is built. Ids
     from anywhere else are range-checked first by make_partial_ballot;
     io's loader, which maps names through the registry's index, is the
-    only other caller. The instance dict is filled directly: the frozen dataclass's __init__
-    makes one object.__setattr__ call per field and checks the
-    precedence default, about as much work as checking an unordered
-    ballot.
+    only other caller. The slots are set through their descriptors: the
+    frozen dataclass's __init__ makes one object.__setattr__ call per
+    field and checks the precedence default, about as much work as
+    checking an unordered ballot.
     """
     if (len(top) + len(middle) + len(bottom) != len(registry.names)
             or not top.isdisjoint(bottom)
             or middle and not (top.isdisjoint(middle) and middle.isdisjoint(bottom))):
         _partition_fault(top, middle, bottom, registry, voter)
     ballot = object.__new__(PartialBallot)
-    fields = ballot.__dict__
-    fields["top"] = top
-    fields["middle"] = middle or _NONE
-    fields["bottom"] = bottom
-    fields["precedence"] = _closed_order(frozenset(edges), middle, voter) if edges else _NONE
+    _set_top(ballot, top)
+    _set_middle(ballot, middle or _NONE)
+    _set_bottom(ballot, bottom)
+    _set_precedence(ballot, _closed_order(frozenset(edges), middle, voter) if edges else _NONE)
     return ballot
 
 

@@ -662,6 +662,67 @@ def test_threads_answering_complete_documents_get_serial_results(tmp_path, monke
     assert faults == []
 
 
+def test_threads_answering_partial_documents_get_serial_results(tmp_path, monkeypatch):
+    # Four threads ask neccom, posmem, necmem and necjr questions of the
+    # same partial documents, starting one query apart, each trial one pass
+    # from an empty store, so they race on the first read that keeps each
+    # profile, on the part table, and on the first reads of the masks and
+    # order maps its shared ballots hold.
+    # Document 0 is order-free, the others rank each middle as a chain.
+    rng = Random(30)
+    names = [f"c{i}" for i in range(6)]
+    queries = []
+    for d in range(3):
+        voters = []
+        for _ in range(8):
+            ids = rng.sample(names, 6)
+            voter = {"top": ids[:rng.randrange(3)], "middle": ids[3:3 + rng.randint(1, 3)]}
+            if d and len(voter["middle"]) > 1:
+                voter["order"] = [list(pair) for pair in zip(voter["middle"], voter["middle"][1:])]
+            voters.append(voter)
+        path = tmp_path / f"partial{d}.json"
+        path.write_text(json.dumps({"candidates": names, "k": 2, "voters": voters + voters[:4]}))
+        profile, committee = str(path), f"c{d},c{d + 3}"
+        queries += [["neccom", "--profile", profile, "--rule", rule, "--committee", committee]
+                    for rule in ("av", "pav")]
+        queries += [[family, "--profile", profile, "--rule", "av", "--candidate", f"c{d + c}",
+                     "--witness"] for family in ("posmem", "necmem") for c in (0, 1)]
+        queries.append(["necjr", "--profile", profile, "--committee", committee, "--witness"])
+    expected = [_captured(argv) for argv in queries]
+    assert {code for code, _, _ in expected} == {0, 1}
+    out, err = _ThreadStreams(), _ThreadStreams()
+    faults = []
+
+    def work(start):
+        try:
+            for step in range(len(queries)):
+                j = (start + step) % len(queries)
+                code = run_cli(list(queries[j]))
+                if (code, out.take(), err.take()) != expected[j]:
+                    faults.append((start, step))
+        except Exception as exc:  # any escape is a fault to report
+            faults.append(exc)
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            monkeypatch.setattr(abcu.io, "_kept", {})
+            monkeypatch.setattr(abcu.io, "_kept_text", 0)
+            monkeypatch.setattr(abcu.io, "_kept_parts", {})
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert faults == []
+
+
 def test_cached_parser_keeps_no_state_between_calls(tmp_path):
     quad = tmp_path / "quad.json"
     quad.write_text(json.dumps(QUAD_DOC))
