@@ -23,7 +23,7 @@ import json
 import threading
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable
+from typing import Any
 
 from .errors import ProfileSyntaxError
 from .model import (
@@ -31,13 +31,13 @@ from .model import (
     CandidateRegistry,
     Decision,
     PartialProfile,
-    ballot_of_ids,
+    make_partial_ballot,
 )
 from .representation import GroupWitness
 
 _VOTER_KEYS = {"top", "middle", "bottom", "order"}
 _NO_NAMES: list = []
-_ARRAY = {list}
+_NAMES = {str}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -45,75 +45,55 @@ def _require(condition: bool, message: str) -> None:
         raise ProfileSyntaxError(message)
 
 
-def _name_list(value: Any, context: str) -> list[str]:
-    _require(isinstance(value, list), f"{context} must be an array")
-    for name in value:
-        _require(isinstance(name, str), f"{context} must contain names only")
-    _require(len(set(value)) == len(value), f"{context} repeats a candidate")
-    return value
+def _name_list(value: Any, context: str, *args: object) -> list[str]:
+    """``value`` if it is an array of distinct names; otherwise raise its
+    first fault, naming the array ``context.format(*args)``. A message is
+    built only for a fault, as the loader reads every voter's arrays."""
+    if type(value) is not list:
+        fault = "must be an array"
+    elif not set(map(type, value)) <= _NAMES:
+        fault = "must contain names only"
+    elif len(set(value)) != len(value):
+        fault = "repeats a candidate"
+    else:
+        return value
+    raise ProfileSyntaxError(f"{context.format(*args)} {fault}")
 
 
-def _voter_record(voter: Any, id_of: Callable[[str], int], everyone: frozenset[int]) -> tuple:
-    """One voter's id sets and order edges, for a well-formed record only.
+def _voter_record(i: int, voter: Any, registry: CandidateRegistry) -> tuple:
+    """Voter i's (top, middle, bottom, edges): three id sets and the set of
+    its order edges, each a frozenset.
 
-    _decoded, parse_profile's first pass, reads every record with this.
-    Each name array maps straight to an id set; an absent or empty order
-    yields no edges. Any fault raises LookupError, TypeError or ValueError
-    (``id_of``, the registry's name -> id lookup, holds names only);
-    _record_fault names it.
+    Raises the record's first fault, in the order in which the record is
+    read: its shape and keys, the syntax of top and middle, their names,
+    bottom's syntax and names, then the order array and its pairs, each
+    pair's shape before its names. An absent bottom is everything not in
+    top or middle.
     """
-    if type(voter) is not dict or not voter.keys() <= _VOTER_KEYS:
-        raise TypeError("not a voter record")
-    top = voter.get("top", _NO_NAMES)
-    middle = voter.get("middle", _NO_NAMES)
-    if type(top) is not list or type(middle) is not list:
-        raise TypeError("not an array")
+    if type(voter) is not dict:
+        raise ProfileSyntaxError(f"voter {i} must be an object")
+    if not voter.keys() <= _VOTER_KEYS:
+        unknown = sorted(voter.keys() - _VOTER_KEYS)
+        raise ProfileSyntaxError(f"voter {i} has unknown keys: {unknown}")
+    top = _name_list(voter.get("top", _NO_NAMES), 'voter {} "top"', i)
+    middle = _name_list(voter.get("middle", _NO_NAMES), 'voter {} "middle"', i)
+    id_of = registry.id_of
     top_ids = frozenset(map(id_of, top))
     middle_ids = frozenset(map(id_of, middle))
-    if len(top_ids) != len(top) or len(middle_ids) != len(middle):
-        raise ValueError("repeated name")
     if "bottom" in voter:
-        bottom = voter["bottom"]
-        if type(bottom) is not list:
-            raise TypeError("not an array")
-        bottom_ids = frozenset(map(id_of, bottom))
-        if len(bottom_ids) != len(bottom):
-            raise ValueError("repeated name")
+        bottom_ids = frozenset(map(id_of, _name_list(voter["bottom"], 'voter {} "bottom"', i)))
     else:
-        bottom_ids = everyone.difference(top_ids, middle_ids)
+        bottom_ids = registry.ids.difference(top_ids, middle_ids)
     order = voter.get("order", _NO_NAMES)
     if type(order) is not list:
-        raise TypeError("not an array")
-    if not order:
-        return top_ids, middle_ids, bottom_ids, ()
-    if not set(map(type, order)) <= _ARRAY:
-        raise TypeError("not an array of arrays")
-    return top_ids, middle_ids, bottom_ids, [(id_of(x), id_of(y)) for x, y in order]
-
-
-def _record_fault(i: int, voter: Any, registry: CandidateRegistry) -> None:
-    """Raise the first syntax fault of a record _voter_record rejected, in
-    document order. It only diagnoses: it builds and returns nothing."""
-    _require(isinstance(voter, dict), f"voter {i} must be an object")
-    unknown = set(voter) - _VOTER_KEYS
-    _require(not unknown, f"voter {i} has unknown keys: {sorted(unknown)}")
-    top = _name_list(voter.get("top", []), f'voter {i} "top"')
-    middle = _name_list(voter.get("middle", []), f'voter {i} "middle"')
-    for name in top + middle:
-        registry.id_of(name)
-    if "bottom" in voter:
-        for name in _name_list(voter["bottom"], f'voter {i} "bottom"'):
-            registry.id_of(name)
-    order = voter.get("order", [])
-    _require(isinstance(order, list), f'voter {i} "order" must be an array')
+        raise ProfileSyntaxError(f'voter {i} "order" must be an array')
+    edges = []
     for pair in order:
-        _require(
-            isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(p, str) for p in pair),
-            f'voter {i} "order" entries must be [name, name] pairs',
-        )
-        registry.id_of(pair[0])
-        registry.id_of(pair[1])
+        if not (type(pair) is list and len(pair) == 2
+                and type(pair[0]) is str and type(pair[1]) is str):
+            raise ProfileSyntaxError(f'voter {i} "order" entries must be [name, name] pairs')
+        edges.append((id_of(pair[0]), id_of(pair[1])))
+    return top_ids, middle_ids, bottom_ids, frozenset(edges)
 
 
 def _decoded(text: str) -> tuple[CandidateRegistry, int | None, list[tuple]]:
@@ -121,10 +101,7 @@ def _decoded(text: str) -> tuple[CandidateRegistry, int | None, list[tuple]]:
     voter's record read with _voter_record, in voter order.
 
     Returns the registry, the document's k and one (top, middle, bottom,
-    edges) record per voter, the id sets as frozensets. A record the
-    reader rejects goes to _record_fault, which only diagnoses: it raises
-    the record's first syntax fault, or else the reader's own exception
-    goes on as an internal error.
+    edges) record per voter.
     """
     try:
         doc = json.loads(text)
@@ -143,22 +120,14 @@ def _decoded(text: str) -> tuple[CandidateRegistry, int | None, list[tuple]]:
                  '"k" must be a positive integer')
     voters = doc.get("voters")
     _require(isinstance(voters, list), '"voters" must be an array')
-    id_of, everyone = registry.index.__getitem__, registry.ids
-    records = []
-    for i, voter in enumerate(voters):
-        try:
-            records.append(_voter_record(voter, id_of, everyone))
-        except (LookupError, TypeError, ValueError):
-            _record_fault(i, voter, registry)
-            raise
-    return registry, k, records
+    return registry, k, [_voter_record(i, voter, registry) for i, voter in enumerate(voters)]
 
 
 # Validated documents by their exact text, oldest first, and the total
 # length of the texts they hold. A text pushes out the oldest until the
 # total fits _KEPT_TEXT characters again; a longer text is never kept.
 # The first call whose pass 2 succeeds writes the entry, once: the
-# registry, k and the document's PartialProfile. A faulty document is
+# document's PartialProfile and k. A faulty document is
 # never kept. _kept_parts holds the top, middle and bottom sets of kept
 # ballots, each its own key, so that equal parts of kept documents are
 # one set: a document adds its parts only when it is kept, and the table
@@ -196,8 +165,8 @@ def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
 
     Two passes put every voter's syntax before any voter's partition and
     order. Pass 1 (_decoded) reads the document and every voter record.
-    Pass 2 builds one ballot per distinct record with ballot_of_ids, in
-    voter order, so the first partition or order fault raises there at
+    Pass 2 builds one ballot per distinct record with make_partial_ballot,
+    in voter order, so the first partition or order fault raises there at
     the first voter holding it. The first call whose pass 2 succeeds keeps
     the profile by the document's text: that call and every later one
     return the same PartialProfile, whose ballots, masks, order maps and
@@ -207,16 +176,16 @@ def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
     """
     kept = _kept.get(text)
     if kept is not None:
-        return kept[2], kept[1]
+        return kept
     registry, k, records = _decoded(text)
     parts: dict[frozenset, frozenset] = {}
     built = {}
     ballots = []
-    for i, (top, middle, bottom, edges) in enumerate(records):
-        key = top, middle, bottom, tuple(edges)
-        ballot = built.get(key)
+    for i, record in enumerate(records):
+        ballot = built.get(record)
         if ballot is None:
-            for part in key[:3]:
+            top, middle, bottom, edges = record
+            for part in (top, middle, bottom):
                 if part not in parts:
                     shared = _kept_parts.get(part)
                     if shared is None:
@@ -224,11 +193,11 @@ def parse_profile(text: str) -> tuple[PartialProfile, int | None]:
                         # grew its set name by name, to up to twice that.
                         shared = part.union()
                     parts[shared] = shared
-            ballot = built[key] = ballot_of_ids(
-                parts[top], parts[middle], parts[bottom], edges, registry, i)
+            ballot = built[record] = make_partial_ballot(
+                parts[top], parts[middle], parts[bottom], registry, edges, i)
         ballots.append(ballot)
     profile = PartialProfile(registry, tuple(ballots))
-    _keep(text, (registry, k, profile), parts)
+    _keep(text, (profile, k), parts)
     return profile, k
 
 

@@ -111,8 +111,7 @@ class CandidateRegistry:
             raise UnknownCandidateError(f"unknown candidate {name!r}") from None
 
     def name_of(self, cid: int) -> str:
-        if not 0 <= cid < len(self.names):
-            raise UnknownCandidateError(f"candidate id {cid} out of range")
+        check_candidate(cid, len(self.names))
         return self.names[cid]
 
 
@@ -398,36 +397,6 @@ def _closed_order(
 
 
 _NONE: frozenset = frozenset()
-_set_top, _set_middle, _set_bottom, _set_precedence = (
-    PartialBallot.top.__set__, PartialBallot.middle.__set__,
-    PartialBallot.bottom.__set__, PartialBallot.precedence.__set__)
-
-
-def ballot_of_ids(
-    top: frozenset[int], middle: frozenset[int], bottom: frozenset[int],
-    edges: Iterable[tuple[int, int]], registry: CandidateRegistry, voter: int | None = None,
-) -> PartialBallot:
-    """A PartialBallot from frozensets of the registry's own ids.
-
-    Ids in range partition the registry iff the part sizes add up to m
-    and the parts are pairwise disjoint, so no union set is built. Ids
-    from anywhere else are range-checked first by make_partial_ballot;
-    io's loader, which maps names through the registry's index, is the
-    only other caller. The slots are set through their descriptors: the
-    frozen dataclass's __init__ makes one object.__setattr__ call per
-    field and checks the precedence default, about as much work as
-    checking an unordered ballot.
-    """
-    if (len(top) + len(middle) + len(bottom) != len(registry.names)
-            or not top.isdisjoint(bottom)
-            or middle and not (top.isdisjoint(middle) and middle.isdisjoint(bottom))):
-        _partition_fault(top, middle, bottom, registry, voter)
-    ballot = object.__new__(PartialBallot)
-    _set_top(ballot, top)
-    _set_middle(ballot, middle or _NONE)
-    _set_bottom(ballot, bottom)
-    _set_precedence(ballot, _closed_order(frozenset(edges), middle, voter) if edges else _NONE)
-    return ballot
 
 
 def make_partial_ballot(
@@ -442,14 +411,19 @@ def make_partial_ballot(
 
     Checks, in order: ids known to the registry, the three parts disjoint,
     the parts jointly covering the registry, order edges confined to the
-    middle, and acyclicity after transitive closure. Once every id is in
-    range, ballot_of_ids checks the rest. Frozensets are taken as they
-    are, so a caller holding id sets copies nothing.
+    middle, and acyclicity after transitive closure. Ids in range
+    partition the registry iff the part sizes add up to m and the parts
+    are pairwise disjoint, so no union set is built. Frozensets are taken
+    as they are, so a caller holding id sets copies nothing.
     """
     tset, mset, bset = frozenset(top), frozenset(middle), frozenset(bottom)
-    if not registry.ids.issuperset(itertools.chain(tset, mset, bset)):
+    if (not registry.ids.issuperset(itertools.chain(tset, mset, bset))
+            or len(tset) + len(mset) + len(bset) != len(registry.names)
+            or not tset.isdisjoint(bset)
+            or mset and not (tset.isdisjoint(mset) and mset.isdisjoint(bset))):
         _partition_fault(tset, mset, bset, registry, voter)
-    return ballot_of_ids(tset, mset, bset, frozenset(precedence), registry, voter)
+    edges = frozenset(precedence)
+    return PartialBallot(tset, mset, bset, _closed_order(edges, mset, voter) if edges else _NONE)
 
 
 def validate_partial_profile(

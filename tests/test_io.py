@@ -453,7 +453,11 @@ def test_malformed_documents_fail_as_the_reference_fails(doc):
 # apart. Then order pairs of three names, of a non-name and of none, a
 # repeated bottom name, and a record whose middle holds a non-name while
 # its top holds an unknown name: the middle's fault, a syntax error, is
-# the one reported. Ids follow the candidate list (c=0, a=1, b=2, d=3).
+# the one reported. Last, the order of faults within one record: top's
+# and middle's syntax before their names, their names before bottom's
+# syntax and bottom's names before the order's, and each order pair's
+# names before the next pair's shape. Ids follow the candidate list
+# (c=0, a=1, b=2, d=3).
 @pytest.mark.parametrize(
     "voter, outcome",
     [
@@ -475,6 +479,11 @@ def test_malformed_documents_fail_as_the_reference_fails(doc):
         ({"top": ["a"], "bottom": ["b", "b"]}, ProfileSyntaxError),
         ({"top": ["zz"], "middle": ["a", 1]}, ProfileSyntaxError),
         ({"middle": ["a", "b"], "order": [[]]}, ProfileSyntaxError),
+        ({"top": ["zz", "a", "a"]}, ProfileSyntaxError),
+        ({"top": ["zz"], "middle": ["a", "a"]}, ProfileSyntaxError),
+        ({"top": ["zz"], "bottom": "a"}, UnknownCandidateError),
+        ({"bottom": ["zz"], "order": 3}, UnknownCandidateError),
+        ({"middle": ["a", "b"], "order": [["a", "zz"], ["b"]]}, UnknownCandidateError),
     ],
 )
 def test_tricky_records_load_as_the_reference_loads_them(voter, outcome):
@@ -707,7 +716,7 @@ def test_a_partial_document_read_again_is_kept_as_one_profile(kept):
         profile, k = parse_profile(text)
         assert (profile, k) == expected
         results.append(profile)
-        assert kept._kept[text][2] is results[0]
+        assert kept._kept[text][0] is results[0]
     first, second, third = results
     assert first is second is third
     assert first.ballots[0] is first.ballots[2]
@@ -763,7 +772,7 @@ def test_the_part_table_holds_no_more_than_the_kept_documents(kept, monkeypatch)
         before = list(kept._kept)
         assert parse_profile(text) == reference_loader.parse_profile(text)
         pushed_out += any(t not in kept._kept for t in before)
-        held = {part for _, _, profile in kept._kept.values()
+        held = {part for profile, _ in kept._kept.values()
                 for b in profile.ballots for part in (b.top, b.middle, b.bottom)}
         assert set(kept._kept_parts) <= held
         assert all(key is value for key, value in kept._kept_parts.items())
@@ -788,7 +797,7 @@ def test_a_complete_document_read_again_is_kept_as_one_profile(kept):
         assert (profile, got_k) == (expected, k)
         assert profile.complete_view == expected_view
         results.append(profile)
-        assert kept._kept[text][2] is results[0]
+        assert kept._kept[text][0] is results[0]
     first, second, third = results
     assert first is second is third
     assert first.complete_view is third.complete_view
@@ -803,8 +812,8 @@ def test_a_kept_entry_is_never_replaced(kept):
     # Two threads may load one text at once; the first entry kept stays.
     text = _doc_text([{"top": ["a"]}])
     profile, _ = parse_profile(text)
-    kept._keep(text, (None, None, None))
-    assert kept._kept[text][2] is profile and kept._kept_text == len(text)
+    kept._keep(text, (None, None))
+    assert kept._kept[text][0] is profile and kept._kept_text == len(text)
     assert parse_profile(text)[0] is profile
 
 

@@ -206,17 +206,18 @@ def test_only_model_walks_submasks():
     assert {w.split(":")[0] for w in walkers} == {"model.py"}, sorted(walkers)
 
 
-def test_only_the_loader_and_make_partial_ballot_use_ballot_of_ids():
-    # model.ballot_of_ids checks a partition by sizes and disjointness,
-    # which proves one only for ids in range. make_partial_ballot
-    # range-checks first; parse_profile maps names through the
-    # registry's own index. No other library code may reach it.
-    users = {
+def test_only_checked_builders_construct_partial_ballots():
+    # make_partial_ballot checks a ballot built from outside input, the
+    # loader's included. as_partial and pad_profile build theirs from
+    # ballots already checked. No other library code calls the
+    # PartialBallot constructor.
+    builders = {
         (path.name, getattr(stmt, "name", None))
         for path, tree in _library_trees()
         for stmt in tree.body
         for node in ast.walk(stmt)
-        if "ballot_of_ids" in (getattr(node, "id", None), getattr(node, "attr", None))
+        if isinstance(node, ast.Call)
+        and "PartialBallot" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
-    assert users == {("io.py", "parse_profile"), ("model.py", "make_partial_ballot")}
-    assert "ballot_of_ids" not in abcu.__all__
+    assert builders == {("model.py", "make_partial_ballot"), ("model.py", "as_partial"),
+                        ("reductions.py", "pad_profile")}
