@@ -51,9 +51,11 @@ ENV_CAP = "ABCU_CAP"
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after that.
 
-    ``parse_args`` does not change the parser, and usage errors go to the
-    ``sys.stderr`` of the call, so every ``run_cli`` call can share one.
-    It is not built at import, which would slow down every import.
+    Its ``commands`` attribute maps each command name to that command's
+    sub-parser, which ``_parse`` calls directly. Parsing does not change
+    either parser, and usage errors go to the ``sys.stderr`` of the call,
+    so every ``run_cli`` call can share them. ``cache_clear()`` rebuilds
+    both. It is not built at import, which would slow down every import.
     """
     parser = argparse.ArgumentParser(
         prog="abcu",
@@ -101,7 +103,25 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--gadget", required=True, choices=("cc3va", "linearx3c"))
     gen.add_argument("--instance", required=True, help="instance file")
     gen.add_argument("--x", help="weight step for linearx3c (integer or p/q)")
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with the same namespace,
+    output and exit, but through the chosen sub-parser when ``argv[0]``
+    is a command name: the top-level parser spends about half its time
+    finding the sub-command. Leftover arguments, or a first word that
+    names no command, go to the full parser, which reports them with its
+    own usage line.
+    """
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def _resolve_cap(args) -> int:
@@ -290,9 +310,8 @@ _HANDLERS = {
 
 
 def run_cli(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress
 from operator import add
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BadKError, BadThresholdError, CandidateInCommitteeError, TableOutOfRangeError
@@ -226,16 +227,63 @@ def _scale(f: ScoringFunction, k: int, m: int) -> int:
     return math.lcm(*(Fraction(v).denominator for v in values))
 
 
+class _EntryTable(dict):
+    """The scaled entries of one rule, committee size k and candidate
+    count m, keyed by (overlap, ballot size) and filled on first read.
+
+    ``scale`` = _scale(f, k, m), and each entry is f(overlap, size) times
+    it. A Thiele entry ignores the size, so every size copies the size-0
+    entry of its overlap, computed once. A missing entry raises and is
+    never stored. An entry depends on its key alone, so two threads that
+    fill the same one store equal ints.
+    """
+
+    def __init__(self, f, k: int, m: int) -> None:
+        super().__init__()
+        self.f = f
+        self.scale = _scale(f, k, m)
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        overlap, size = key
+        if size and self.f.kind == "thiele":
+            value = self[overlap, 0]
+        else:
+            value = int(_entry(self.f, overlap, size) * self.scale)
+        self[key] = value
+        return value
+
+
+# Tables kept at once. Each holds at most (k + 1)(m + 1) ints, and
+# table: specs come from users, so the cache must not grow without limit.
+_TABLES = 128
+
+
+@lru_cache(maxsize=_TABLES)
+def _entry_table(rule, k: int, m: int) -> _EntryTable:
+    """The shared entry table of ``rule``, k and m.
+
+    ``rule`` is a ScoringFunction without entries, or (kind, weight,
+    frozenset of entry items) for one with them, whose plain dict cannot
+    be hashed. Such a rule is rebuilt from the items, so a table never
+    reads a dict that changed after it was keyed.
+    """
+    if isinstance(rule, tuple):
+        kind, weight, items = rule
+        rule = SimpleNamespace(kind=kind, weight=weight, entries=dict(items))
+    return _EntryTable(rule, k, m)
+
+
 class Scorer(dict):
     """Integer committee scores for one rule and committee size.
 
     The mapping itself is the table of scaled entries, keyed by (overlap,
-    ballot size) and filled on first use; a Thiele entry ignores the
-    size, so every size copies the size-0 entry of its overlap, computed
-    once. Every entry is multiplied by the same ``scale`` = _scale(f, k,
-    m), so integer scores compare as the exact ones do, and
-    Fraction(entry, scale) is the exact value. Committees are passed as
-    bitmasks of at most k members.
+    ballot size): it starts as a copy of the entries that the shared
+    table of its rule, k and m holds (see _EntryTable), built once per
+    (rule, k, m) in the process, and takes any other entry from that
+    table on first use. Every entry is multiplied by the same ``scale``
+    = _scale(f, k, m), so integer scores compare as the exact ones do,
+    and Fraction(entry, scale) is the exact value. Committees are passed
+    as bitmasks of at most k members.
 
     Scores come from per-candidate voter bitmasks: bit i of V[c] is set
     when voter i approves c. Voters fall into classes that share one row
@@ -265,10 +313,12 @@ class Scorer(dict):
         m: int,
         ballots: Iterable[ApprovalBallot] = (),
     ) -> None:
-        super().__init__()
-        self._f = f
+        key = f if f.entries is None else (f.kind, f.weight, frozenset(f.entries.items()))
+        table = _entry_table(key, k, m)
+        super().__init__(table)
+        self._table = table
         self._k, self._m = k, m
-        self._scale = _scale(f, k, m)
+        self._scale = table.scale
         self._ballots = ballots = tuple(ballots)
         self._base, self._totals = 0, [0] * m
         self._terms: list[tuple[int, int, int]] = []  # (j, class, d[j]), non-additive classes
@@ -314,12 +364,7 @@ class Scorer(dict):
         return self._scale
 
     def __missing__(self, key: tuple[int, int]) -> int:
-        overlap, size = key
-        if size and self._f.is_thiele:
-            value = self[overlap, 0]
-        else:
-            value = int(_entry(self._f, overlap, size) * self._scale)
-        self[key] = value
+        value = self[key] = self._table[key]
         return value
 
     @staticmethod

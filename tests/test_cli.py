@@ -723,7 +723,7 @@ def test_threads_answering_partial_documents_get_serial_results(tmp_path, monkey
     assert faults == []
 
 
-def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
     quad = tmp_path / "quad.json"
     quad.write_text(json.dumps(QUAD_DOC))
     trio = tmp_path / "trio.json"
@@ -736,16 +736,111 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path):
         ["winners", "--profile", str(quad), "--rule", "av"],
         [*poly, "--method", "poly"],
         poly,
+        ["winners", "--profile", str(quad), "--rule", "av", "extra"],
     ]
     cli._build_parser.cache_clear()
+    # Valid argv goes through its command's sub-parser alone; a first word
+    # that names no command, or a leftover argument, reaches the top level.
+    parser = cli._build_parser()
+    full = []
+
+    def parse_args(argv):
+        full.append(argv)
+        return type(parser).parse_args(parser, argv)
+
+    monkeypatch.setattr(parser, "parse_args", parse_args)
     shared = [_captured(argv) for argv in sequence]
+    assert full == [sequence[0], sequence[1], sequence[6]]
     assert cli._build_parser.cache_info().misses == 1
-    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 3, 0]
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 3, 0, 2]
     assert json.loads(shared[2][1])["committees"] == [["c"]]
     assert json.loads(shared[3][1])["k"] == 2
+    assert shared[6][2].startswith("usage: abcu [-h] command ...\n")
+    assert shared[6][2].endswith("abcu: error: unrecognized arguments: extra\n")
     for argv, result in zip(sequence, shared):
         cli._build_parser.cache_clear()
         assert _captured(argv) == result, argv
+    # cache_clear() rebuilds the sub-parsers with the parser.
+    before = cli._build_parser().commands
+    cli._build_parser.cache_clear()
+    after = cli._build_parser().commands
+    assert list(after) == list(before) == [
+        "winners", "poscom", "neccom", "posmem", "necmem", "posjr", "necjr", "check",
+        "enumerate", "gen",
+    ]
+    assert not any(after[name] is before[name] for name in before)
+
+
+# Argument words the CLI grammar knows, with faulty ones: abbreviated,
+# ambiguous (--c) and unknown options, bad --method/--axiom choices, bad
+# integers, and words that look like options.
+_OPTIONS = [
+    "--profile", "--k", "--cap", "--witness", "--rule", "--committee", "--candidate",
+    "--method", "--axiom", "--gadget", "--instance", "--x", "--prof", "--wit", "--ru",
+    "--c", "--meth", "--ax", "--bogus", "-k",
+]
+_VALUES = [
+    "p.json", "2", "-1", "x", "av", "pav", "a,b", "a", "auto", "poly", "brute", "fast",
+    "jr", "pjr", "ejr", "none", "cc3va", "linearx3c", "1/2", "",
+]
+_COMMANDS = list(cli._build_parser().commands)
+_FIRST = _COMMANDS + ["bogus", "Winners", "win", "-h", "--help", "--", "--profile", ""]
+
+
+def _argument():
+    option, value = st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)
+    return st.one_of(
+        st.tuples(option, value).map(list),
+        st.tuples(option, value).map(lambda pair: [f"{pair[0]}={pair[1]}"]),
+        option.map(lambda word: [word]),
+        st.sampled_from([["-h"], ["--help"], ["--he"], ["--"], ["extra"], ["-z"], ["--", "x"]]),
+    )
+
+
+def _required(command):
+    """Every option the command needs, with a plausible value."""
+    needs = [("--profile", "p.json")]
+    if command in ("winners", "poscom", "neccom", "posmem", "necmem"):
+        needs.append(("--rule", "av"))
+    if command in ("poscom", "neccom", "posjr", "necjr", "check"):
+        needs.append(("--committee", "a,b"))
+    if command in ("posmem", "necmem"):
+        needs.append(("--candidate", "a"))
+    if command == "gen":
+        needs = [("--gadget", "cc3va"), ("--instance", "i.txt")]
+    return [word for pair in needs for word in pair]
+
+
+@st.composite
+def _argvs(draw):
+    if draw(st.integers(0, 20)) == 0:
+        return []
+    first = draw(st.sampled_from(_FIRST))
+    words = _required(first) if first in _COMMANDS and draw(st.integers(0, 3)) else []
+    for argument in draw(st.lists(_argument(), max_size=3)):
+        at = draw(st.integers(0, len(words)))
+        words[at:at] = argument
+    return [first, *words]
+
+
+def _parsed(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            space = vars(parse(list(argv)))
+        code = 0
+    except SystemExit as exc:
+        space, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), space
+
+
+@given(_argvs())
+@settings(max_examples=400, deadline=None)
+def test_the_chosen_sub_parser_parses_as_the_full_parser(argv):
+    # The fast path gives the full parser's exit code, stdout, stderr and
+    # namespace on valid and faulty argv alike. It parses only, so no file
+    # is read.
+    assert _parsed(cli._parse, argv) == _parsed(cli._build_parser().parse_args, argv)
 
 
 # Names json escapes: a non-ASCII letter, a quote, a backslash, a symbol

@@ -431,6 +431,142 @@ def test_missing_table_entry_raises_only_where_a_scan_reaches_it():
         winning_committees(short, profile, 2)
 
 
+# One rule of each kind an entry table is built for.
+ENTRY_RULES = [
+    AV, PAV, CC, binary_rule(2), parse_rule_spec("table:0,1,3/2"), SAV,
+    ScoringFunction.table2d(TABLE2D_ENTRIES),
+]
+
+
+def test_scorer_entries_equal_a_fresh_computation():
+    # Each entry a Scorer reads, from a cold shared table and then from a
+    # warm one, is the rule's exact entry times its scale, computed
+    # afresh; a missing entry raises the fresh computation's message and
+    # is stored in neither the Scorer nor the shared table.
+    rules._entry_table.cache_clear()
+    for rule in ENTRY_RULES:
+        for m in range(1, 6):
+            for k in range(1, m + 1):
+                scale = rules._scale(rule, k, m)
+                for _ in range(2):
+                    scorer = Scorer(rule, k, m)
+                    assert scorer.scale == scale
+                    for size in range(m, -1, -1):
+                        for x in range(k + 1):
+                            try:
+                                want = int(rules._entry(rule, x, size) * scale)
+                            except TableOutOfRangeError as exc:
+                                with pytest.raises(TableOutOfRangeError) as caught:
+                                    scorer[x, size]
+                                assert str(caught.value) == str(exc)
+                                assert (x, size) not in scorer
+                                assert (x, size) not in scorer._table
+                            else:
+                                assert scorer[x, size] == want, (rule.label, k, m, x, size)
+
+
+def test_equal_table2d_rules_share_one_table():
+    first = ScoringFunction.table2d(TABLE2D_ENTRIES)
+    second = ScoringFunction.table2d(dict(reversed(TABLE2D_ENTRIES.items())))
+    assert first.entries is not second.entries
+    assert Scorer(first, 2, 5)._table is Scorer(second, 2, 5)._table
+    assert Scorer(first, 2, 5)._table is not Scorer(first, 3, 5)._table
+
+
+def test_a_changed_table2d_rule_gets_its_new_entries():
+    entries = {(x, y): Fraction(x) for y in range(4) for x in range(y + 1)}
+    rule = ScoringFunction.table2d(entries)
+    few = complete_profile(CandidateRegistry(tuple("abc")), [{A}, {A}, {B, C}])
+    more = complete_profile(CandidateRegistry(tuple("abc")), [{A}, {A}, {B, C}, {A, B, C}])
+    assert best_committees(rule, few, 1) == (2, [frozenset({A})])
+    # A rule's dict is plain, so it can change after a query; the rule
+    # then reads its new entries.
+    for x in (1, 2, 3):
+        rule.entries[x, 3] = Fraction(5)
+    assert best_committees(rule, more, 1) == (7, [frozenset({A})])
+    # A rule with the first entries still reads them, also an entry that
+    # the table keyed by them had not read before the change.
+    assert best_committees(ScoringFunction.table2d(entries), more, 1) == (3, [frozenset({A})])
+
+
+@pytest.mark.parametrize("rule, score", [
+    (parse_rule_spec("table:0,1"), table_score(["0", "1"])),
+    _table2d_rule({(x, y): Fraction(x, y) for y in range(1, 7) for x in range(2)}),
+], ids=["table", "table2d"])
+def test_a_missing_entry_raises_where_a_scan_reaches_it_from_a_cold_or_warm_table(rule, score):
+    # The walk yields every committee before the first one a scan over
+    # the rows cannot score, then raises the message of that scan's first
+    # row without the entry, whether the shared table is new or already
+    # holds every entry the rows have.
+    a, b, c, d, e, f = range(6)
+    rows = [{a}, {d}, {c, d, e, f}, {a, e}, {c, d}, {e, f}]
+    profile = complete_profile(CandidateRegistry(tuple("abcdef")), rows)
+    masks = list(rules.committee_masks(6, 2))
+    faults = [(i, _oracle(rule, score, rows, members_of(mask))) for i, mask in enumerate(masks)]
+    first, message = next((i, want) for i, want in faults if isinstance(want, str))
+    rules._entry_table.cache_clear()
+    for _ in range(2):
+        walked = []
+        with pytest.raises(TableOutOfRangeError) as caught:
+            for mask, _score in Scorer(rule, 2, 6, profile.ballots).walk():
+                walked.append(mask)
+        assert (walked, str(caught.value)) == (masks[:first], message)
+        with pytest.raises(TableOutOfRangeError) as caught:
+            winning_committees(rule, profile, 2)
+        assert str(caught.value) == message
+        warm = Scorer(rule, 2, 6)
+        for key in [(x, size) for size in range(7) for x in range(3)]:
+            try:
+                warm[key]
+            except TableOutOfRangeError:
+                pass
+    assert first == 5
+
+
+def test_the_entry_cache_holds_at_most_its_fixed_size():
+    rules._entry_table.cache_clear()
+    assert rules._entry_table.cache_info().maxsize == rules._TABLES
+    for i in range(rules._TABLES + 20):
+        Scorer(parse_rule_spec(f"table:0,1,{i + 1}"), 2, 3)
+        assert rules._entry_table.cache_info().currsize <= rules._TABLES
+    assert rules._entry_table.cache_info().currsize == rules._TABLES
+
+
+def test_scores_stay_exact_when_threads_build_tables_at_once():
+    # An entry depends on its rule, k, m and key alone, so threads that
+    # build and fill the same tables at once store equal ints: every
+    # thread's scores equal the serial ones. At most 8 threads run.
+    rows = [frozenset(c) for size in range(6) for c in combinations(range(5), size)][::2]
+    profile = complete_profile(CandidateRegistry(tuple("abcde")), rows)
+    jobs = [(rule, k) for rule in ENTRY_RULES for k in (1, 2)]
+
+    def scores(rule, k):
+        return list(Scorer(rule, k, 5, profile.ballots).walk())
+
+    rules._entry_table.cache_clear()
+    serial = [scores(rule, k) for rule, k in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            rules._entry_table.cache_clear()
+            got = {}
+
+            def work(t):
+                order = [(i + t) % len(jobs) for i in range(len(jobs))]
+                got[t] = {i: scores(*jobs[i]) for i in order}
+
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [got.get(t) for t in range(8)] == [dict(enumerate(serial))] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _check_av_count_judgements(profile, k):
     """The AV count judgements, in rules and in the routes, against the
     committee scans.
