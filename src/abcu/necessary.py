@@ -38,6 +38,7 @@ from .possible import route
 from .rules import (
     AV,
     Committee,
+    EntryTable,
     ScoringFunction,
     Scorer,
     approval_counts,
@@ -51,6 +52,7 @@ from .rules import (
     committee_masks,
     completion_winners,
     defeats,
+    entry_table,
 )
 
 
@@ -70,21 +72,23 @@ class ScoreDiffReport:
     witness: ApprovalProfile
 
 
-def _scan(scorer: Scorer, thiele: bool, ballot: PartialBallot, committee: int, rival: int) -> tuple:
+def _scan(entries: EntryTable, thiele: bool, ballot: PartialBallot, committee: int,
+          rival: int) -> tuple:
     """One ballot's first best (scaled difference, closure, free, j).
 
-    This is max_diff_ballot's scan over Scorer entries, which read only
-    the overlaps with W and W' and the ballot size. The feasible overlaps
-    R with the contested bits S come from the ballot's overlaps walk, in
-    ascending order; closure is R's upward closure, and free holds the
-    bits free to pad: those of avoiding(S - R) outside the closure.
+    This is max_diff_ballot's scan over the rule's shared entry table,
+    whose entries read only the overlaps with W and W' and the ballot
+    size. The feasible overlaps R with the contested bits S come from the
+    ballot's overlaps walk, in ascending order; closure is R's upward
+    closure, and free holds the bits free to pad: those of avoiding(S -
+    R) outside the closure.
     """
     top, size = ballot.top_mask, len(ballot.top)
     contested = ballot.middle_mask & (committee | rival)
     top_w = (top & committee).bit_count()
     top_r = (top & rival).bit_count()
     if thiele and not contested:
-        return scorer[top_r, size] - scorer[top_w, size], 0, 0, 0
+        return entries[top_r, size] - entries[top_w, size], 0, 0, 0
     above, avoiding = ballot.above, ballot.avoiding
     best = None
     for overlap in ballot.overlaps(contested):
@@ -94,7 +98,7 @@ def _scan(scorer: Scorer, thiele: bool, ballot: PartialBallot, committee: int, r
         base = size + closure.bit_count()
         free = 0 if thiele else avoiding(contested ^ overlap) & ~closure
         for j in range(free.bit_count() + 1):
-            diff = scorer[in_r, base + j] - scorer[in_w, base + j]
+            diff = entries[in_r, base + j] - entries[in_w, base + j]
             if best is None or diff > best[0]:
                 best = (diff, closure, free, j)
     return best
@@ -118,7 +122,7 @@ def _chosen(ballot: PartialBallot, pick: tuple) -> int:
     return chosen
 
 
-def _assemble(scorer: Scorer, profile: PartialProfile, committee: int, rival: int,
+def _assemble(entries: EntryTable, profile: PartialProfile, committee: int, rival: int,
               picks: list[tuple]) -> ApprovalProfile:
     """The completion of each voter's pick, checked against their sum."""
     chosen = [_chosen(b, p) for b, p in zip(profile.ballots, picks)]
@@ -126,7 +130,8 @@ def _assemble(scorer: Scorer, profile: PartialProfile, committee: int, rival: in
     for b, part in zip(profile.ballots, chosen):
         a = b.top_mask | part
         size = a.bit_count()
-        margin += scorer[(a & rival).bit_count(), size] - scorer[(a & committee).bit_count(), size]
+        margin += entries[(a & rival).bit_count(), size]
+        margin -= entries[(a & committee).bit_count(), size]
     if margin != sum(p[0] for p in picks):
         raise RuntimeError("per-voter maxima must assemble exactly")
     return ApprovalProfile(profile.registry, tuple(
@@ -155,9 +160,9 @@ def max_diff_ballot(
     m = len(ballot.top) + len(ballot.middle) + len(ballot.bottom)
     check_members(committee, m)
     check_members(rival, m)
-    scorer = Scorer(f, max(len(committee), len(rival)), m)
-    pick = _scan(scorer, f.is_thiele, ballot, mask_of(committee), mask_of(rival))
-    return (Fraction(pick[0], scorer.scale),
+    entries = entry_table(f, max(len(committee), len(rival)), m)
+    pick = _scan(entries, f.is_thiele, ballot, mask_of(committee), mask_of(rival))
+    return (Fraction(pick[0], entries.scale),
             ApprovalBallot(ballot.top | members_of(_chosen(ballot, pick))))
 
 
@@ -172,28 +177,29 @@ def max_diff_profile(
         raise BadKError("committees being compared must have equal size")
     check_members(committee, profile.m)
     check_members(rival, profile.m)
-    scorer = Scorer(f, len(committee), profile.m)
+    entries = entry_table(f, len(committee), profile.m)
     wmask, rmask = mask_of(committee), mask_of(rival)
-    picks = [_scan(scorer, f.is_thiele, b, wmask, rmask) for b in profile.ballots]
-    witness = _assemble(scorer, profile, wmask, rmask, picks)
-    diffs = [Fraction(p[0], scorer.scale) for p in picks]
+    picks = [_scan(entries, f.is_thiele, b, wmask, rmask) for b in profile.ballots]
+    witness = _assemble(entries, profile, wmask, rmask, picks)
+    diffs = [Fraction(p[0], entries.scale) for p in picks]
     return ScoreDiffReport(committee, rival, tuple(diffs), sum(diffs, Fraction(0)), witness)
 
 
-def _bounds(scorer: Scorer, f: ScoringFunction, profile: PartialProfile, committee: int,
+def _bounds(entries: EntryTable, f: ScoringFunction, profile: PartialProfile, committee: int,
             k: int, rival: int) -> Iterator[int]:
     """An upper bound on each later rival's largest score difference, in
     committee_masks order, starting just after ``rival``.
 
     Under a Thiele rule a committee's score never drops as a ballot
     grows, so score(W') is at most its score when every middle is
-    approved, read from that profile's walk, and score(W) at least its
-    score when none is: ``scorer``'s entries for the tops, which the
-    first exact scan has already read. That scan has read every entry
-    the walk reads up to ``rival`` too, so skipping there raises nothing.
+    approved, read from the walk of a Scorer of that profile, and
+    score(W) at least its score when none is: the shared table's
+    ``entries`` for the tops, which the first exact scan has already
+    read. That scan has read every entry the walk reads up to ``rival``
+    too, so skipping there raises nothing.
     """
     widest = Scorer(f, k, profile.m, [ApprovalBallot(b.top | b.middle) for b in profile.ballots])
-    floor = sum(scorer[(b.top_mask & committee).bit_count(), 0] for b in profile.ballots)
+    floor = sum(entries[(b.top_mask & committee).bit_count(), 0] for b in profile.ballots)
     walk = widest.walk()
     for mask, _ in walk:
         if mask == rival:
@@ -221,7 +227,7 @@ def neccom(
     """
     check_committee_size(committee, k, profile.m)
     check_threshold(f.binary_threshold, k)
-    scorer = Scorer(f, k, profile.m)
+    entries = entry_table(f, k, profile.m)
     thiele = f.is_thiele
     wmask = mask_of(committee)
     bounds = None
@@ -234,12 +240,12 @@ def neccom(
                 pass
         if rmask == wmask:
             continue
-        picks = [_scan(scorer, thiele, b, wmask, rmask) for b in profile.ballots]
+        picks = [_scan(entries, thiele, b, wmask, rmask) for b in profile.ballots]
         if sum(p[0] for p in picks) > 0:
-            witness = _assemble(scorer, profile, wmask, rmask, picks)
+            witness = _assemble(entries, profile, wmask, rmask, picks)
             return Decision(False, witness, members_of(rmask), "max-score-difference")
         if bounds is None and thiele:
-            bounds = _bounds(scorer, f, profile, wmask, k, rmask)
+            bounds = _bounds(entries, f, profile, wmask, k, rmask)
     return Decision(True, None, None, "max-score-difference")
 
 

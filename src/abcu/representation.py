@@ -156,10 +156,9 @@ _AXIOM_CHECKS = {"jr": check_jr, "pjr": check_pjr, "ejr": check_ejr}
 def check_axiom(
     profile: ApprovalProfile, committee: Committee, k: int, axiom: str
 ) -> tuple[bool, GroupWitness | None]:
-    try:
-        return _AXIOM_CHECKS[axiom](profile, committee, k)
-    except KeyError:
-        raise ValueError(f"unknown axiom {axiom!r}") from None
+    if axiom not in _AXIOM_CHECKS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    return _AXIOM_CHECKS[axiom](profile, committee, k)
 
 
 def check_axiom_brute(

@@ -11,9 +11,11 @@ approved ballot inside the committee) is the common example.
 
 Scores are exact rationals; nothing here rounds or normalizes. Scans
 compare them as integers, every entry multiplied by one denominator
-fixed by the rule, the committee size and the candidate count. Scorer
-builds them from one bitmask of voters per candidate; its walk still
-visits all C(m, k) committees, as exact PAV and CC winners are NP-hard.
+fixed by the rule, the committee size and the candidate count. One
+shared table per (rule, k, m) holds those scaled entries (entry_table);
+a Scorer holds none of its own, and scores the ballots it is given from
+one bitmask of voters per candidate; its walk still visits all C(m, k)
+committees, as exact PAV and CC winners are NP-hard.
 """
 
 from __future__ import annotations
@@ -227,15 +229,18 @@ def _scale(f: ScoringFunction, k: int, m: int) -> int:
     return math.lcm(*(Fraction(v).denominator for v in values))
 
 
-class _EntryTable(dict):
+class EntryTable(dict):
     """The scaled entries of one rule, committee size k and candidate
     count m, keyed by (overlap, ballot size) and filled on first read.
 
-    ``scale`` = _scale(f, k, m), and each entry is f(overlap, size) times
-    it. A Thiele entry ignores the size, so every size copies the size-0
-    entry of its overlap, computed once. A missing entry raises and is
-    never stored. An entry depends on its key alone, so two threads that
-    fill the same one store equal ints.
+    This is the one map of scaled entries: every Scorer and every scan of
+    that rule, k and m reads the same table (see entry_table). ``scale``
+    = _scale(f, k, m), and each entry is f(overlap, size) times it, so
+    integer sums compare as the exact ones do and Fraction(entry, scale)
+    is the exact value. A Thiele entry ignores the size, so every size
+    copies the size-0 entry of its overlap, computed once. A missing
+    entry raises and is never stored. An entry depends on its key alone,
+    so two threads that fill the same one store equal ints.
     """
 
     def __init__(self, f, k: int, m: int) -> None:
@@ -259,31 +264,34 @@ _TABLES = 128
 
 
 @lru_cache(maxsize=_TABLES)
-def _entry_table(rule, k: int, m: int) -> _EntryTable:
-    """The shared entry table of ``rule``, k and m.
-
-    ``rule`` is a ScoringFunction without entries, or (kind, weight,
-    frozenset of entry items) for one with them, whose plain dict cannot
-    be hashed. Such a rule is rebuilt from the items, so a table never
-    reads a dict that changed after it was keyed.
-    """
+def _cached_table(rule, k: int, m: int) -> EntryTable:
+    """entry_table's cache, keyed by a hashable ``rule``: a rule without
+    entries, or (kind, weight, frozenset of entry items), rebuilt from
+    the items so that a table never reads a dict changed after keying."""
     if isinstance(rule, tuple):
         kind, weight, items = rule
         rule = SimpleNamespace(kind=kind, weight=weight, entries=dict(items))
-    return _EntryTable(rule, k, m)
+    return EntryTable(rule, k, m)
 
 
-class Scorer(dict):
-    """Integer committee scores for one rule and committee size.
+def entry_table(f: ScoringFunction, k: int, m: int) -> EntryTable:
+    """The one shared table of f's scaled entries for k and m, built once
+    per (rule, k, m) in the process; at most _TABLES are kept. A table2d
+    rule is keyed by its entries, so one whose dict changed gets a new
+    table."""
+    key = f if f.entries is None else (f.kind, f.weight, frozenset(f.entries.items()))
+    return _cached_table(key, k, m)
 
-    The mapping itself is the table of scaled entries, keyed by (overlap,
-    ballot size): it starts as a copy of the entries that the shared
-    table of its rule, k and m holds (see _EntryTable), built once per
-    (rule, k, m) in the process, and takes any other entry from that
-    table on first use. Every entry is multiplied by the same ``scale``
-    = _scale(f, k, m), so integer scores compare as the exact ones do,
-    and Fraction(entry, scale) is the exact value. Committees are passed
-    as bitmasks of at most k members.
+
+class Scorer:
+    """Integer committee scores of the given ballots for one rule and
+    committee size.
+
+    A Scorer holds no entries: it reads them from the shared table of its
+    rule, k and m (see EntryTable), looked up once, and keeps that
+    table's ``scale``. Scores are sums of those scaled entries, so they
+    compare as the exact ones do, and Fraction(score, scale) is the exact
+    value. Committees are passed as bitmasks of at most k members.
 
     Scores come from per-candidate voter bitmasks: bit i of V[c] is set
     when voter i approves c. Voters fall into classes that share one row
@@ -306,19 +314,11 @@ class Scorer(dict):
     exactly where a scan over every ballot would, with its message.
     """
 
-    def __init__(
-        self,
-        f: ScoringFunction,
-        k: int,
-        m: int,
-        ballots: Iterable[ApprovalBallot] = (),
-    ) -> None:
-        key = f if f.entries is None else (f.kind, f.weight, frozenset(f.entries.items()))
-        table = _entry_table(key, k, m)
-        super().__init__(table)
-        self._table = table
+    def __init__(self, f: ScoringFunction, k: int, m: int,
+                 ballots: Iterable[ApprovalBallot]) -> None:
+        self._entries = entries = entry_table(f, k, m)
+        self.scale = entries.scale
         self._k, self._m = k, m
-        self._scale = table.scale
         self._ballots = ballots = tuple(ballots)
         self._base, self._totals = 0, [0] * m
         self._terms: list[tuple[int, int, int]] = []  # (j, class, d[j]), non-additive classes
@@ -341,16 +341,16 @@ class Scorer(dict):
             for i, size in enumerate(sizes):
                 classes[size] = classes.get(size, 0) | 1 << i
         for size, voters in classes.items():
-            entries: list[int] = []
+            row: list[int] = []
             try:
                 for x in range(min(k, size) + 1):
-                    entries.append(self[x, size])
+                    row.append(entries[x, size])
             except TableOutOfRangeError:
-                self._guards.append((len(entries), voters))
-            if not entries:
+                self._guards.append((len(row), voters))
+            if not row:
                 continue
-            self._base += entries[0] * voters.bit_count()
-            steps = [b - a for a, b in zip(entries, entries[1:])]
+            self._base += row[0] * voters.bit_count()
+            steps = [b - a for a, b in zip(row, row[1:])]
             if len(set(steps)) > 1:
                 self._terms += [(j, voters, d) for j, d in enumerate(steps, 1) if d]
             elif steps and steps[0]:
@@ -358,14 +358,6 @@ class Scorer(dict):
                     self._totals[c] += steps[0] * (approvers[c] & voters).bit_count()
         depth = max((level[0] for level in self._terms + self._guards), default=0)
         self._start = [everyone] + [0] * depth
-
-    @property
-    def scale(self) -> int:
-        return self._scale
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        value = self[key] = self._table[key]
-        return value
 
     @staticmethod
     def _add(ge: list[int], v: int) -> list[int]:
@@ -377,9 +369,8 @@ class Scorer(dict):
         whose members' totals plus the base come to ``total``."""
         for j, voters in self._guards:
             if ge[j] & voters:
-                return sum(
-                    self[(b.mask & mask).bit_count(), len(b.approved)] for b in self._ballots
-                )
+                return sum(self._entries[(b.mask & mask).bit_count(), len(b.approved)]
+                           for b in self._ballots)
         for j, voters, d in self._terms:
             total += d * (ge[j] & voters).bit_count()
         return total
@@ -428,11 +419,6 @@ class Scorer(dict):
                     for h, g, d in parts:
                         u += d * (g | h & v).bit_count()
                     yield mask | bit, total + u
-
-    def row(self, ballot: ApprovalBallot, masks: list[int]) -> list[int]:
-        """One ballot's scaled score against each committee mask."""
-        a, size = ballot.mask, len(ballot.approved)
-        return [self[(a & mask).bit_count(), size] for mask in masks]
 
 
 def committee_masks(m: int, k: int) -> Iterator[int]:
@@ -603,7 +589,7 @@ def completion_winners(
     voters carry over and only the changed suffix is added again. Voters
     with one option never change, so they are summed first.
     """
-    scorer = Scorer(f, k, profile.m)
+    entries = entry_table(f, k, profile.m)
     within = -1 if committee is None else mask_of(committee)  # -1 holds every bit
     order = sorted(range(profile.n), key=lambda v: bool(profile.ballots[v].middle_mask & within))
     masks: list[int] = []
@@ -622,7 +608,8 @@ def completion_winners(
         for b in ballots[v:]:
             row = rows.get(b.approved)
             if row is None:
-                row = rows[b.approved] = scorer.row(b, masks)
+                a, size = b.mask, len(b.approved)
+                row = rows[b.approved] = [entries[(a & mask).bit_count(), size] for mask in masks]
             sums.append(list(map(add, sums[-1], row)))
         last = ballots
         yield completion, _winners(masks, sums[-1])

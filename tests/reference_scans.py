@@ -33,7 +33,7 @@ from abcu import (
     count_completions,
     is_winning_committee,
 )
-from abcu.rules import Scorer, check_committee_size, check_threshold, committees_by_mask
+from abcu.rules import check_committee_size, check_threshold, committees_by_mask, entry_table
 from oracles import ballot_options
 
 
@@ -80,7 +80,7 @@ def axiom_scan(profile, committee, k, axiom, stop_on: bool, cap: int = DEFAULT_C
     return Decision(not stop_on, None, None, "experimental-completion-scan")
 
 
-def _scan(f, scorer, ballot, committee, rival):
+def _scan(f, entries, ballot, committee, rival):
     """One voter's first best (scaled difference, closure, free, j)."""
     contested = sorted(ballot.middle & (committee | rival))
     best = None
@@ -98,7 +98,7 @@ def _scan(f, scorer, ballot, committee, rival):
         in_r = len((ballot.top | approved) & rival)
         size = len(ballot.top) + len(closure)
         for j in range(len(free) + 1):
-            diff = scorer[in_r, size + j] - scorer[in_w, size + j]
+            diff = entries[in_r, size + j] - entries[in_w, size + j]
             if best is None or diff > best[0]:
                 best = (diff, closure, free, j)
     return best
@@ -119,12 +119,12 @@ def neccom_scan(f, profile, committee, k) -> Decision:
     the completion of each voter's first best pick."""
     check_committee_size(committee, k, profile.m)
     check_threshold(f.binary_threshold, k)
-    scorer = Scorer(f, k, profile.m)
+    entries = entry_table(f, k, profile.m)
     distinct = dict.fromkeys(profile.ballots)
     for rival in committees_by_mask(profile.m, k):
         if rival == committee:
             continue
-        picks = {b: _scan(f, scorer, b, committee, rival) for b in distinct}
+        picks = {b: _scan(f, entries, b, committee, rival) for b in distinct}
         if sum(picks[b][0] for b in profile.ballots) > 0:
             built = {b: _witness_ballot(b, pick) for b, pick in picks.items()}
             witness = ApprovalProfile(profile.registry, tuple(built[b] for b in profile.ballots))

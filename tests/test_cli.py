@@ -459,6 +459,20 @@ def test_internal_errors_exit_four(profile_file, capsys, monkeypatch):
     assert err.startswith("abcu: internal error: TypeError(") and err.count("\n") == 1
 
 
+def test_a_key_error_inside_an_axiom_check_is_an_internal_error(
+        profile_file, capsys, monkeypatch):
+    # Only an unknown axiom name is a usage error; a KeyError raised by
+    # the check itself is a fault of the program.
+    def broken(profile, committee, k):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(abcu.representation._AXIOM_CHECKS, "jr", broken)
+    path = profile_file(QUAD_DOC)
+    code, out, err = run(capsys, "check", "--profile", path, "--committee", "a,b", "--axiom", "jr")
+    assert code == 4 and out is None
+    assert err == "abcu: internal error: KeyError('lost')\n"
+
+
 def _source_env():
     """The environment with this package's source first on PYTHONPATH."""
     env = dict(os.environ)

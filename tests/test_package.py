@@ -85,6 +85,24 @@ def test_committee_scans_walk_committee_masks():
     assert faults == []
 
 
+def test_rules_alone_builds_entry_tables_and_scorers_get_ballots():
+    # rules.entry_table is the one map of scaled entries: only rules
+    # constructs an EntryTable, and a Scorer always scores given ballots,
+    # so code that needs entries alone reads the table, not a Scorer.
+    faults = []
+    for path, tree in _library_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "EntryTable" and path.name != "rules.py":
+                faults.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            if name == "Scorer" and len(node.args) < 4 and not any(
+                    keyword.arg == "ballots" for keyword in node.keywords):
+                faults.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert faults == []
+
+
 def _top_level_sites(tree, hit):
     # The module-level def or class holding each node that hit accepts.
     return [

@@ -401,14 +401,14 @@ def test_walk_and_score_match_the_fraction_oracle(case):
 def test_thiele_entries_are_shared_across_ballot_sizes():
     # A Thiele entry reads the overlap only; a short table still raises at
     # every read past its end, at any ballot size, and stores nothing there.
-    scorer = Scorer(parse_rule_spec("table:0,1,3/2"), 3, 6)
-    assert scorer.scale == 2
-    assert [scorer[x, size] for x in range(3) for size in (2, 5)] == [0, 0, 2, 2, 3, 3]
+    table = rules.entry_table(parse_rule_spec("table:0,1,3/2"), 3, 6)
+    assert table.scale == 2
+    assert [table[x, size] for x in range(3) for size in (2, 5)] == [0, 0, 2, 2, 3, 3]
     for size in (3, 4, 3):
         with pytest.raises(TableOutOfRangeError, match="^weight table has no entry for x = 3$"):
-            scorer[3, size]
-    assert (3, 0) not in scorer and (3, 3) not in scorer
-    pav = Scorer(PAV, 3, 6)
+            table[3, size]
+    assert (3, 0) not in table and (3, 3) not in table
+    pav = rules.entry_table(PAV, 3, 6)
     assert {pav[2, size] for size in range(2, 7)} == {pav.scale * 3 // 2}
 
 
@@ -439,38 +439,36 @@ ENTRY_RULES = [
 
 
 def test_scorer_entries_equal_a_fresh_computation():
-    # Each entry a Scorer reads, from a cold shared table and then from a
-    # warm one, is the rule's exact entry times its scale, computed
-    # afresh; a missing entry raises the fresh computation's message and
-    # is stored in neither the Scorer nor the shared table.
-    rules._entry_table.cache_clear()
+    # Each entry read from a rule's shared table, cold and then warm, is
+    # the rule's exact entry times its scale, computed afresh; a missing
+    # entry raises the fresh computation's message and is never stored.
+    rules._cached_table.cache_clear()
     for rule in ENTRY_RULES:
         for m in range(1, 6):
             for k in range(1, m + 1):
                 scale = rules._scale(rule, k, m)
                 for _ in range(2):
-                    scorer = Scorer(rule, k, m)
-                    assert scorer.scale == scale
+                    table = rules.entry_table(rule, k, m)
+                    assert table.scale == scale
                     for size in range(m, -1, -1):
                         for x in range(k + 1):
                             try:
                                 want = int(rules._entry(rule, x, size) * scale)
                             except TableOutOfRangeError as exc:
                                 with pytest.raises(TableOutOfRangeError) as caught:
-                                    scorer[x, size]
+                                    table[x, size]
                                 assert str(caught.value) == str(exc)
-                                assert (x, size) not in scorer
-                                assert (x, size) not in scorer._table
+                                assert (x, size) not in table
                             else:
-                                assert scorer[x, size] == want, (rule.label, k, m, x, size)
+                                assert table[x, size] == want, (rule.label, k, m, x, size)
 
 
 def test_equal_table2d_rules_share_one_table():
     first = ScoringFunction.table2d(TABLE2D_ENTRIES)
     second = ScoringFunction.table2d(dict(reversed(TABLE2D_ENTRIES.items())))
     assert first.entries is not second.entries
-    assert Scorer(first, 2, 5)._table is Scorer(second, 2, 5)._table
-    assert Scorer(first, 2, 5)._table is not Scorer(first, 3, 5)._table
+    assert rules.entry_table(first, 2, 5) is rules.entry_table(second, 2, 5)
+    assert rules.entry_table(first, 2, 5) is not rules.entry_table(first, 3, 5)
 
 
 def test_a_changed_table2d_rule_gets_its_new_entries():
@@ -504,7 +502,7 @@ def test_a_missing_entry_raises_where_a_scan_reaches_it_from_a_cold_or_warm_tabl
     masks = list(rules.committee_masks(6, 2))
     faults = [(i, _oracle(rule, score, rows, members_of(mask))) for i, mask in enumerate(masks)]
     first, message = next((i, want) for i, want in faults if isinstance(want, str))
-    rules._entry_table.cache_clear()
+    rules._cached_table.cache_clear()
     for _ in range(2):
         walked = []
         with pytest.raises(TableOutOfRangeError) as caught:
@@ -514,7 +512,7 @@ def test_a_missing_entry_raises_where_a_scan_reaches_it_from_a_cold_or_warm_tabl
         with pytest.raises(TableOutOfRangeError) as caught:
             winning_committees(rule, profile, 2)
         assert str(caught.value) == message
-        warm = Scorer(rule, 2, 6)
+        warm = rules.entry_table(rule, 2, 6)
         for key in [(x, size) for size in range(7) for x in range(3)]:
             try:
                 warm[key]
@@ -524,12 +522,12 @@ def test_a_missing_entry_raises_where_a_scan_reaches_it_from_a_cold_or_warm_tabl
 
 
 def test_the_entry_cache_holds_at_most_its_fixed_size():
-    rules._entry_table.cache_clear()
-    assert rules._entry_table.cache_info().maxsize == rules._TABLES
+    rules._cached_table.cache_clear()
+    assert rules._cached_table.cache_info().maxsize == rules._TABLES
     for i in range(rules._TABLES + 20):
-        Scorer(parse_rule_spec(f"table:0,1,{i + 1}"), 2, 3)
-        assert rules._entry_table.cache_info().currsize <= rules._TABLES
-    assert rules._entry_table.cache_info().currsize == rules._TABLES
+        rules.entry_table(parse_rule_spec(f"table:0,1,{i + 1}"), 2, 3)
+        assert rules._cached_table.cache_info().currsize <= rules._TABLES
+    assert rules._cached_table.cache_info().currsize == rules._TABLES
 
 
 def test_scores_stay_exact_when_threads_build_tables_at_once():
@@ -543,13 +541,13 @@ def test_scores_stay_exact_when_threads_build_tables_at_once():
     def scores(rule, k):
         return list(Scorer(rule, k, 5, profile.ballots).walk())
 
-    rules._entry_table.cache_clear()
+    rules._cached_table.cache_clear()
     serial = [scores(rule, k) for rule, k in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            rules._entry_table.cache_clear()
+            rules._cached_table.cache_clear()
             got = {}
 
             def work(t):
