@@ -8,6 +8,11 @@ satisfies the justified-representation family of axioms, and whether an
 incomplete profile can or must satisfy them once completed.
 """
 
+import importlib.util
+import sys
+import threading
+import types
+
 from .errors import (
     AbcuError,
     BadEditError,
@@ -71,19 +76,6 @@ from .possible import (
     posmem,
     posmem_av_linear,
 )
-from .reductions import (
-    GadgetOutput,
-    OneInThreeInstance,
-    X3CInstance,
-    build_cc_3va,
-    build_linear_x3c,
-    pad_profile,
-    parse_one_in_three,
-    parse_x3c,
-    solve_one_in_three_brute,
-    solve_x3c_brute,
-    verify_weight_relation,
-)
 from .representation import (
     GroupWitness,
     check_axiom,
@@ -115,6 +107,40 @@ from .rules import (
     profile_score,
     winning_committees,
 )
+
+
+class _RunsOnFirstRead(types.ModuleType):
+    """A registered module whose code runs on the first read of a name it
+    does not hold yet. The lock makes a concurrent first read wait for the
+    whole module, and the class turns plain once the code has run."""
+
+    _lock = threading.Lock()
+
+    def __getattr__(self, name: str):
+        with self._lock:
+            if type(self) is _RunsOnFirstRead:
+                self.__spec__.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return getattr(self, name)
+
+
+# reductions serves `abcu gen` and tests only, so it runs on first use;
+# the package reads its exported names from it on each access (see
+# __getattr__), never keeping a copy.
+_spec = importlib.util.find_spec(__name__ + ".reductions")
+reductions = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+reductions.__class__ = _RunsOnFirstRead
+
+
+def __getattr__(name: str):
+    if name in __all__:  # the other exported names are bound above
+        return getattr(reductions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | set(__all__))
+
 
 __all__ = [
     "AV",
@@ -210,7 +236,7 @@ __all__ = [
     "validate_partial_profile",
     "verify_weight_relation",
     "winning_committees",
-    # Submodules, bound as attributes by the imports above.
+    # Submodules, bound as attributes above.
     "errors",
     "model",
     "necessary",

@@ -34,7 +34,6 @@ from .model import (
 )
 from .necessary import neccom, necmem
 from .possible import poscom, posmem
-from .reductions import build_cc_3va, build_linear_x3c, parse_one_in_three, parse_x3c
 from .representation import (
     check_axiom,
     necessary_axiom_by_scan,
@@ -249,6 +248,8 @@ def _handle_enumerate(args) -> tuple[dict, int]:
 
 
 def _handle_gen(args) -> tuple[dict, int]:
+    from .reductions import build_cc_3va, build_linear_x3c, parse_one_in_three, parse_x3c
+
     with open(args.instance, encoding="utf-8") as handle:
         text = handle.read()
     if args.gadget == "cc3va":

@@ -537,36 +537,44 @@ def count_completions(profile: PartialProfile) -> int:
     return total
 
 
-def enumerate_completions(
+def completion_options(
     profile: PartialProfile,
     cap: int = DEFAULT_CAP,
     committee: frozenset[int] | None = None,
     widest: bool = False,
-) -> Iterator[ApprovalProfile]:
-    """Stream joint completions, voter-major lexicographic.
+) -> list[list[ApprovalBallot]]:
+    """Each voter's options, for every completion scan to walk: the one
+    option builder and the one cap check.
 
-    The first voter's completion varies slowest; within a voter the order
-    is that of completions_of_ballot. Raises CapExceededError before any
-    enumeration work if the joint count of every completion exceeds
-    ``cap``. Consecutive completions share the ballot objects of the
-    voters whose completion did not change.
-
-    Each voter keeps one completion per overlap A ∩ W, the narrowest or,
-    with ``widest``, the widest one, built straight from the ballot, so
-    the work follows the options, at most 2^|middle ∩ W| per voter, and
-    not the completions. Without a committee W holds every candidate,
-    each overlap is a whole completion and every completion is streamed;
-    with one, the narrowest stream is a subsequence of the full one. An
-    id in W that names no candidate is refused before the cap check.
+    Refuses an id in W that names no candidate, then raises
+    CapExceededError if the joint count of every completion exceeds
+    ``cap``, before any option is built. Each voter keeps one completion
+    per overlap A ∩ W, the narrowest or, with ``widest``, the widest,
+    built straight from the ballot: at most 2^|middle ∩ W| per voter.
+    Without a committee each overlap is a whole completion, so a voter's
+    options are completions_of_ballot.
     """
     check_members(committee or (), profile.m)
     total = count_completions(profile)
     if total > cap:
         raise CapExceededError(f"{total} completions exceed the cap of {cap}")
     wmask = -1 if committee is None else mask_of(committee)
-    options = [_ballots(b, _option_masks(b, wmask, widest)) for b in profile.ballots]
+    return [_ballots(b, _option_masks(b, wmask, widest)) for b in profile.ballots]
+
+
+def enumerate_completions(
+    profile: PartialProfile,
+    cap: int = DEFAULT_CAP,
+    committee: frozenset[int] | None = None,
+    widest: bool = False,
+) -> Iterator[ApprovalProfile]:
+    """Stream the joint completions of completion_options, the first
+    voter's option varying slowest; the cap check runs on the first item
+    asked for. Consecutive completions share unchanged voters' ballots.
+    Without a committee every completion is streamed; with one, the
+    narrowest stream is a subsequence of the full one."""
     registry = profile.registry
-    for choice in itertools.product(*options):
+    for choice in itertools.product(*completion_options(profile, cap, committee, widest)):
         yield ApprovalProfile(registry, choice)
 
 

@@ -336,7 +336,8 @@ def necmem(
                 if defeats(f, completion, committee, candidate):
                     return Decision(False, completion, committee, name)
         return Decision(True, None, None, name)
-    for completion, winners in completion_winners(f, profile, k, cap):
+    for ballots, winners in completion_winners(f, profile, k, cap):
         if not any(w & bit for w in winners):
-            return Decision(False, completion, members_of(winners[0]), "brute-force")
+            witness = ApprovalProfile(profile.registry, ballots)
+            return Decision(False, witness, members_of(winners[0]), "brute-force")
     return Decision(True, None, None, "brute-force")

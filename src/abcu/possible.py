@@ -135,7 +135,7 @@ def poscom_brute(
     Under a Thiele rule whose weights are defined up to k, each voter's
     options shrink to one completion per overlap R = A ∩ W: the narrowest
     one, A_min(R) = top ∪ closure(R), the intersection of every
-    completion with that R. enumerate_completions builds these options
+    completion with that R. completion_options builds these options
     from the ballot, so the work follows their number, at most
     2^|middle ∩ W|, and not the voter's completion count. W's score
     reads A ∩ W only and a rival's score never drops as A grows, so
@@ -154,9 +154,10 @@ def poscom_brute(
     target = mask_of(committee)
     by_overlap = f.is_thiele and (f.weight.kind != "table" or len(f.weight.values) > k)
     scan = completion_winners(f, profile, k, cap, committee if by_overlap else None)
-    for completion, winners in scan:
+    for ballots, winners in scan:
         if target in winners:
-            return Decision(True, completion, committee, "brute-force")
+            return Decision(True, ApprovalProfile(profile.registry, ballots), committee,
+                            "brute-force")
     return Decision(False, None, None, "brute-force")
 
 
@@ -236,8 +237,9 @@ def posmem(
                 if is_winning_committee(f, canonical, committee):
                     return Decision(True, canonical, committee, name)
         return Decision(False, None, None, name)
-    for completion, winners in completion_winners(f, profile, k, cap):
+    for ballots, winners in completion_winners(f, profile, k, cap):
         holder = next((w for w in winners if w & bit), None)
         if holder is not None:
-            return Decision(True, completion, members_of(holder), "brute-force")
+            witness = ApprovalProfile(profile.registry, ballots)
+            return Decision(True, witness, members_of(holder), "brute-force")
     return Decision(False, None, None, "brute-force")

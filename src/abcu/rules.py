@@ -36,7 +36,7 @@ from .model import (
     PartialProfile,
     check_candidate,
     check_members,
-    enumerate_completions,
+    completion_options,
     mask_of,
     members_of,
 )
@@ -578,41 +578,62 @@ def completion_winners(
     k: int,
     cap: int,
     committee: Committee | None = None,
-) -> Iterator[tuple[ApprovalProfile, list[int]]]:
-    """Every completion with its size-k winners as ascending bitmasks.
+) -> Iterator[tuple[tuple[ApprovalBallot, ...], list[int]]]:
+    """Every completion, as its ballots in voter order, with its size-k
+    winners as ascending bitmasks, in enumerate_completions order.
 
-    Completions stream from enumerate_completions, with one option per
-    voter and overlap with ``committee`` when one is given; its cap check
-    runs before any committee is listed. Each distinct approval set's
-    score row is computed once. Consecutive completions share their
-    leading voters' ballot objects, so the running sums over those
-    voters carry over and only the changed suffix is added again. Voters
-    with one option never change, so they are summed first.
+    Options come from completion_options, one per voter and overlap with
+    ``committee`` when one is given, after its cap check. Each approval
+    set's score row is computed on first reach, where a missing entry
+    raises, and kept. Voters with one option are summed into a base row
+    once; an odometer walks the rest, the first slowest, with one running
+    sum per depth, and keeps the last one's rows after its first sweep.
+    Callers build the ApprovalProfile of the one completion they keep.
     """
+    options = completion_options(profile, cap, committee)
     entries = entry_table(f, k, profile.m)
-    within = -1 if committee is None else mask_of(committee)  # -1 holds every bit
-    order = sorted(range(profile.n), key=lambda v: bool(profile.ballots[v].middle_mask & within))
-    masks: list[int] = []
+    masks = list(committee_masks(profile.m, k))
     rows: dict[frozenset[int], list[int]] = {}
-    sums: list[list[int]] = []  # sums[v]: the rows of order[:v] added up
-    last: list[ApprovalBallot] = []
-    for completion in enumerate_completions(profile, cap, committee):
-        if not sums:
-            masks = list(committee_masks(profile.m, k))
-            sums.append([0] * len(masks))
-        ballots = [completion.ballots[v] for v in order]
-        v = 0
-        while v < len(last) and ballots[v] is last[v]:
-            v += 1
-        del sums[v + 1:]
-        for b in ballots[v:]:
-            row = rows.get(b.approved)
-            if row is None:
-                a, size = b.mask, len(b.approved)
-                row = rows[b.approved] = [entries[(a & mask).bit_count(), size] for mask in masks]
-            sums.append(list(map(add, sums[-1], row)))
-        last = ballots
-        yield completion, _winners(masks, sums[-1])
+
+    def row(b: ApprovalBallot) -> list[int]:
+        kept = rows.get(b.approved)
+        if kept is None:
+            a, size = b.mask, len(b.approved)
+            kept = rows[b.approved] = [entries[(a & mask).bit_count(), size] for mask in masks]
+        return kept
+
+    ballots = [choices[0] for choices in options]
+    free, base = [], [0] * len(masks)
+    for v, choices in enumerate(options):
+        if len(choices) > 1:
+            free.append(v)
+        else:
+            base = list(map(add, base, row(choices[0])))
+    if not free:
+        yield tuple(ballots), _winners(masks, base)
+        return
+    *outer, last = free
+    lasts, swept = options[last], None
+    picks = [0] * len(outer)
+    sums = [base]  # sums[d]: base plus the rows of outer[:d] at their picks
+    while True:
+        for d in range(len(sums) - 1, len(outer)):
+            v = outer[d]
+            ballots[v] = options[v][picks[d]]
+            sums.append(list(map(add, sums[-1], row(ballots[v]))))
+        top = sums[-1]
+        for b, r in zip(lasts, swept or map(row, lasts)):
+            ballots[last] = b
+            yield tuple(ballots), _winners(masks, list(map(add, top, r)))
+        swept = swept or [rows[b.approved] for b in lasts]
+        d = len(outer) - 1
+        while d >= 0 and picks[d] + 1 == len(options[outer[d]]):
+            picks[d] = 0
+            d -= 1
+        if d < 0:
+            return
+        picks[d] += 1
+        del sums[d + 1:]
 
 
 def parse_rule_spec(spec: str) -> ScoringFunction:

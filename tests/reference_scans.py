@@ -12,6 +12,12 @@ with the library.
 overlap_options groups a ballot's completions, listed by the
 definition in oracles.py, by their overlap with a committee.
 
+completion_winners is the product-stream scan that rules.completion_winners
+replaced, kept verbatim: it streams enumerate_completions and finds the
+voters that changed by comparing ballots by identity. posmem_scan and
+necmem_scan are the brute posmem and necmem on every completion, with
+winners from winning_committees.
+
 neccom_scan is neccom on candidate sets: every rival, every distinct
 ballot's scan over the subsets of its contested middle, no bound.
 threshold_completion is the binary-linear route's canonical completion
@@ -20,7 +26,8 @@ cut from each ballot's middle_sequence.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
+from operator import add
 
 from abcu import (
     DEFAULT_CAP,
@@ -31,9 +38,19 @@ from abcu import (
     check_axiom,
     completions_of_ballot,
     count_completions,
+    enumerate_completions,
     is_winning_committee,
+    winning_committees,
 )
-from abcu.rules import check_committee_size, check_threshold, committees_by_mask, entry_table
+from abcu.model import check_candidate, mask_of
+from abcu.rules import (
+    check_committee_size,
+    check_k,
+    check_threshold,
+    committee_masks,
+    committees_by_mask,
+    entry_table,
+)
 from oracles import ballot_options
 
 
@@ -78,6 +95,77 @@ def axiom_scan(profile, committee, k, axiom, stop_on: bool, cap: int = DEFAULT_C
         if satisfied == stop_on:
             return Decision(stop_on, completion, committee, "experimental-completion-scan")
     return Decision(not stop_on, None, None, "experimental-completion-scan")
+
+
+def _winners(masks: list[int], scores: list[int]) -> list[int]:
+    """The masks reaching the best score, in the masks' order."""
+    best = max(scores)
+    return list(compress(masks, map(best.__eq__, scores)))
+
+
+def completion_winners(f, profile, k, cap, committee=None):
+    """Every completion with its size-k winners as ascending bitmasks.
+
+    Completions stream from enumerate_completions, with one option per
+    voter and overlap with ``committee`` when one is given; its cap check
+    runs before any committee is listed. Each distinct approval set's
+    score row is computed once. Consecutive completions share their
+    leading voters' ballot objects, so the running sums over those
+    voters carry over and only the changed suffix is added again. Voters
+    with one option never change, so they are summed first.
+    """
+    entries = entry_table(f, k, profile.m)
+    within = -1 if committee is None else mask_of(committee)  # -1 holds every bit
+    order = sorted(range(profile.n), key=lambda v: bool(profile.ballots[v].middle_mask & within))
+    masks: list[int] = []
+    rows: dict[frozenset[int], list[int]] = {}
+    sums: list[list[int]] = []  # sums[v]: the rows of order[:v] added up
+    last: list[ApprovalBallot] = []
+    for completion in enumerate_completions(profile, cap, committee):
+        if not sums:
+            masks = list(committee_masks(profile.m, k))
+            sums.append([0] * len(masks))
+        ballots = [completion.ballots[v] for v in order]
+        v = 0
+        while v < len(last) and ballots[v] is last[v]:
+            v += 1
+        del sums[v + 1:]
+        for b in ballots[v:]:
+            row = rows.get(b.approved)
+            if row is None:
+                a, size = b.mask, len(b.approved)
+                row = rows[b.approved] = [entries[(a & mask).bit_count(), size] for mask in masks]
+            sums.append(list(map(add, sums[-1], row)))
+        last = ballots
+        yield completion, _winners(masks, sums[-1])
+
+
+def _brute_checks(profile, candidate, f, k):
+    check_candidate(candidate, profile.m)
+    check_k(k, profile.m)
+    check_threshold(f.binary_threshold, k)
+
+
+def posmem_scan(profile, candidate, f, k, cap: int = DEFAULT_CAP) -> Decision:
+    """Brute posmem: the first completion with a winner holding the
+    candidate, and the lowest-mask such winner."""
+    _brute_checks(profile, candidate, f, k)
+    for completion in all_completions(profile, cap):
+        holders = [w for w in winning_committees(f, completion, k) if candidate in w]
+        if holders:
+            return Decision(True, completion, min(holders, key=mask_of), "brute-force")
+    return Decision(False, None, None, "brute-force")
+
+
+def necmem_scan(profile, candidate, f, k, cap: int = DEFAULT_CAP) -> Decision:
+    """Brute necmem: the first completion where no winner holds the
+    candidate, and its lowest-mask winner."""
+    _brute_checks(profile, candidate, f, k)
+    for completion in all_completions(profile, cap):
+        winners = winning_committees(f, completion, k)
+        if not any(candidate in w for w in winners):
+            return Decision(False, completion, min(winners, key=mask_of), "brute-force")
+    return Decision(True, None, None, "brute-force")
 
 
 def _scan(f, entries, ballot, committee, rival):

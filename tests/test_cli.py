@@ -521,6 +521,57 @@ def test_installed_entry_point(profile_file, tmp_path):
         assert usage.stderr.startswith("usage: abcu ")
 
 
+def test_importing_the_cli_leaves_reductions_unrun(tmp_path):
+    """Only `abcu gen` needs reductions: `import abcu.cli` registers it
+    lazily, so its code runs on the first read of one of its names, and
+    the package reads each such name from the module, keeping no copy."""
+    code = (
+        "import sys, types, abcu.cli\n"
+        "lazy = sys.modules['abcu.reductions']\n"
+        "print(type(lazy) is types.ModuleType)\n"
+        "import abcu\n"
+        "print(abcu.build_cc_3va is lazy.build_cc_3va, type(lazy) is types.ModuleType)\n"
+        "print('build_cc_3va' in vars(abcu), 'build_cc_3va' in dir(abcu))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            cwd=tmp_path, env=_source_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True", "True", "False", "True"]
+    instance = tmp_path / "inst.txt"
+    instance.write_text("3\n1 2 3\n")
+    gen = subprocess.run([sys.executable, "-m", "abcu", "gen", "--gadget", "cc3va",
+                          "--instance", str(instance)],
+                         capture_output=True, text=True, cwd=tmp_path, env=_source_env())
+    assert gen.returncode == 0 and gen.stderr == ""
+    assert json.loads(gen.stdout)["method"] == "gadget-cc3va"
+
+
+def test_threads_reading_reductions_first_all_wait_for_it(tmp_path):
+    """Eight threads that import from reductions at once, in a fresh
+    process, each get the module only once its code has run, and it
+    runs once: all get the same class and function."""
+    code = (
+        "import sys, threading, abcu\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "got, start = [], threading.Barrier(8)\n"
+        "def read():\n"
+        "    start.wait()\n"
+        "    from abcu.reductions import X3CInstance, build_cc_3va\n"
+        "    got.append((X3CInstance, build_cc_3va))\n"
+        "threads = [threading.Thread(target=read) for _ in range(8)]\n"
+        "for thread in threads:\n"
+        "    thread.start()\n"
+        "for thread in threads:\n"
+        "    thread.join(30)\n"
+        "once = got == [(abcu.X3CInstance, abcu.build_cc_3va)] * 8\n"
+        "print(once, any(thread.is_alive() for thread in threads))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            cwd=tmp_path, env=_source_env(), timeout=60)
+    assert result.stderr == ""
+    assert result.stdout.split() == ["True", "False"]
+
+
 def test_module_entry_points(profile_file, tmp_path):
     """`python -m abcu` and `python -m abcu.cli` both run the command."""
     env = _source_env()

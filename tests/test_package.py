@@ -135,6 +135,27 @@ def test_one_function_routes_the_queries():
         assert sites == ["possible.py:route"], (hit.__name__, sites)
 
 
+def test_one_engine_lists_the_completions():
+    # model.completion_options alone runs the cap check and raises
+    # CapExceededError, and enumerate_completions alone multiplies the
+    # voters' options out, so no scan counts or lists completions its own way.
+    def refusal(node):
+        return (isinstance(node, ast.Call)
+                and "CapExceededError" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None)))
+
+    def product(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "product"
+                or isinstance(node, ast.alias) and node.name == "product")
+
+    for hit, want in ((refusal, "completion_options"), (product, "enumerate_completions")):
+        sites = [
+            f"{path.name}:{site}"
+            for path, tree in _library_trees() for site in _top_level_sites(tree, hit)
+        ]
+        assert sites == [f"model.py:{want}"], (hit.__name__, sites)
+
+
 def test_one_function_writes_the_document_store():
     # io._keep alone writes io._kept, once per text, under the store's
     # lock: no other code stores into it or deletes from it by subscript,
