@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InputError, ResourceRefusal
 from .io import (
-    completion_rows,
+    BallotRows,
     decision_document,
     group_witness_document,
     parse_profile,
@@ -232,11 +232,9 @@ def _handle_check(args) -> tuple[dict, int]:
 
 def _handle_enumerate(args) -> tuple[dict, int]:
     profile, _k = _load_profile(args)
-    rows: dict = {}
-    completions = [
-        completion_rows(completion, rows)
-        for completion in enumerate_completions(profile, args.cap)
-    ]
+    completions = BallotRows(profile.registry, [
+        completion.ballots for completion in enumerate_completions(profile, args.cap)
+    ])
     doc = {
         "query": "enumerate",
         "answer": True,

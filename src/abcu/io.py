@@ -8,7 +8,11 @@ to no constraints; a complete profile is simply one whose middles are
 all empty. Serialization is canonical (sorted keys, arrays in registry
 order, order pairs as the full transitive closure) so fixtures diff
 cleanly. Results leave as single JSON objects with a fixed key order and
-exact rationals rendered as p/q strings.
+exact rationals rendered as p/q strings. A complete profile in a result
+(a witness completion, or the completions of a listing) is held as a
+BallotRows over its ballots and rendered straight from them: one
+serialize_result call quotes the names once and builds each distinct
+approval set's row text once.
 
 parse_profile keeps each document whose ballots it has validated, by
 the document's exact text and within a fixed budget of text, as its
@@ -21,12 +25,15 @@ from __future__ import annotations
 
 import json
 import threading
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .errors import ProfileSyntaxError
 from .model import (
+    ApprovalBallot,
     ApprovalProfile,
     CandidateRegistry,
     Decision,
@@ -231,22 +238,36 @@ def serialize_profile(profile: PartialProfile, k: int | None = None) -> str:
     return json.dumps(profile_document(profile, k), indent=2, sort_keys=True)
 
 
-def completion_rows(profile: ApprovalProfile, rows: dict | None = None) -> list[list[str]]:
-    """A complete profile as per-voter approval name arrays.
+def completion_rows(profile: ApprovalProfile) -> list[list[str]]:
+    """A complete profile as per-voter approval name arrays."""
+    return [_names(profile.registry, b.approved) for b in profile.ballots]
 
-    ``rows`` maps approval sets to their name arrays; pass one dict to
-    every completion of a listing so each distinct set is named once and
-    its array shared.
+
+@dataclass(frozen=True, slots=True, eq=False)
+class BallotRows(Sequence):
+    """A read-only sequence of complete ballots read as name rows.
+
+    ``items`` holds ApprovalBallots (one completion), or sequences of
+    them (a listing of completions); a ballot reads as its approved names
+    in registry order, a sequence as a BallotRows of its own. It compares
+    equal to the list of the rows it reads as. serialize_result renders
+    it from the ballots.
     """
-    if rows is None:
-        rows = {}
-    out = []
-    for b in profile.ballots:
-        row = rows.get(b.approved)
-        if row is None:
-            row = rows[b.approved] = _names(profile.registry, b.approved)
-        out.append(row)
-    return out
+
+    registry: CandidateRegistry
+    items: Sequence
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, i):
+        item = self.items[i]
+        if isinstance(item, ApprovalBallot):
+            return _names(self.registry, item.approved)
+        return BallotRows(self.registry, item)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == other
 
 
 def decision_document(
@@ -266,7 +287,7 @@ def decision_document(
     if decision.witness_committee is not None:
         doc["witness_committee"] = _names(registry, decision.witness_committee)
     if include_witness and decision.witness is not None:
-        doc["witness"] = completion_rows(decision.witness)
+        doc["witness"] = BallotRows(decision.witness.registry, decision.witness.ballots)
     return doc
 
 
@@ -281,45 +302,24 @@ def group_witness_document(witness: GroupWitness, registry: CandidateRegistry) -
     return doc
 
 
-_STR_ONLY = {str}
-
-
-def _render(value: Any, pad: str, out: list[str], rows: dict) -> None:
+def _render(value: Any, pad: str, out: list[str]) -> None:
     """Append to ``out`` the text ``json.dumps(doc, indent=2)`` gives
     ``value`` at nesting ``pad``.
 
-    A non-empty list of strings is rendered once per distinct
-    ``(pad, strings)`` and kept in ``rows``, so a completion listing
-    renders each approval row once. ``rows`` also maps ``(pad, id(list))``
-    to that text, so a row object met again skips the type check and the
-    tuple; the document keeps every list alive for the whole call, so an
-    id names one list throughout. Object keys must be strings. Any leaf
-    other than a string, None, bool, int or Fraction (a float, or an
-    object json cannot render) goes to json.dumps itself.
+    Object keys must be strings. A BallotRows renders from its ballots
+    as the rows it reads as (see _render_ballots). Any leaf other than a
+    string, None, bool, int or Fraction (a float, or an object json
+    cannot render) goes to json.dumps itself.
     """
     if isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = pad + "  "
-        same = (pad, id(value))
-        text = rows.get(same)
-        if text is not None:
-            out.append(text)
-            return
-        if set(map(type, value)) == _STR_ONLY:
-            key = (pad, tuple(value))
-            text = rows.get(key)
-            if text is None:
-                sep = ",\n" + inner
-                text = rows[key] = "[\n" + inner + sep.join(map(_quote, value)) + "\n" + pad + "]"
-            rows[same] = text
-            out.append(text)
-            return
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
-            _render(item, inner, out, rows)
+            _render(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
     elif isinstance(value, dict):
@@ -330,7 +330,7 @@ def _render(value: Any, pad: str, out: list[str], rows: dict) -> None:
         sep = "{\n" + inner
         for key, item in value.items():
             out.append(sep + _quote(key) + ": ")
-            _render(item, inner, out, rows)
+            _render(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
     elif isinstance(value, str):
@@ -345,8 +345,35 @@ def _render(value: Any, pad: str, out: list[str], rows: dict) -> None:
         out.append(int.__repr__(value))
     elif isinstance(value, Fraction):
         out.append(_quote(str(value)))
+    elif isinstance(value, BallotRows):
+        quoted = list(map(_quote, value.registry.names))
+        _render_ballots(value.items, pad, out, quoted, {frozenset(): "[]"})
     else:
         out.append(json.dumps(value))
+
+
+def _render_ballots(items: Sequence, pad: str, out: list[str], quoted: list, texts: dict) -> None:
+    """Append the text of a BallotRows' ``items`` at nesting ``pad``, as
+    _render would give the rows they read as. ``quoted`` holds the
+    registry's names quoted, and ``texts`` maps approval sets to their
+    row texts, the empty set's ``[]`` first. Each other set's row is
+    built once, from its ids in ascending order, and appended for every
+    ballot holding it: every row of one BallotRows sits at one nesting."""
+    inner = pad + "  "
+    sep, later = "[\n" + inner, ",\n" + inner
+    join = (later + "  ").join
+    for item in items:
+        out.append(sep)
+        sep = later
+        if not isinstance(item, ApprovalBallot):
+            _render_ballots(item, inner, out, quoted, texts)
+            continue
+        text = texts.get(item.approved)
+        if text is None:
+            names = join(map(quoted.__getitem__, sorted(item.approved)))
+            text = texts[item.approved] = f"[\n{inner}  {names}\n{inner}]"
+        out.append(text)
+    out.append("\n" + pad + "]" if items else "[]")
 
 
 def serialize_result(doc: dict) -> str:
@@ -354,5 +381,5 @@ def serialize_result(doc: dict) -> str:
     would, key order kept and rationals as p/q strings, in time linear in
     the output."""
     out: list[str] = []
-    _render(doc, "", out, {})
+    _render(doc, "", out)
     return "".join(out)

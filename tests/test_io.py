@@ -10,19 +10,22 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcu import (
     AV,
     CandidateRegistry,
+    Decision,
     UnknownCandidateError,
     check_jr,
     check_pjr,
     complete_profile,
+    enumerate_completions,
     make_partial_ballot,
     necjr,
     poscom,
+    validate_partial_profile,
 )
 from abcu import io as abcu_io
 from abcu.errors import (
@@ -33,6 +36,7 @@ from abcu.errors import (
     ProfileSyntaxError,
 )
 from abcu.io import (
+    BallotRows,
     completion_rows,
     decision_document,
     group_witness_document,
@@ -244,11 +248,13 @@ def test_shared_rows_render_at_every_depth():
     assert serialize_result(doc) == _reference_serialize(doc)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "caf\u00e9", "\u2603 \U0001f600",
-     "lone \ud800 surrogate", "", "/"],
-)
+_ESCAPED_NAMES = [
+    'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "caf\u00e9", "\u2603 \U0001f600",
+    "lone \ud800 surrogate", "", "/",
+]
+
+
+@pytest.mark.parametrize("name", _ESCAPED_NAMES)
 def test_names_escape_as_json_dumps_escapes_them(name):
     doc = {name: [name, name], "row": [name], "rows": [[name, "x"], [name]], "leaf": name}
     assert serialize_result(doc) == _reference_serialize(doc)
@@ -292,6 +298,40 @@ def test_completion_rows(quad_profile):
 
 _NAMES = ("c", "a", "e", "b", "d")
 _PARTS = ("top", "middle", "bottom")
+
+
+@st.composite
+def _open_profiles(draw):
+    """A profile without order over up to 16 names, json escapes among
+    them, so ids pass the size of a small set's hash table. A voter's
+    middle holds at most two names, and approval sets may be empty."""
+    names = draw(st.lists(st.sampled_from(_ESCAPED_NAMES + [f"n{i}" for i in range(8)]),
+                          min_size=1, max_size=16, unique=True))
+    records = []
+    for parts in draw(st.lists(st.lists(st.sampled_from(_PARTS), min_size=len(names),
+                                        max_size=len(names)), max_size=3)):
+        top = [c for c, part in enumerate(parts) if part == "top"]
+        middle = [c for c, part in enumerate(parts) if part == "middle"][:2]
+        records.append((top, middle, sorted(set(range(len(names))) - set(top) - set(middle))))
+    return validate_partial_profile(records, CandidateRegistry(tuple(names)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_open_profiles())
+@example(validate_partial_profile([], CandidateRegistry(("a",))))
+def test_ballot_rows_render_as_their_name_rows(profile):
+    # Consecutive completions share ballot objects, as a listing holds
+    # them; the witness sits at depth 1 and the listing at depth 2.
+    completions = list(enumerate_completions(profile))
+    witness = completions[-1]
+    decision = Decision(True, witness, None, "enumeration")
+    doc = decision_document("poscom", decision, profile.registry, include_witness=True)
+    doc["listing"] = {"completions": BallotRows(
+        profile.registry, [completion.ballots for completion in completions])}
+    reference = dict(doc, witness=completion_rows(witness), listing={
+        "completions": [completion_rows(completion) for completion in completions]})
+    assert doc == reference
+    assert serialize_result(doc) == json.dumps(reference, indent=2)
 
 
 @st.composite
