@@ -34,6 +34,7 @@ from .model import (
 )
 from .necessary import neccom, necmem
 from .possible import poscom, posmem
+from .reductions import build_cc_3va, build_linear_x3c, parse_one_in_three, parse_x3c
 from .representation import (
     check_axiom,
     necessary_axiom_by_scan,
@@ -246,8 +247,6 @@ def _handle_enumerate(args) -> tuple[dict, int]:
 
 
 def _handle_gen(args) -> tuple[dict, int]:
-    from .reductions import build_cc_3va, build_linear_x3c, parse_one_in_three, parse_x3c
-
     with open(args.instance, encoding="utf-8") as handle:
         text = handle.read()
     if args.gadget == "cc3va":
@@ -318,7 +317,10 @@ def run_cli(argv: list[str]) -> int:
             args.cap = _resolve_cap(args)
         doc, code = _HANDLERS[args.command](args)
         # Written and flushed here, so a closed stdout is an OSError too.
-        sys.stdout.write(serialize_result(doc) + "\n")
+        # The text and its newline go out apart: joined, a large listing
+        # would be copied once more before the write.
+        sys.stdout.write(serialize_result(doc))
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except ResourceRefusal as exc:
         print(f"abcu: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ by handing every voter t fresh jointly approved candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,53 +35,56 @@ from .rules import (
 SOLVER_LIMIT = 20
 
 
-@dataclass(frozen=True)
 class X3CInstance:
     """Exact cover by 3-sets: can q disjoint triples cover all 3q elements?"""
 
-    universe_size: int
-    triples: tuple[frozenset[int], ...]
+    __slots__ = ("universe_size", "triples")
 
-    def __post_init__(self) -> None:
-        if self.universe_size <= 0 or self.universe_size % 3:
+    def __init__(self, universe_size: int, triples: tuple[frozenset[int], ...]) -> None:
+        if universe_size <= 0 or universe_size % 3:
             raise ValueError("universe size must be a positive multiple of 3")
-        for triple in self.triples:
+        for triple in triples:
             if len(triple) != 3:
                 raise ValueError("every set must have exactly three elements")
-            if any(not 0 <= e < self.universe_size for e in triple):
+            if any(not 0 <= e < universe_size for e in triple):
                 raise ValueError("set element out of range")
+        self.universe_size = universe_size
+        self.triples = triples
 
     @property
     def q(self) -> int:
         return self.universe_size // 3
 
 
-@dataclass(frozen=True)
 class OneInThreeInstance:
     """Positive one-in-three satisfiability over three-element clauses."""
 
-    num_elements: int
-    clauses: tuple[frozenset[int], ...]
+    __slots__ = ("num_elements", "clauses")
 
-    def __post_init__(self) -> None:
-        if self.num_elements < 0:
+    def __init__(self, num_elements: int, clauses: tuple[frozenset[int], ...]) -> None:
+        if num_elements < 0:
             raise ValueError("element count must be non-negative")
-        for clause in self.clauses:
+        for clause in clauses:
             if len(clause) != 3:
                 raise ValueError("every clause must have exactly three elements")
-            if any(not 0 <= e < self.num_elements for e in clause):
+            if any(not 0 <= e < num_elements for e in clause):
                 raise ValueError("clause element out of range")
+        self.num_elements = num_elements
+        self.clauses = clauses
 
 
-@dataclass(frozen=True)
 class GadgetOutput:
     """A generated query: profile, target committee, size and rule."""
 
-    profile: PartialProfile
-    target: Committee
-    k: int
-    rule: ScoringFunction
-    rule_spec: str
+    __slots__ = ("profile", "target", "k", "rule", "rule_spec")
+
+    def __init__(self, profile: PartialProfile, target: Committee, k: int,
+                 rule: ScoringFunction, rule_spec: str) -> None:
+        self.profile = profile
+        self.target = target
+        self.k = k
+        self.rule = rule
+        self.rule_spec = rule_spec
 
 
 def solve_x3c_brute(instance: X3CInstance) -> bool:

@@ -36,8 +36,17 @@ EXPORTED = {
 def test_public_names_are_exactly_the_declared_set():
     assert len(abcu.__all__) == len(set(abcu.__all__))
     assert set(abcu.__all__) == EXPORTED
-    assert all(hasattr(abcu, name) for name in abcu.__all__)
+    assert set(abcu.__all__) <= vars(abcu).keys()
 
+
+def test_package_defines_no_module_hooks():
+    # Every exported name is bound at import, so the package needs no
+    # module-level __getattr__ or __dir__ to supply one.
+    tree = ast.parse(Path(abcu.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    defined |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert not defined & {"__getattr__", "__dir__"}
 
 
 def _library_trees():

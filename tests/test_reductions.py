@@ -8,6 +8,7 @@ import pytest
 from abcu import (
     CandidateRegistry,
     DivisibilityError,
+    GadgetOutput,
     OneInThreeInstance,
     PartialBallot,
     PartialProfile,
@@ -59,6 +60,36 @@ def test_cover_instances_are_validated(size, triples):
 def test_clause_instances_are_validated(count, clauses):
     with pytest.raises(ValueError):
         OneInThreeInstance(count, clauses)
+
+
+def test_instance_errors_name_the_fault():
+    cases = [
+        (X3CInstance, (0, ()), "universe size must be a positive multiple of 3"),
+        (X3CInstance, (6, (frozenset({0, 1}),)), "every set must have exactly three elements"),
+        (X3CInstance, (6, (frozenset({0, 1, 6}),)), "set element out of range"),
+        (OneInThreeInstance, (-1, ()), "element count must be non-negative"),
+        (OneInThreeInstance, (3, (frozenset({0, 1}),)),
+         "every clause must have exactly three elements"),
+        (OneInThreeInstance, (3, (frozenset({0, 1, 3}),)), "clause element out of range"),
+    ]
+    for record, args, message in cases:
+        with pytest.raises(ValueError) as info:
+            record(*args)
+        assert str(info.value) == message
+
+
+def test_records_take_keywords_and_keep_no_instance_dict():
+    cover = X3CInstance(universe_size=6, triples=(T1, T2))
+    assert (cover.universe_size, cover.triples, cover.q) == (6, (T1, T2), 2)
+    clauses = OneInThreeInstance(num_elements=3, clauses=(T1,))
+    assert (clauses.num_elements, clauses.clauses) == (3, (T1,))
+    out = build_cc_3va(clauses)
+    again = GadgetOutput(profile=out.profile, target=out.target, k=out.k, rule=out.rule,
+                         rule_spec=out.rule_spec)
+    assert again.profile is out.profile and again.rule is out.rule
+    assert (again.target, again.k, again.rule_spec) == ({1, 2}, 2, "cc")
+    for record in (cover, clauses, again):
+        assert not hasattr(record, "__dict__")
 
 
 def test_cover_solver():
